@@ -9,6 +9,11 @@ the discrete Dirichlet/Fubini rearrangement is exact for finite sums, so the
 Volterra and weak-form identities hold per path to machine precision; on
 ``product`` tables the same verifiers report a residual that decreases at
 first order in the step.
+
+Every history sum (path convolution, verifiers' kernel convolutions, Ito drift)
+is one `grids.lag_convolve` call: at most P N^2 d^2 / 2 multiply-adds in N matrix
+products per block of paths, in ascending source node, so node 0 of a path is
+exactly zero and the identity table reduces to the elementary Ito sum bit for bit.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
-from .grids import TimeGrid
+from .grids import TimeGrid, cell_values, lag_convolve
 from .noise import ConstantDiffusion, sample_wiener_batch
 from .spaces import as_matrix
 
@@ -57,16 +62,12 @@ def _convolve_paths(S, c_batch):
     """Running convolution sum_{m<n} S[n-m] c[m] for each path in the batch."""
     P, N, d = c_batch.shape
     out = np.zeros((P, N + 1, d))
-    for n in range(1, N + 1):
-        out[:, n] = np.einsum("jab,pjb->pa", S[n:0:-1], c_batch[:, :n])
+    lag_convolve(S[1:], c_batch, out[:, 1:])
     return out
 
 
 def _convolve_at(S, c_batch, n):
-    """The convolution at a single node for each path."""
-    P, _, d = c_batch.shape
-    if n == 0:
-        return np.zeros((P, d))
+    """The convolution at a single node for each path (zero at node 0)."""
     return np.einsum("jab,pjb->pa", S[n:0:-1], c_batch[:, :n])
 
 
@@ -123,13 +124,8 @@ class MildSolutionPath:
 
 def _isometry_sum(table, psi, cov, K, n):
     """h * sum_{m<n} |S(t_n - t_m) Psi(t_m)|_{HS}^2 under the first K modes."""
-    vals = psi.values_on_grid(table.grid)[:, :, :K]
-    q = cov.q[:K]
-    total = 0.0
-    for m in range(n):
-        M = table.S[n - m] @ vals[m]
-        total += float(np.sum(q * np.sum(M * M, axis=0)))
-    return table.grid.h * total
+    M = table.S[n:0:-1] @ psi.values_on_grid(table.grid)[:n, :, :K]
+    return table.grid.h * float(np.sum(cov.q[:K] * np.sum(M * M, axis=(0, 1))))
 
 
 def stochastic_convolution(table, psi, inc):
@@ -255,13 +251,9 @@ class IdentityReport:
     sup_residual: float
     exact_regime: bool
 
-
-def _convolution_quadrature(W, path_values, scheme, n):
-    """The verifier's quadrature of (kernel * path) at node n."""
-    if scheme == "conv":
-        return np.einsum("jab,jb->a", W[:n], path_values[n:0:-1])
-    avg = 0.5 * (path_values[n:0:-1] + path_values[n - 1::-1][:n])
-    return np.einsum("jab,jb->a", W[:n], avg)
+    @classmethod
+    def of(cls, res, scheme):
+        return cls(residuals=res, sup_residual=float(np.max(res)), exact_regime=scheme == "conv")
 
 
 def verify_volterra_identity(path, kernel, psi, inc):
@@ -277,17 +269,10 @@ def verify_volterra_identity(path, kernel, psi, inc):
     grid = path.grid
     W = kernel.cell_weights(grid)
     c = _left_point_products(psi, grid, inc.dW[None])[0]
-    ito = np.zeros((grid.N + 1, path.values.shape[1]))
-    ito[1:] = np.cumsum(c, axis=0)
-    res = np.zeros(grid.N + 1)
-    for n in range(1, grid.N + 1):
-        conv = _convolution_quadrature(W, path.values, path.scheme, n)
-        res[n] = np.linalg.norm(path.values[n] - conv - ito[n])
-    return IdentityReport(
-        residuals=res,
-        sup_residual=float(np.max(res)),
-        exact_regime=path.scheme == "conv",
-    )
+    conv = np.zeros((grid.N, path.values.shape[1]))
+    lag_convolve(W, cell_values(path.values, path.scheme)[None], conv[None])
+    res = np.linalg.norm(path.values[1:] - conv - np.cumsum(c, axis=0), axis=1)
+    return IdentityReport.of(np.concatenate([[0.0], res]), path.scheme)
 
 
 def verify_weak_solution(path, a, A, xi, psi, inc):
@@ -305,20 +290,11 @@ def verify_weak_solution(path, a, A, xi, psi, inc):
         raise DimensionMismatch("functional shape", xi.shape, (path.values.shape[1],))
     w = a.cell_moments(grid.h, grid.N)
     c = _left_point_products(psi, grid, inc.dW[None])[0]
-    ito_xi = np.concatenate([[0.0], np.cumsum(c @ xi)])
     proj = path.values @ (A.T @ xi)
-    res = np.zeros(grid.N + 1)
-    for n in range(1, grid.N + 1):
-        if path.scheme == "conv":
-            conv = float(np.dot(w[:n], proj[n:0:-1]))
-        else:
-            conv = float(np.dot(w[:n], 0.5 * (proj[n:0:-1] + proj[n - 1::-1][:n])))
-        res[n] = abs(float(path.values[n] @ xi) - conv - ito_xi[n])
-    return IdentityReport(
-        residuals=res,
-        sup_residual=float(np.max(res)),
-        exact_regime=path.scheme == "conv",
-    )
+    conv = np.zeros((1, grid.N, 1))
+    lag_convolve(w[:, None, None], cell_values(proj, path.scheme)[None, :, None], conv)
+    res = np.abs(path.values[1:] @ xi - conv[0, :, 0] - np.cumsum(c @ xi))
+    return IdentityReport.of(np.concatenate([[0.0], res]), path.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +356,30 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d)."""
     t = grid.nodes()
     h = grid.h
-    d = X.shape[2]
-    P = X.shape[0]
     A0 = kernel.value_at_zero()
-    Adot = np.empty((grid.N + 1, d, d))
-    for i in range(grid.N + 1):
-        Adot[i] = kernel.derivative(t[i])
-    phi = np.array([float(xi.phi(x)) for x in t])
-    phi_dot = np.array([float(xi.phi_dot(x)) for x in t])
+    Adot = np.array([kernel.derivative(s) for s in t])
+    phi = np.array([float(xi.phi(s)) for s in t])
+    phi_dot = np.array([float(xi.phi_dot(s)) for s in t])
 
-    # inner convolution (dA/dt * X) by the trapezoid rule at every node
-    G = np.zeros((P, grid.N + 1, d))
-    for i in range(1, grid.N + 1):
-        full = np.einsum("jab,pjb->pa", Adot[i::-1], X[:, : i + 1])
-        ends = 0.5 * (np.einsum("ab,pb->pa", Adot[i], X[:, 0]) +
-                      np.einsum("ab,pb->pa", Adot[0], X[:, i]))
-        G[:, i] = h * (full - ends)
+    # inner convolution (dA/dt * X) by the trapezoid rule at every node, paired
+    # with xi0 first: lag weights h * dA/dt' xi0, halved at lag 0 and on X[:, 0]
+    u = h * np.einsum("nab,a->nb", Adot, xi.xi0)[:, None, :]
+    u[0] *= 0.5
+    rate = np.zeros((X.shape[0], grid.N + 1))
+    rate[:, 1:] = X[:, 0] @ (0.5 * u[1:, 0].T)
+    lag_convolve(u, X[:, 1:], rate[:, 1:, None])
+    rate += X @ (A0.T @ xi.xi0)
 
-    drift = np.einsum("pni,i->pn", G + np.einsum("ab,pnb->pna", A0, X), xi.xi0) * phi
-    decay = np.einsum("pni,i->pn", X, xi.xi0) * phi_dot
-    sto_steps = np.einsum("pmi,i->pm", bdw, xi.xi0) * phi[:-1]
-
-    lhs = np.einsum("pni,i->pn", X, xi.xi0) * phi
-    res = np.zeros((P, grid.N + 1))
-    trap_drift = np.zeros(P)
-    trap_decay = np.zeros(P)
-    sto = np.zeros(P)
-    for n in range(1, grid.N + 1):
-        trap_drift = trap_drift + 0.5 * h * (drift[:, n - 1] + drift[:, n])
-        trap_decay = trap_decay + 0.5 * h * (decay[:, n - 1] + decay[:, n])
-        sto = sto + sto_steps[:, n - 1]
-        res[:, n] = lhs[:, n] - lhs[:, 0] - trap_drift - sto - trap_decay
+    # deterministic rate of <X, xi>: drift * phi + <X, xi0> * phi_dot, updated
+    # in place so that only a few (P, N+1) arrays are alive at once
+    x_xi = X @ xi.xi0
+    rate *= phi
+    rate += x_xi * phi_dot
+    rate = 0.5 * h * (rate[:, :-1] + rate[:, 1:])
+    res = x_xi * phi
+    res -= res[:, :1]
+    res[:, 1:] -= np.cumsum(rate, axis=1)
+    res[:, 1:] -= np.cumsum((bdw @ xi.xi0) * phi[:-1], axis=1)
     return res
 
 
@@ -458,8 +427,9 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     grid = table.grid
     Bm = as_matrix(B)
     psi = ConstantDiffusion(Bm)
-    dw = sample_wiener_batch(spec, grid, range(n_paths), threads=threads)
-    c = _left_point_products(psi, grid, dw)
+    c = _left_point_products(
+        psi, grid, sample_wiener_batch(spec, grid, range(n_paths), threads=threads)
+    )
     X = _convolve_paths(table.S, c)
     X += np.einsum("nij,j->ni", table.S, X0)[None]
     res = _ito_residual_batch(table.kernel, xi, grid, X, c)

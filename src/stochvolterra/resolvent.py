@@ -20,6 +20,10 @@ Schemes
     j < k.  First order, but the stochastic convolution built on such a table
     satisfies the discrete Volterra identity to machine precision, which is
     what the identity verifiers exploit.
+
+`resolvent_residuals` sums both equations' histories with `grids.lag_convolve`
+(N^2 d^3 / 2 multiply-adds each) in another order than the marching, so the
+second residual is machine level but not zero.
 """
 
 import warnings
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SmoothnessError
-from .grids import TimeGrid
+from .grids import TimeGrid, cell_values, lag_convolve
 from .kernels import ScalarKernel, march_scalar
 
 __all__ = [
@@ -183,11 +187,8 @@ class NonscalarKernel(OperatorKernel):
             raise SmoothnessError("no derivative rule was supplied")
         grid = TimeGrid(float(T), int(n))
         dot_cells = NonscalarKernel(self.A_dot).cell_weights(grid)
-        running = np.cumsum(dot_cells, axis=0)
-        worst = 0.0
-        for i, t in enumerate(grid.nodes()[1:], start=0):
-            worst = max(worst, float(np.max(np.abs(self.value(t) - self._A0 - running[i]))))
-        return worst
+        values = np.array([self.value(t) for t in grid.nodes()[1:]])
+        return float(np.max(np.abs(values - self._A0 - np.cumsum(dot_cells, axis=0))))
 
     def label(self):
         return f"nonscalar[{self.dim}x{self.dim}]"
@@ -318,25 +319,18 @@ class ResolventResiduals:
 
 def resolvent_residuals(table):
     grid, S, W = table.grid, table.S, table.cell_weights
-    d = table.dim
-    eye = np.eye(d)
-    h = grid.h
-    t = grid.nodes()
-    A_vals = np.empty((grid.N + 1, d, d))
-    for i in range(1, grid.N + 1):
-        A_vals[i] = table.kernel.value(t[i])
-    res1 = 0.0
-    res2 = 0.0
-    for n in range(1, grid.N + 1):
-        if table.scheme == "product":
-            avg = 0.5 * (S[n:0:-1] + S[n - 1::-1][:n])
-            conv2 = np.einsum("jab,jbc->ac", W[:n], avg)
-        else:
-            conv2 = np.einsum("jab,jbc->ac", W[:n], S[n:0:-1])
-        res2 = max(res2, float(np.max(np.abs(S[n] - eye - conv2))))
-        conv1 = h * np.einsum("jab,jbc->ac", A_vals[n:0:-1], S[:n])
-        res1 = max(res1, float(np.max(np.abs(S[n] - eye - conv1))))
-    return ResolventResiduals(res_first=res1, res_second=res2)
+    N, d = grid.N, table.dim
+    # lag k of the first equation's sum is A(t_{k+1}) h
+    A_vals = np.array([table.kernel.value(t) for t in grid.nodes()[1:]])
+    # the columns of S are the lag sums' paths; conv[c, n-1] is column c at node n
+    conv2 = np.zeros((d, N, d))
+    lag_convolve(W, cell_values(S, table.scheme).transpose(2, 0, 1), conv2)
+    conv1 = np.zeros((d, N, d))
+    lag_convolve(A_vals, S[:N].transpose(2, 0, 1), conv1)
+    gap = S[1:] - np.eye(d)
+    res2 = np.max(np.abs(gap - conv2.transpose(1, 2, 0)))
+    res1 = np.max(np.abs(gap - grid.h * conv1.transpose(1, 2, 0)))
+    return ResolventResiduals(res_first=float(res1), res_second=float(res2))
 
 
 def spectral_resolvent(a, A, grid, scheme="product"):

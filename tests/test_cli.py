@@ -1,11 +1,22 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stochvolterra
 from stochvolterra.cli import main
+
+# a child interpreter imports the same package as this process, installed or not
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(stochvolterra.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 OU_SCALAR = {
     "experiment": "scalar_resolvent",
@@ -277,6 +288,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "stochvolterra", "--config", cfg, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert (out / "scalar_resolvent.csv").exists()
@@ -284,5 +296,6 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "stochvolterra", "--config", cfg, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert "scalar_resolvent.csv" in proc2.stdout

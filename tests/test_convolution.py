@@ -455,6 +455,57 @@ def test_ito_statistics_smoke():
     assert stats.rms > 0.0
 
 
+def ito_residual_per_node(kernel, xi, grid, X, bdw):
+    """Signed residuals of one path with the drift's inner convolution summed
+    node by node (full trapezoid sum minus the two halved ends)."""
+    t = grid.nodes()
+    h = grid.h
+    Adot = np.array([kernel.derivative(s) for s in t])
+    phi = np.array([xi.phi(s) for s in t])
+    phi_dot = np.array([xi.phi_dot(s) for s in t])
+    G = np.zeros_like(X)
+    for i in range(1, grid.N + 1):
+        full = np.einsum("jab,jb->a", Adot[i::-1], X[: i + 1])
+        ends = 0.5 * (Adot[i] @ X[0] + Adot[0] @ X[i])
+        G[i] = h * (full - ends)
+    drift = ((G + X @ kernel.value_at_zero().T) @ xi.xi0) * phi
+    decay = (X @ xi.xi0) * phi_dot
+    lhs = (X @ xi.xi0) * phi
+    res = np.zeros(grid.N + 1)
+    trap_drift = trap_decay = sto = 0.0
+    for n in range(1, grid.N + 1):
+        trap_drift += 0.5 * h * (drift[n - 1] + drift[n])
+        trap_decay += 0.5 * h * (decay[n - 1] + decay[n])
+        sto += (bdw[n - 1] @ xi.xi0) * phi[n - 1]
+        res[n] = lhs[n] - lhs[0] - trap_drift - sto - trap_decay
+    return res
+
+
+def test_ito_identity_general_matrix_kernel_matches_per_node_sum():
+    # non-commuting parts: A(t) is not a scalar function times one matrix
+    M1 = np.array([[-1.0, 0.5], [0.2, -2.0]])
+    M2 = np.array([[0.0, -0.3], [0.4, 0.1]])
+    kern = NonscalarKernel(
+        lambda t: math.exp(-t) * M1 + math.cos(t) * M2,
+        A_dot=lambda t: -math.exp(-t) * M1 - math.sin(t) * M2,
+        A_at_zero=M1 + M2,
+    )
+    assert kern.smoothness == "W11"
+    grid = TimeGrid(1.0, 64)
+    table = compute_resolvent(kern, grid)
+    inc = sample_wiener(NoiseSpec(cov=CovOperator(np.ones(2)), truncation=2, seed=17), grid)
+    B = np.array([[0.8, 0.0], [0.3, 0.5]])
+    x_path = mild_solution(table, np.array([1.0, -1.0]), ConstantDiffusion(B), inc)
+    xi = ItoTestFunction(
+        np.array([1.0, 0.5]), phi=lambda t: math.exp(t), phi_dot=lambda t: math.exp(t)
+    )
+    report = verify_ito_identity(x_path, kern, B, xi, inc)
+    bdw = np.einsum("ik,km->mi", B, inc.dW)
+    oracle = ito_residual_per_node(kern, xi, grid, x_path.values, bdw)
+    assert np.max(np.abs(oracle)) > 1e-6
+    assert np.max(np.abs(report.residuals - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 # --- strong (Euler) vs mild consistency --------------------------------------------
 
 
