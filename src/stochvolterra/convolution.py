@@ -187,14 +187,13 @@ def covariance_quadrature(table, B, Q, t_index):
     if Bm.shape[1] != Q.dim:
         raise DimensionMismatch("operator columns vs covariance modes", Bm.shape, (Q.dim,))
     BQBt = (Bm * Q.q) @ Bm.T
-    h = table.grid.h
-    out = np.zeros((table.dim, table.dim))
     if t_index == 0:
-        return out
-    for j in range(t_index + 1):
-        M = table.S[j] @ BQBt @ table.S[j].T
-        weight = 0.5 * h if j in (0, t_index) else h
-        out += weight * M
+        return np.zeros((table.dim, table.dim))
+    S = table.S[: t_index + 1]
+    weights = np.full(t_index + 1, table.grid.h)
+    weights[[0, -1]] *= 0.5
+    # sum_j weights[j] S_j BQB' S_j', summed over (j, column) in one product
+    out = np.tensordot(weights[:, None, None] * (S @ BQBt), S, axes=([0, 2], [0, 2]))
     return 0.5 * (out + out.T)
 
 

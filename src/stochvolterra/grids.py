@@ -1,13 +1,24 @@
-"""Uniform time grids and the causal lag sum evaluated on them."""
+"""Uniform time grids, the causal lag sum evaluated on them, and the marcher.
+
+Both history sums share one layout: the lag weights flattened to a (b, n a)
+matrix whose column j a + i holds row i of w[j], so one matrix product applies
+every lag to one node's value at once.  `lag_convolve` pulls the whole history
+of known inputs through it; `march` pushes each newly solved cell value through
+it into the histories of all later nodes.  The marcher spends N^2 d^3 / 2
+multiply-adds in N BLAS products, and every node's history is summed in
+ascending cell order.
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericalFailure
 
 _LAG_BLOCK = 1 << 16  # doubles in lag_convolve's product of one block of paths
+
+OVERFLOW_LIMIT = 1e100  # largest |entry| a marched table may reach
 
 
 @dataclass(frozen=True)
@@ -50,15 +61,59 @@ def lag_convolve(w, x, out):
     P, n_out, _ = out.shape
     if x.shape[0] != P or x.shape[2] != b or out.shape[2] != a or n_out > L:
         raise DimensionMismatch("lag weights, input and output", w.shape, x.shape, out.shape)
-    # column j*a + i holds row i of w[j]: x[:, m] @ flat[:, :k*a] gives lags j < k at once
-    flat = np.ascontiguousarray(w[:n_out].transpose(2, 0, 1)).reshape(b, n_out * a)
+    flat = _lag_columns(w, n_out)
     block = max(1, _LAG_BLOCK // max(1, n_out * a))
     for p in range(0, P, block):
         dst = out[p : p + block]
         src = np.ascontiguousarray(x[p : p + block, :n_out])
         for m in range(src.shape[1]):
-            k = n_out - m
-            dst[:, m:] += (src[:, m] @ flat[:, : k * a]).reshape(-1, k, a)
+            _add_lagged(dst[:, m:], src[:, m], flat)
+
+
+def _lag_columns(w, n):
+    """(b, n a) matrix whose column j a + i holds row i of w[j], for lags j < n."""
+    L, a, b = w.shape
+    return np.ascontiguousarray(w[:n].transpose(2, 0, 1)).reshape(b, n * a)
+
+
+def _add_lagged(dst, x, flat):
+    """dst[p, j] += w[j] @ x[p] for the k = dst.shape[1] lags leading `flat`."""
+    P, k, a = dst.shape
+    dst += (x @ flat[:, : k * a]).reshape(P, k, a)
+
+
+def march(W, scheme):
+    """Solve S[n] = I + sum_{j<n} W[j] c[n-j] for the (N+1, d, d) table S, S[0] = I.
+
+    c[m] is what cell m's weight multiplies (`cell_values`): the endpoint
+    average of S under ``product``, the right endpoint S[m] under ``conv``; the
+    lag-0 term holds the unknown, so each step is one product with the inverted
+    step matrix I - W[0]/2 (or I - W[0]).  Once S[m] is known, c[m] goes through
+    the lag columns of W[1:] into the history of every later node, one BLAS
+    product of d x d by d x (N-m) d.  Raises NumericalFailure for a singular
+    step matrix or an entry past OVERFLOW_LIMIT.
+    """
+    N, d, _ = W.shape
+    eye = np.eye(d)
+    S = np.empty((N + 1, d, d))
+    S[0] = eye
+    implicit = 0.5 if scheme == "product" else 1.0
+    try:
+        M_inv = np.linalg.inv(eye - implicit * W[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"singular step matrix at step 1: {exc}") from exc
+    known = (1.0 - implicit) * W[0]  # product: the half of cell n's average at S[n-1]
+    flat = _lag_columns(W[1:], N - 1)
+    # history[c, n, r] is entry (r, c) of sum_{1<=j<n} W[j] c[n-j]: lag_convolve's layout
+    history = np.zeros((d, N + 1, d))
+    for k in range(1, N + 1):
+        S[k] = M_inv @ (eye + known @ S[k - 1] + history[:, k].T)
+        sup = np.abs(S[k]).max()
+        if not sup <= OVERFLOW_LIMIT:  # also true for nan
+            raise NumericalFailure(f"overflow at step {k}: sup entry {sup}")
+        if k < N:
+            _add_lagged(history[:, k + 1 :], cell_values(S[k - 1 : k + 1], scheme)[0].T, flat)
+    return S
 
 
 def cell_values(values, scheme):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid
+from .grids import TimeGrid, march
 
 __all__ = [
     "ScalarKernel",
@@ -266,33 +266,18 @@ class TabulatedKernel(ScalarKernel):
 def march_scalar(weights, mu, scheme="product"):
     """March the discrete equation s + mu * (a convolved with s) = 1.
 
-    `weights` are the exact kernel cell integrals.  Returns the N+1 node
-    values with s[0] = 1.  Any real mu is accepted; the guarded failure is a
-    nonpositive diagonal coefficient, which cannot occur for mu >= 0 and a
-    nonnegative kernel.
+    `grids.march` with the 1x1 weights -mu * w, where `weights` are the exact
+    kernel cell integrals.  Returns the N+1 node values with s[0] = 1.  Any
+    real mu is accepted; the guarded failure is a nonpositive diagonal
+    coefficient, which cannot occur for mu >= 0 and a nonnegative kernel.
     """
     w = np.asarray(weights, dtype=float)
-    n_cells = w.size
-    s = np.empty(n_cells + 1)
-    s[0] = 1.0
-    if scheme == "product":
-        denom = 1.0 + 0.5 * mu * w[0]
-        if denom <= 0.0:
-            raise NumericalFailure(f"nonpositive diagonal coefficient {denom} in marching scheme")
-        for n in range(1, n_cells + 1):
-            acc = 0.5 * w[0] * s[n - 1]
-            if n > 1:
-                acc += np.dot(w[1:n], 0.5 * (s[n - 1:0:-1] + s[n - 2::-1]))
-            s[n] = (1.0 - mu * acc) / denom
-    elif scheme == "conv":
-        denom = 1.0 + mu * w[0]
-        if denom <= 0.0:
-            raise NumericalFailure(f"nonpositive diagonal coefficient {denom} in marching scheme")
-        for n in range(1, n_cells + 1):
-            acc = np.dot(w[1:n], s[n - 1:0:-1]) if n > 1 else 0.0
-            s[n] = (1.0 - mu * acc) / denom
-    else:
+    if scheme not in ("product", "conv"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    denom = 1.0 + (0.5 if scheme == "product" else 1.0) * mu * w[0]
+    if denom <= 0.0:
+        raise NumericalFailure(f"nonpositive diagonal coefficient {denom} in marching scheme")
+    s = march(-mu * w[:, None, None], scheme)[:, 0, 0]
     if not np.all(np.isfinite(s)):
         raise NumericalFailure("scalar marching overflowed")
     return s
@@ -461,8 +446,11 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
 def mittag_leffler(alpha, z, max_terms=200):
     """One-parameter Mittag-Leffler function by its Taylor series.
 
-    Accurate for |z| <= 2 with the default term budget; larger arguments
-    would need asymptotic branches that are deliberately not implemented.
+    Restricted to |z| <= 2; larger arguments would need asymptotic branches
+    that are deliberately not implemented.  Raises NumericalFailure when the
+    terms have not become negligible within `max_terms` (small alpha: the
+    terms grow like |z|^k / Gamma(alpha k + 1) for many k, and cancellation
+    leaves nothing of the sum) or when the sum is not finite.
     """
     if abs(z) > 2.0:
         raise ValueError("series evaluation is restricted to |z| <= 2")
@@ -472,4 +460,10 @@ def mittag_leffler(alpha, z, max_terms=200):
         total += term
         if k > 10 and abs(term) < 1e-18 * max(1.0, abs(total)):
             break
+    else:
+        raise NumericalFailure(
+            f"Mittag-Leffler series E_{alpha:g}({z:g}) did not converge in {max_terms} terms"
+        )
+    if not math.isfinite(total):
+        raise NumericalFailure(f"Mittag-Leffler series E_{alpha:g}({z:g}) is not finite")
     return total

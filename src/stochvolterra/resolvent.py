@@ -21,9 +21,12 @@ Schemes
     satisfies the discrete Volterra identity to machine precision, which is
     what the identity verifiers exploit.
 
-`resolvent_residuals` sums both equations' histories with `grids.lag_convolve`
-(N^2 d^3 / 2 multiply-adds each) in another order than the marching, so the
-second residual is machine level but not zero.
+Marching is `grids.march`: N^2 d^3 / 2 multiply-adds in N BLAS products, each
+node's history summed in ascending cell order.  `resolvent_residuals` sums both
+equations' histories with `grids.lag_convolve` (the same count each) and never
+applies the inverted step matrix, so the second residual is machine level but
+not zero.
+Operator 2-norms are exact (singular values), one batched call per stack.
 """
 
 import warnings
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, lag_convolve
+from .grids import OVERFLOW_LIMIT, TimeGrid, cell_values, lag_convolve, march
 from .kernels import ScalarKernel, march_scalar
 
 __all__ = [
@@ -54,8 +57,6 @@ __all__ = [
 SCHEMES = ("product", "conv")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-
-_OVERFLOW_LIMIT = 1e100
 
 
 class OperatorKernel(ABC):
@@ -227,7 +228,7 @@ class ResolventTable:
         if not np.array_equal(self.U[0], np.zeros((d, d))):
             raise NumericalFailure("integrated family does not start at zero")
         sup = float(np.max(np.abs(self.S)))
-        if not np.isfinite(sup) or sup > _OVERFLOW_LIMIT:
+        if not np.isfinite(sup) or sup > OVERFLOW_LIMIT:
             raise NumericalFailure(f"resolvent table overflowed: sup entry {sup}")
 
     @property
@@ -236,39 +237,12 @@ class ResolventTable:
 
     def sup_norm(self):
         """max_n of the operator 2-norm of S(t_n)."""
-        return max(operator_2norm(Sn) for Sn in self.S)
+        return float(np.max(np.linalg.norm(self.S, 2, axis=(1, 2))))
 
     def u_lipschitz(self):
         """Discrete Lipschitz estimate of U: max_n |U(t_{n+1}) - U(t_n)| / h."""
-        h = self.grid.h
-        return max(operator_2norm(d) for d in np.diff(self.U, axis=0)) / h
-
-
-def _march(W, scheme):
-    n_cells, d = W.shape[0], W.shape[1]
-    eye = np.eye(d)
-    S = np.empty((n_cells + 1, d, d))
-    S[0] = eye
-    M = eye - (0.5 * W[0] if scheme == "product" else W[0])
-    try:
-        M_inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"singular step matrix at step 1: {exc}") from exc
-    for k in range(1, n_cells + 1):
-        if scheme == "product":
-            rhs = eye + 0.5 * (W[0] @ S[k - 1])
-            if k > 1:
-                avg = 0.5 * (S[k - 1:0:-1] + S[k - 2::-1])
-                rhs = rhs + np.einsum("jab,jbc->ac", W[1:k], avg)
-        else:
-            rhs = eye.copy()
-            if k > 1:
-                rhs = rhs + np.einsum("jab,jbc->ac", W[1:k], S[k - 1:0:-1])
-        S[k] = M_inv @ rhs
-        sup = np.max(np.abs(S[k]))
-        if not np.isfinite(sup) or sup > _OVERFLOW_LIMIT:
-            raise NumericalFailure(f"overflow at step {k}: sup entry {sup}")
-    return S
+        steps = np.linalg.norm(np.diff(self.U, axis=0), 2, axis=(1, 2))
+        return float(np.max(steps)) / self.grid.h
 
 
 def _trapezoid_integral(S, h):
@@ -280,16 +254,17 @@ def _trapezoid_integral(S, h):
 def compute_resolvent(kernel, grid, scheme="product"):
     """Build the resolvent table of the kernel on the grid.
 
-    One small linear system per step; the step matrix is constant on a
-    uniform grid and factored once.  With the zero kernel the table is
-    identically the identity under either scheme.
+    One product with the inverted step matrix per step (the step matrix is
+    constant on a uniform grid) and one BLAS product pushing the new cell
+    value into every later node's history; see `grids.march`.  With the zero
+    kernel the table is identically the identity under either scheme.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if grid.N < 2:
         raise ValueError("need at least two cells")
     W = kernel.cell_weights(grid)
-    S = _march(W, scheme)
+    S = march(W, scheme)
     U = _trapezoid_integral(S, grid.h)
     return ResolventTable(
         grid=grid,
@@ -380,31 +355,9 @@ def spectral_resolvent(a, A, grid, scheme="product"):
 # ---------------------------------------------------------------------------
 
 
-def operator_2norm(M, iterations=64, tol=1e-10):
-    """Largest singular value by power iteration on M'M.
-
-    Deterministic start vector; 64 iterations with a relative-change stop are
-    ample for the dense matrices this package works with.
-    """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[1]
-    if d == 1:
-        return float(np.linalg.norm(M[:, 0]))
-    G = M.T @ M
-    v = np.linspace(1.0, 2.0, d)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iterations):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(np.sqrt(max(v @ (G @ v), 0.0)))
-        if abs(new - sigma) <= tol * max(new, 1.0):
-            return new
-        sigma = new
-    return sigma
+def operator_2norm(M):
+    """Largest singular value of the matrix M."""
+    return float(np.linalg.norm(M, 2))
 
 
 @dataclass(frozen=True)
@@ -426,7 +379,7 @@ def exponential_bound_fit(table):
     if table.grid.N < 8:
         raise ValueError("need at least 8 cells for a meaningful fit")
     t = table.grid.nodes()
-    eta = np.array([operator_2norm(Sn) for Sn in table.S])
+    eta = np.linalg.norm(table.S, 2, axis=(1, 2))
     log_eta = np.log(np.maximum(eta, 1e-300))
     half = table.grid.N // 2
     design = np.vstack([t[half:], np.ones(t.size - half)]).T

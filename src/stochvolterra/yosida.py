@@ -22,12 +22,7 @@ from .convolution import _convolve_paths, _left_point_products
 from .errors import NumericalFailure
 from .kernels import check_complete_positivity
 from .noise import sample_wiener_batch
-from .resolvent import (
-    ScalarTypeKernel,
-    compute_resolvent,
-    exponential_bound_fit,
-    operator_2norm,
-)
+from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit
 
 __all__ = [
     "AccretivityReport",
@@ -84,7 +79,7 @@ class YosidaFamily:
 
     def resolvent_norms(self):
         """Operator norms of the J_lam (at most one for a dissipative A)."""
-        return np.array([operator_2norm(J) for J in self.J])
+        return np.linalg.norm(self.J, 2, axis=(1, 2))
 
 
 def make_yosida(A, lambdas, force=False):
@@ -172,12 +167,7 @@ def yosida_convergence_study(
         for Al in family.A_lam
     ]
 
-    e_S = np.array(
-        [
-            max(operator_2norm(tb.S[n] - base.S[n]) for n in range(grid.N + 1))
-            for tb in tables
-        ]
-    )
+    e_S = np.array([np.max(np.linalg.norm(tb.S - base.S, 2, axis=(1, 2))) for tb in tables])
 
     # common noise: one increment batch reused for the base and every lam
     increments = sample_wiener_batch(spec, grid, range(n_paths), threads=threads)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochvolterra import DimensionMismatch
+from stochvolterra import DimensionMismatch, NumericalFailure
 from stochvolterra import grids
-from stochvolterra.grids import lag_convolve
+from stochvolterra.grids import lag_convolve, march
+from stochvolterra.kernels import march_scalar
 
 
 def double_loop(w, x, out):
@@ -91,3 +92,96 @@ def test_lag_convolve_identity_weights_reproduce_cumsum_bit_for_bit(P, n_out, d,
 def test_lag_convolve_rejects_too_few_lags():
     with pytest.raises(DimensionMismatch):
         lag_convolve(np.ones((3, 1, 1)), np.ones((2, 4, 1)), np.zeros((2, 4, 1)))
+
+
+# --- the marcher -------------------------------------------------------------
+
+
+def einsum_march(W, scheme):
+    """The per-step marcher: each node's whole history summed by one einsum."""
+    n_cells, d = W.shape[0], W.shape[1]
+    eye = np.eye(d)
+    S = np.empty((n_cells + 1, d, d))
+    S[0] = eye
+    M_inv = np.linalg.inv(eye - (0.5 * W[0] if scheme == "product" else W[0]))
+    for k in range(1, n_cells + 1):
+        if scheme == "product":
+            rhs = eye + 0.5 * (W[0] @ S[k - 1])
+            if k > 1:
+                avg = 0.5 * (S[k - 1 : 0 : -1] + S[k - 2 :: -1])
+                rhs = rhs + np.einsum("jab,jbc->ac", W[1:k], avg)
+        else:
+            rhs = eye.copy()
+            if k > 1:
+                rhs = rhs + np.einsum("jab,jbc->ac", W[1:k], S[k - 1 : 0 : -1])
+        S[k] = M_inv @ rhs
+    return S
+
+
+def dot_march_scalar(w, mu, scheme):
+    """The scalar marcher: s + mu (w * s) = 1 with one np.dot per step."""
+    s = np.empty(w.size + 1)
+    s[0] = 1.0
+    for n in range(1, w.size + 1):
+        if scheme == "product":
+            acc = 0.5 * w[0] * s[n - 1]
+            if n > 1:
+                acc += np.dot(w[1:n], 0.5 * (s[n - 1 : 0 : -1] + s[n - 2 :: -1]))
+            s[n] = (1.0 - mu * acc) / (1.0 + 0.5 * mu * w[0])
+        else:
+            acc = np.dot(w[1:n], s[n - 1 : 0 : -1]) if n > 1 else 0.0
+            s[n] = (1.0 - mu * acc) / (1.0 + mu * w[0])
+    return s
+
+
+schemes = st.sampled_from(["product", "conv"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    N=st.integers(2, 40),
+    scheme=schemes,
+    scale=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_march_matches_einsum_march(d, N, scheme, scale, seed):
+    # random, generally non-commuting weights with O(1) total mass
+    W = np.random.default_rng(seed).normal(size=(N, d, d)) * (scale / N)
+    expected = einsum_march(W, scheme)
+    got = march(W, scheme)
+    np.testing.assert_array_equal(got[0], np.eye(d))
+    # histories of at most 40 terms summed in another order: a few hundred eps
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(2, 40),
+    scheme=schemes,
+    mu=st.floats(-1.5, 10.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_march_scalar_matches_dot_march(N, scheme, mu, seed):
+    # w0 <= 1/2 keeps the diagonal coefficient 1 + mu w0 at least 1/4
+    w = np.random.default_rng(seed).uniform(0.0, 1.0 / N, size=N)
+    expected = dot_march_scalar(w, mu, scheme)
+    got = march_scalar(w, mu, scheme=scheme)
+    assert got[0] == 1.0
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("scheme, first", [("product", 2.0), ("conv", 1.0)])
+def test_march_refuses_singular_step_matrix(scheme, first):
+    W = np.zeros((4, 2, 2))
+    W[0] = first * np.eye(2)
+    with pytest.raises(NumericalFailure, match="singular step matrix"):
+        march(W, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_march_refuses_overflow(scheme):
+    # s' = 5 s over t = 50: e^250 passes the overflow limit
+    with pytest.raises(NumericalFailure, match="overflow"):
+        march(np.full((512, 1, 1), 5.0 * 50.0 / 512), scheme)
+

@@ -174,6 +174,8 @@ def test_march_guard_on_vanishing_diagonal():
     w = np.full(4, 0.25)
     with pytest.raises(NumericalFailure):
         march_scalar(w, -8.5, scheme="product")  # 1 + mu w0/2 <= 0
+    with pytest.raises(NumericalFailure, match="nonpositive diagonal"):
+        march_scalar(w, -4.0, scheme="conv")  # 1 + mu w0 = 0
     with pytest.raises(ValueError):
         march_scalar(w, 1.0, scheme="simpson")
 
@@ -256,3 +258,10 @@ def test_mittag_leffler_alpha_one_is_exp():
 def test_mittag_leffler_range_guard():
     with pytest.raises(ValueError):
         mittag_leffler(0.5, 2.5)
+
+
+@pytest.mark.parametrize("z", [-2.0, 2.0])
+def test_mittag_leffler_refuses_unconverged_series(z):
+    # E_0.1(-2) ~ 0.3198 and E_0.1(2) ~ 10 e^1024: 200 terms give -2.7e41 and 1.4e42
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        mittag_leffler(0.1, z)
