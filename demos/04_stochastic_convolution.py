@@ -24,7 +24,7 @@ from stochvolterra import (
     sample_wiener_batch,
     stochastic_convolution,
 )
-from stochvolterra.convolution import _convolve_at, _left_point_products
+from stochvolterra.convolution import _convolve_at, _node_weights
 
 grid = TimeGrid(1.0, 256)
 table = compute_resolvent(ScalarTypeKernel(ConstantKernel(1.0), [[-1.0]]), grid)
@@ -49,8 +49,7 @@ print(f"  quadrature: {quad[0, 0]:.6f}")
 print(f"  sample    : {est.sample_cov[0, 0]:.6f} +- {est.std_error[0, 0]:.6f}")
 
 dw = sample_wiener_batch(spec, grid, range(10000))
-c = _left_point_products(psi, grid, dw)
-X = _convolve_at(table.S, c, grid.N)[:, 0]
+X = _convolve_at(_node_weights(table.S, psi.B, grid.N), dw, grid.N)[:, 0]
 Z = (X - X.mean()) / X.std(ddof=1)
 print("\nGaussianity of the endpoint over 10000 paths:")
 print(f"  skewness {np.mean(Z**3):+.4f}   excess kurtosis {np.mean(Z**4) - 3:+.4f}")

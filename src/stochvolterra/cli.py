@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .convolution import (
+    MIN_COVARIANCE_PATHS,
     ItoTestFunction,
     covariance_monte_carlo,
     covariance_quadrature,
@@ -80,6 +81,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _integer(value, name):
+    """A JSON integer (or integral float) as an int; anything else is a ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _require_keys(section, name, required, optional=()):
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be an object")
@@ -135,7 +145,7 @@ def _build_operator(section):
 def _build_grid(section):
     _require_keys(section, "grid", ["T", "N"])
     try:
-        return TimeGrid(float(section["T"]), int(section["N"]))
+        return TimeGrid(float(section["T"]), _integer(section["N"], "grid.N"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
@@ -144,13 +154,15 @@ def _build_noise(section, seed_override):
     _require_keys(section, "noise", ["seed"], ["q", "cylindrical", "truncation"])
     if ("q" in section) == ("cylindrical" in section):
         raise ConfigError("noise needs exactly one of 'q' or 'cylindrical'")
-    seed = int(section["seed"]) if seed_override is None else int(seed_override)
+    seed = _integer(section["seed"] if seed_override is None else seed_override, "noise.seed")
     try:
         if "q" in section:
             cov = CovOperator(np.array(section["q"], dtype=float))
         else:
-            cov = CovOperator.cylindrical_truncation(int(section["cylindrical"]))
-        truncation = int(section.get("truncation", cov.dim))
+            cov = CovOperator.cylindrical_truncation(
+                _integer(section["cylindrical"], "noise.cylindrical")
+            )
+        truncation = _integer(section.get("truncation", cov.dim), "noise.truncation")
         return NoiseSpec(cov=cov, truncation=truncation, seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise: {exc}") from exc
@@ -206,9 +218,10 @@ _EXPERIMENT_KEYS = {
 
 def _n_paths(config):
     _require_keys(config["mc"], "mc", ["n_paths"])
-    n = int(config["mc"]["n_paths"])
-    if n < 1:
-        raise ConfigError("mc.n_paths must be positive")
+    n = _integer(config["mc"]["n_paths"], "mc.n_paths")
+    least = MIN_COVARIANCE_PATHS if config["experiment"] == "covariance" else 1
+    if n < least:
+        raise ConfigError(f"mc.n_paths must be at least {least}, got {n}")
     return n
 
 
@@ -227,19 +240,25 @@ def validate_config(config, seed_override=None):
 
     resolved = json.loads(json.dumps(config))  # deep copy of plain data
     _build_kernel(resolved["kernel"])
-    _build_grid(resolved["grid"])
+    resolved["grid"]["N"] = _build_grid(resolved["grid"]).N
     if "operator" in resolved:
         _build_operator(resolved["operator"])
     if "noise" in resolved:
         spec = _build_noise(resolved["noise"], seed_override)
         resolved["noise"]["seed"] = spec.seed
         resolved["noise"]["truncation"] = spec.truncation
+        if "cylindrical" in resolved["noise"]:
+            resolved["noise"]["cylindrical"] = spec.cov.dim
     if "psi" in resolved:
         _build_psi(resolved["psi"])
     if "xi" in resolved:
         _build_xi(resolved["xi"])
     if "mc" in resolved:
-        _n_paths(resolved)
+        resolved["mc"]["n_paths"] = _n_paths(resolved)
+    if "path_id" in resolved:
+        resolved["path_id"] = _integer(resolved["path_id"], "path_id")
+        if not 0 <= resolved["path_id"] < 2**64:
+            raise ConfigError("path_id must lie in [0, 2**64)")
     if "scheme" in optional:
         resolved["scheme"] = _scheme(
             resolved, "conv" if experiment.startswith("verify") else "product"
@@ -251,8 +270,8 @@ def validate_config(config, seed_override=None):
         grid = _build_grid(resolved["grid"])
         resolved.setdefault("tol", 1e-8 + 10.0 * grid.h)
     if experiment == "covariance":
-        t_index = int(resolved["t_index"])
-        if not (0 <= t_index <= int(resolved["grid"]["N"])):
+        resolved["t_index"] = _integer(resolved["t_index"], "t_index")
+        if not (0 <= resolved["t_index"] <= resolved["grid"]["N"]):
             raise ConfigError("t_index out of range")
     if experiment == "yosida":
         lams = [float(l) for l in resolved["lambdas"]]
@@ -328,7 +347,7 @@ def _run_convolve(cfg, threads):
     table = _table(cfg)
     spec = _build_noise(cfg["noise"], None)
     psi = _build_psi(cfg["psi"])
-    inc = sample_wiener(spec, table.grid, path_id=int(cfg.get("path_id", 0)))
+    inc = sample_wiener(spec, table.grid, path_id=cfg.get("path_id", 0))
     if "x0" in cfg:
         values = mild_solution(table, np.array(cfg["x0"], dtype=float), psi, inc).values
     else:
@@ -347,10 +366,10 @@ def _run_covariance(cfg, threads):
     if not isinstance(psi, ConstantDiffusion):
         raise ConfigError("covariance experiment needs a constant psi")
     B = HSOperator(psi.B)
-    t_index = int(cfg["t_index"])
+    t_index = cfg["t_index"]
     quad = covariance_quadrature(table, B, spec.cov, t_index)
     est = covariance_monte_carlo(
-        table, B, spec.cov, spec, _n_paths(cfg), t_index, threads=threads
+        table, B, spec.cov, spec, cfg["mc"]["n_paths"], t_index, threads=threads
     )
     lines = ["i,j,quadrature,mc,std_error"]
     d = table.dim
@@ -367,7 +386,7 @@ def _run_verify_volterra(cfg, threads):
     table = _table(cfg)
     spec = _build_noise(cfg["noise"], None)
     psi = _build_psi(cfg["psi"])
-    n_paths = _n_paths(cfg)
+    n_paths = cfg["mc"]["n_paths"]
     lines = ["path_id,sup_residual"]
     worst = 0.0
     for pid in range(n_paths):
@@ -392,7 +411,7 @@ def _run_verify_ito(cfg, threads):
         xi,
         np.array(cfg["x0"], dtype=float),
         spec,
-        _n_paths(cfg),
+        cfg["mc"]["n_paths"],
         threads=threads,
     )
     lines = ["path_id,final_residual"]
@@ -414,7 +433,7 @@ def _run_yosida(cfg, threads):
         spec,
         cfg["lambdas"],
         _build_grid(cfg["grid"]),
-        _n_paths(cfg),
+        cfg["mc"]["n_paths"],
         scheme=cfg["scheme"],
         threads=threads,
     )

@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+_MC_BLOCK = 1 << 20  # doubles of increments sampled per block of covariance paths
+
+MIN_COVARIANCE_PATHS = 100
+
+
 def _check_grids(*grids):
     first = grids[0]
     for g in grids[1:]:
@@ -66,9 +71,17 @@ def _convolve_paths(S, c_batch):
     return out
 
 
-def _convolve_at(S, c_batch, n):
-    """The convolution at a single node for each path (zero at node 0)."""
-    return np.einsum("jab,pjb->pa", S[n:0:-1], c_batch[:, :n])
+def _node_weights(S, B, n):
+    """(K n, d) weights G whose row k n + m is column k of S[n - m] B, for m < n."""
+    d, K = B.shape
+    return np.ascontiguousarray((S[n:0:-1] @ B).transpose(2, 0, 1)).reshape(K * n, d)
+
+
+def _convolve_at(G, dw_batch, n):
+    """sum_{m<n} S[n-m] B dW_m for each path of a (P, K, N) batch, as one product
+    with the weights G = _node_weights(S, B, n) (zero at node 0)."""
+    P, K, _ = dw_batch.shape
+    return dw_batch[:, :, :n].reshape(P, K * n) @ G
 
 
 @dataclass(frozen=True)
@@ -212,17 +225,27 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     estimator subtracts the sample mean, divides by n-1, and is symmetrized
     exactly; per-entry standard errors use the Gaussian formula
     sqrt((C_ii C_jj + C_ij^2)/n).
+
+    Paths are sampled in blocks of b = 2^20 / (K N) paths, and each block is
+    folded into X(t_n) by one GEMM, the (b, K n) increments times the (K n, d)
+    weights of `_node_weights`: P K n d multiply-adds in all.  Scratch is about
+    2^20 doubles (twice that when n < N) whatever P is, plus X itself, P d.
     """
-    if n_paths < 100:
-        raise ValueError(f"need at least 100 paths, got {n_paths}")
+    if n_paths < MIN_COVARIANCE_PATHS:
+        raise ValueError(f"need at least {MIN_COVARIANCE_PATHS} paths, got {n_paths}")
     if not np.array_equal(Q.q, spec.cov.q):
         raise ValueError("Q disagrees with the covariance in the noise spec")
     if not (0 <= t_index <= table.grid.N):
         raise ValueError(f"t_index must lie in [0, {table.grid.N}], got {t_index}")
-    psi = ConstantDiffusion(B)
-    dw = sample_wiener_batch(spec, table.grid, range(n_paths), threads=threads)
-    c = _left_point_products(psi, table.grid, dw)
-    X = _convolve_at(table.S, c, t_index)
+    grid, K = table.grid, spec.truncation
+    G = _node_weights(table.S, as_matrix(B)[:, :K], t_index)
+    block = max(1, _MC_BLOCK // (K * grid.N))
+
+    def fold(p):
+        ids = range(p, min(p + block, n_paths))
+        return _convolve_at(G, sample_wiener_batch(spec, grid, ids, threads=threads), t_index)
+
+    X = np.concatenate([fold(p) for p in range(0, n_paths, block)])
     mean = X.mean(axis=0)
     centered = X - mean
     C = (centered.T @ centered) / (n_paths - 1)

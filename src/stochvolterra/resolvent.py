@@ -75,6 +75,10 @@ class OperatorKernel(ABC):
     def value(self, t):
         """A(t) as a matrix, t > 0 (t = 0 only when the kernel is regular there)."""
 
+    def values(self, t):
+        """(len(t), d, d) stack of A at the times t, one `value` call per time."""
+        return np.array([self.value(s) for s in t])
+
     @property
     def smoothness(self):
         """'W11' when a time derivative and the value at zero are available."""
@@ -113,6 +117,9 @@ class ScalarTypeKernel(OperatorKernel):
 
     def value(self, t):
         return float(self.a(t)) * self.A
+
+    def values(self, t):
+        return np.asarray(self.a(t), dtype=float)[:, None, None] * self.A
 
     @property
     def smoothness(self):
@@ -188,7 +195,7 @@ class NonscalarKernel(OperatorKernel):
             raise SmoothnessError("no derivative rule was supplied")
         grid = TimeGrid(float(T), int(n))
         dot_cells = NonscalarKernel(self.A_dot).cell_weights(grid)
-        values = np.array([self.value(t) for t in grid.nodes()[1:]])
+        values = self.values(grid.nodes()[1:])
         return float(np.max(np.abs(values - self._A0 - np.cumsum(dot_cells, axis=0))))
 
     def label(self):
@@ -296,7 +303,7 @@ def resolvent_residuals(table):
     grid, S, W = table.grid, table.S, table.cell_weights
     N, d = grid.N, table.dim
     # lag k of the first equation's sum is A(t_{k+1}) h
-    A_vals = np.array([table.kernel.value(t) for t in grid.nodes()[1:]])
+    A_vals = table.kernel.values(grid.nodes()[1:])
     # the columns of S are the lag sums' paths; conv[c, n-1] is column c at node n
     conv2 = np.zeros((d, N, d))
     lag_convolve(W, cell_values(S, table.scheme).transpose(2, 0, 1), conv2)

@@ -43,7 +43,7 @@ from stochvolterra import (
     yosida_convergence_study,
 )
 from stochvolterra.cli import main
-from stochvolterra.convolution import _convolve_at, _left_point_products
+from stochvolterra.convolution import _convolve_at, _left_point_products, _node_weights
 
 
 class Criterion:
@@ -294,8 +294,7 @@ def test_criterion_11_gaussian_statistics():
         Q = CovOperator(np.array([1.0, 0.5]))
         spec = NoiseSpec(cov=Q, truncation=2, seed=31415)
         dw = sample_wiener_batch(spec, table.grid, range(10000))
-        c = _left_point_products(ConstantDiffusion(B), table.grid, dw)
-        X = _convolve_at(table.S, c, table.grid.N)
+        X = _convolve_at(_node_weights(table.S, B, table.grid.N), dw, table.grid.N)
         Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
         skew = np.mean(Z**3, axis=0)
         kurt = np.mean(Z**4, axis=0) - 3.0

@@ -98,6 +98,71 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+COVARIANCE = {
+    "experiment": "covariance",
+    "kernel": {"variant": "constant", "c": 1.0},
+    "operator": {"benchmark": "ou1"},
+    "grid": {"T": 1.0, "N": 16},
+    "noise": {"q": [1.0], "seed": 7},
+    "psi": {"variant": "constant", "matrix": [[1.0]]},
+    "mc": {"n_paths": 200},
+    "t_index": 16,
+}
+
+
+def edited(config, section, key, value):
+    out = json.loads(json.dumps(config))
+    (out if section is None else out[section])[key] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        edited(COVARIANCE, "mc", "n_paths", 50),
+        edited(COVARIANCE, "mc", "n_paths", "many"),
+        edited(COVARIANCE, "mc", "n_paths", 150.5),
+        edited(COVARIANCE, "noise", "seed", "abc"),
+        edited(COVARIANCE, "noise", "seed", 2**64),
+        edited(COVARIANCE, None, "t_index", "end"),
+        edited(COVARIANCE, None, "t_index", 8.5),
+        edited(COVARIANCE, "grid", "N", 16.7),
+        edited(OU_SCALAR, "grid", "N", True),
+        {
+            "experiment": "convolve",
+            **{k: COVARIANCE[k] for k in ("kernel", "operator", "grid", "noise", "psi")},
+            "path_id": -1,
+        },
+    ],
+    ids=[
+        "covariance-50-paths",
+        "n_paths-string",
+        "n_paths-fraction",
+        "seed-string",
+        "seed-2**64",
+        "t_index-string",
+        "t_index-fraction",
+        "N-fraction",
+        "N-bool",
+        "path_id-negative",
+    ],
+)
+def test_bad_integer_fields_exit_3_and_write_nothing(tmp_path, capsys, config):
+    code, out = run(tmp_path, config)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: validation:")
+    assert not out.exists()
+
+
+def test_integral_floats_resolve_to_integers(tmp_path):
+    config = edited(edited(COVARIANCE, "grid", "N", 16.0), "mc", "n_paths", 200.0)
+    code, out = run(tmp_path, config)
+    assert code == 0
+    resolved = json.loads((out / "manifest.json").read_text())["config"]
+    assert resolved["grid"]["N"] == 16 and isinstance(resolved["grid"]["N"], int)
+    assert resolved["mc"]["n_paths"] == 200 and isinstance(resolved["mc"]["n_paths"], int)
+
+
 def test_numerical_failure_exits_4(tmp_path):
     config = {
         "experiment": "resolvent",

@@ -30,6 +30,8 @@ from stochvolterra import (
     verify_volterra_identity,
     verify_weak_solution,
 )
+from stochvolterra import convolution
+from stochvolterra.convolution import _left_point_products
 from stochvolterra.noise import WienerIncrements
 
 
@@ -233,6 +235,40 @@ def test_covariance_monte_carlo_guards():
     other = CovOperator(np.array([2.0]))
     with pytest.raises(ValueError):
         covariance_monte_carlo(table, HSOperator(np.eye(1)), other, spec, 200, 16)
+
+
+def einsum_sample_covariance(table, B, spec, n_paths, t_index):
+    """Sample covariance and standard errors from the whole (P, K, N) increment
+    batch: left-point products for every path and cell, then one einsum at the node."""
+    dw = sample_wiener_batch(spec, table.grid, range(n_paths))
+    c = _left_point_products(ConstantDiffusion(B), table.grid, dw)
+    X = np.einsum("jab,pjb->pa", table.S[t_index:0:-1], c[:, :t_index])
+    centered = X - X.mean(axis=0)
+    C = (centered.T @ centered) / (n_paths - 1)
+    C = 0.5 * (C + C.T)
+    var = np.diag(C)
+    return C, np.sqrt((np.outer(var, var) + C**2) / n_paths)
+
+
+@pytest.mark.parametrize("paths_per_block", [1, 7])
+@pytest.mark.parametrize("t_index", [0, 1, 8, 16])
+def test_covariance_monte_carlo_matches_einsum_pipeline(monkeypatch, paths_per_block, t_index):
+    rng = np.random.default_rng(8)
+    A = -(np.eye(2) + 0.3 * rng.standard_normal((2, 2)))
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), A), TimeGrid(1.0, 16))
+    Q = CovOperator(np.array([1.0, 0.6, 0.3]))
+    spec = NoiseSpec(cov=Q, truncation=2, seed=2**63 + 5)
+    B = rng.standard_normal((2, 3))
+    n_paths = 103  # not a multiple of the block
+    monkeypatch.setattr(convolution, "_MC_BLOCK", paths_per_block * 2 * 16)
+    C, se = einsum_sample_covariance(table, B, spec, n_paths, t_index)
+    for threads in (1, 2):
+        est = covariance_monte_carlo(table, HSOperator(B), Q, spec, n_paths, t_index, threads)
+        scale = max(np.max(np.abs(C)), 1e-300)
+        assert np.max(np.abs(est.sample_cov - C)) <= 1e-12 * scale
+        assert np.max(np.abs(est.std_error - se)) <= 1e-12 * max(np.max(se), 1e-300)
+    if t_index == 0:
+        np.testing.assert_array_equal(est.sample_cov, 0.0)
 
 
 def test_mean_square_continuity_modulus():

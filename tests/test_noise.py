@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochvolterra import (
     ConstantDiffusion,
@@ -42,6 +44,52 @@ def test_batch_matches_single_paths_any_thread_count():
     np.testing.assert_array_equal(batch1, batch4)
     for pid in (0, 7, 19):
         np.testing.assert_array_equal(batch1[pid], sample_wiener(spec, grid, pid).dW)
+
+
+def fresh_generator_batch(spec, grid, path_ids):
+    """The increments as drawn by a new Generator(Philox(key=(seed, path id))) per path."""
+    K = spec.truncation
+    sd = np.sqrt(grid.h * spec.cov.q[:K])
+    out = np.empty((len(path_ids), K, grid.N))
+    for i, pid in enumerate(path_ids):
+        key = np.array([spec.seed, pid], dtype=np.uint64)
+        out[i] = sd[:, None] * np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            (K, grid.N)
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    path_ids=st.lists(
+        st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1)), min_size=0, max_size=9
+    ),
+    threads=st.sampled_from([1, 2, 3]),
+    K=st.integers(1, 3),
+    N=st.integers(1, 9),
+)
+def test_batch_is_bit_identical_to_fresh_generators(seed, path_ids, threads, K, N):
+    # unsorted, repeated and near-2**64 path ids; any thread count
+    grid = TimeGrid(1.0, N)
+    spec = spec_with([1.0, 0.5, 3.0][:K], seed=seed)
+    batch = sample_wiener_batch(spec, grid, path_ids, threads=threads)
+    expected = fresh_generator_batch(spec, grid, path_ids)
+    assert batch.shape == expected.shape
+    assert batch.tobytes() == expected.tobytes()
+    if path_ids:
+        single = sample_wiener(spec, grid, path_ids[-1]).dW
+        assert single.tobytes() == expected[-1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**70])
+def test_path_ids_outside_64_bits_rejected(bad):
+    spec, grid = spec_with([1.0]), TimeGrid(1.0, 8)
+    with pytest.raises(ValueError):
+        sample_wiener(spec, grid, path_id=bad)
+    for threads in (1, 2):
+        with pytest.raises(ValueError):
+            sample_wiener_batch(spec, grid, [0, 3, bad, 1], threads=threads)
 
 
 def test_zero_covariance_gives_zero_increments():

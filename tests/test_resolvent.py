@@ -5,10 +5,12 @@ from stochvolterra import (
     ConstantKernel,
     ExponentialKernel,
     FractionalKernel,
+    LinearKernel,
     NonscalarKernel,
     NumericalFailure,
     ScalarTypeKernel,
     SmoothnessError,
+    TabulatedKernel,
     TimeGrid,
     compute_resolvent,
     exponential_bound_fit,
@@ -120,6 +122,30 @@ def test_fractional_table_residuals():
     kern = ScalarTypeKernel(FractionalKernel(0.5), [[-1.0]])
     table = compute_resolvent(kern, TimeGrid(1.0, 256))
     assert resolvent_residuals(table).res_second < 1e-12
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        FractionalKernel(0.5),
+        FractionalKernel(1.5),
+        ExponentialKernel(2.0, 0.5),
+        ConstantKernel(3.0),
+        LinearKernel(),
+        TabulatedKernel([0.0, 0.3, 1.0], [2.0, 0.5, 1.0]),
+    ],
+    ids=lambda a: a.label(),
+)
+def test_kernel_values_match_per_node_values(a):
+    # the vectorised stack against one value() call per node, for scalar-type and
+    # nonscalar kernels of the same A(t)
+    A = np.array([[-1.0, 0.4], [0.2, -3.0]])
+    t = TimeGrid(1.3, 50).nodes()[1:]
+    kern = ScalarTypeKernel(a, A)
+    per_node = np.array([kern.value(s) for s in t])
+    np.testing.assert_allclose(kern.values(t), per_node, rtol=4e-16, atol=0.0)
+    nonscalar = NonscalarKernel(lambda s: a(s) * A, A_at_zero=A)
+    np.testing.assert_array_equal(nonscalar.values(t), per_node)
 
 
 @pytest.mark.parametrize("make", [ou_kernel, diag5_kernel])
