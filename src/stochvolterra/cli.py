@@ -6,13 +6,19 @@ the results are written as CSV files plus a manifest echoing the fully
 resolved configuration and the package version.  Identical configurations
 produce byte-identical CSV output, independent of the thread count.
 
+Validation is the only parsing pass: it builds each section once into the
+object the runner takes and checks sizes across sections, so every
+configuration fault is reported before any computation starts.
+
 Exit codes: 0 success, 2 configuration parse error, 3 validation error,
 4 numerical failure.
 """
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +26,7 @@ import numpy as np
 from . import __version__
 from .convolution import (
     MIN_COVARIANCE_PATHS,
+    MIN_ITO_PATHS,
     ItoTestFunction,
     covariance_monte_carlo,
     covariance_quadrature,
@@ -31,34 +38,28 @@ from .convolution import (
 from .errors import ConfigError, StochVolterraError
 from .grids import TimeGrid
 from .kernels import (
+    DEFAULT_MU_GRID,
     ConstantKernel,
     ExponentialKernel,
     FractionalKernel,
     LinearKernel,
     TabulatedKernel,
     check_complete_positivity,
+    default_cp_tolerance,
     solve_scalar_resolvent,
 )
 from .noise import ConstantDiffusion, NoiseSpec, StepDiffusion, sample_wiener
 from .resolvent import (
+    MIN_BOUND_FIT_CELLS,
+    MIN_RESOLVENT_CELLS,
+    SCHEMES,
     ScalarTypeKernel,
     compute_resolvent,
     exponential_bound_fit,
     resolvent_residuals,
 )
-from .spaces import CovOperator, HSOperator
+from .spaces import CovOperator
 from .yosida import yosida_convergence_study
-
-EXPERIMENTS = (
-    "scalar_resolvent",
-    "cp_check",
-    "resolvent",
-    "convolve",
-    "covariance",
-    "verify_ito",
-    "verify_volterra",
-    "yosida",
-)
 
 BENCHMARK_OPERATORS = {
     "ou1": [[-1.0]],
@@ -81,12 +82,45 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _integer(value, name):
-    """A JSON integer (or integral float) as an int; anything else is a ConfigError."""
+def _integer(value, name, least=-math.inf, most=math.inf):
+    """A JSON integer (or integral float) in [least, most] as an int; anything
+    else is a ConfigError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        raise ConfigError(f"{name} must lie in [{least}, {most}], got {value}")
+    return value
+
+
+def _number(value, name):
+    """A finite JSON number as a float; strings, bools and anything else are a
+    ConfigError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # False for nan and inf
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _array(value, name, ndim, length=None):
+    """Lists of finite numbers nested `ndim` deep (`length` of them at the top,
+    when given), as a float array."""
+    try:
+        a = np.array(value)
+    except ValueError:  # ragged nesting
+        a = np.array(None)
+    if a.dtype.kind not in "iuf" or a.ndim != ndim or not np.all(np.isfinite(a)):
+        kind = ("a list", "a matrix", "a list of matrices")[ndim - 1]
+        raise ConfigError(f"{name} must be {kind} of finite numbers")
+    if length is not None and len(a) != length:
+        raise ConfigError(f"{name} has {len(a)} entries, the operator dimension is {length}")
+    return a.astype(float)
+
+
+def _choice(value, options, name):
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"unknown {name} {value!r} (have {sorted(options)})")
     return value
 
 
@@ -101,212 +135,184 @@ def _require_keys(section, name, required, optional=()):
         raise ConfigError(f"missing key '{sorted(missing)[0]}' in section '{name}'")
 
 
-def _build_kernel(section):
-    _require_keys(
-        section,
-        "kernel",
-        ["variant"],
-        ["alpha", "c", "b", "times", "values"],
-    )
-    variant = section["variant"]
+def _section(name, build, *args):
+    """build(*args), with a missing key, ValueError or TypeError it raises
+    reported as a ConfigError naming the section."""
     try:
-        if variant == "fractional":
-            return FractionalKernel(section["alpha"])
-        if variant == "exponential":
-            return ExponentialKernel(section.get("c", 1.0), section.get("b", 1.0))
-        if variant == "constant":
-            return ConstantKernel(section.get("c", 1.0))
-        if variant == "linear":
-            return LinearKernel()
-        if variant == "tabulated":
-            return TabulatedKernel(section["times"], section["values"])
+        return build(*args)
+    except ConfigError:
+        raise
     except KeyError as exc:
-        raise ConfigError(f"kernel variant '{variant}' is missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel: {exc}") from exc
-    raise ConfigError(f"unknown kernel variant '{variant}'")
+        raise ConfigError(f"section '{name}' is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
-def _build_operator(section):
+_KERNELS = {
+    "fractional": lambda s: FractionalKernel(_number(s["alpha"], "kernel.alpha")),
+    "exponential": lambda s: ExponentialKernel(
+        _number(s.get("c", 1.0), "kernel.c"), _number(s.get("b", 1.0), "kernel.b")
+    ),
+    "constant": lambda s: ConstantKernel(_number(s.get("c", 1.0), "kernel.c")),
+    "linear": lambda s: LinearKernel(),
+    "tabulated": lambda s: TabulatedKernel(
+        _array(s["times"], "kernel.times", 1), _array(s["values"], "kernel.values", 1)
+    ),
+}
+
+
+def _kernel(section):
+    _require_keys(section, "kernel", ["variant"], ["alpha", "c", "b", "times", "values"])
+    return _KERNELS[_choice(section["variant"], _KERNELS, "kernel variant")](section)
+
+
+def _grid(section, min_cells):
+    _require_keys(section, "grid", ["T", "N"])
+    N = _integer(section["N"], "grid.N", min_cells)
+    return TimeGrid(_number(section["T"], "grid.T"), N)
+
+
+def _operator(section):
     _require_keys(section, "operator", [], ["matrix", "benchmark"])
     if ("matrix" in section) == ("benchmark" in section):
         raise ConfigError("operator needs exactly one of 'matrix' or 'benchmark'")
     if "benchmark" in section:
-        name = section["benchmark"]
-        if name not in BENCHMARK_OPERATORS:
-            raise ConfigError(f"unknown operator benchmark '{name}'")
+        name = _choice(section["benchmark"], BENCHMARK_OPERATORS, "operator benchmark")
         return np.array(BENCHMARK_OPERATORS[name])
-    A = np.array(section["matrix"], dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    A = _array(section["matrix"], "operator.matrix", 2)
+    if A.shape[0] != A.shape[1]:
         raise ConfigError("operator matrix must be square")
     return A
 
 
-def _build_grid(section):
-    _require_keys(section, "grid", ["T", "N"])
-    try:
-        return TimeGrid(float(section["T"]), _integer(section["N"], "grid.N"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-
-
-def _build_noise(section, seed_override):
+def _noise(section, seed_override):
     _require_keys(section, "noise", ["seed"], ["q", "cylindrical", "truncation"])
     if ("q" in section) == ("cylindrical" in section):
         raise ConfigError("noise needs exactly one of 'q' or 'cylindrical'")
     seed = _integer(section["seed"] if seed_override is None else seed_override, "noise.seed")
-    try:
-        if "q" in section:
-            cov = CovOperator(np.array(section["q"], dtype=float))
-        else:
-            cov = CovOperator.cylindrical_truncation(
-                _integer(section["cylindrical"], "noise.cylindrical")
-            )
-        truncation = _integer(section.get("truncation", cov.dim), "noise.truncation")
-        return NoiseSpec(cov=cov, truncation=truncation, seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise: {exc}") from exc
+    if "q" in section:
+        cov = CovOperator(_array(section["q"], "noise.q", 1))
+    else:
+        cov = CovOperator.cylindrical_truncation(
+            _integer(section["cylindrical"], "noise.cylindrical")
+        )
+    truncation = _integer(section.get("truncation", cov.dim), "noise.truncation")
+    return NoiseSpec(cov=cov, truncation=truncation, seed=seed)
 
 
-def _build_psi(section):
+def _psi(section):
     _require_keys(section, "psi", ["variant"], ["matrix", "breakpoints", "matrices"])
-    variant = section["variant"]
-    try:
-        if variant == "constant":
-            return ConstantDiffusion(np.array(section["matrix"], dtype=float))
-        if variant == "step":
-            return StepDiffusion(
-                section["breakpoints"],
-                [np.array(m, dtype=float) for m in section["matrices"]],
-            )
-    except KeyError as exc:
-        raise ConfigError(f"psi variant '{variant}' is missing {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid psi: {exc}") from exc
-    raise ConfigError(f"unknown psi variant '{variant}'")
+    if _choice(section["variant"], ("constant", "step"), "psi variant") == "constant":
+        return ConstantDiffusion(_array(section["matrix"], "psi.matrix", 2))
+    return StepDiffusion(
+        _array(section["breakpoints"], "psi.breakpoints", 1),
+        _array(section["matrices"], "psi.matrices", 3),
+    )
 
 
-def _build_xi(section):
+def _xi(section, d):
     _require_keys(section, "xi", ["xi0"], ["phi"])
-    form = section.get("phi", "constant")
-    if form not in _PHI_FORMS:
-        raise ConfigError(f"unknown phi form '{form}' (have {sorted(_PHI_FORMS)})")
-    phi, phi_dot = _PHI_FORMS[form]
-    return ItoTestFunction(np.array(section["xi0"], dtype=float), phi, phi_dot)
+    phi, phi_dot = _PHI_FORMS[_choice(section.get("phi", "constant"), _PHI_FORMS, "phi form")]
+    return ItoTestFunction(_array(section["xi0"], "xi.xi0", 1, d), phi, phi_dot)
 
 
-def _scheme(config, default):
-    scheme = config.get("scheme", default)
-    if scheme not in ("product", "conv"):
-        raise ConfigError(f"unknown scheme '{scheme}'")
-    return scheme
+def _resolve(config, seed_override):
+    """Check a configuration and build each of its sections once.
 
+    Returns the echo written to the manifest (defaults filled in, seed override
+    applied, integer fields as ints) and the runner's keyword arguments.  Every
+    fault, sizes that disagree across sections included, is a ConfigError.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError("top-level configuration must be an object")
+    if "experiment" not in config:
+        raise ConfigError("missing key 'experiment'")
+    name = _choice(config["experiment"], EXPERIMENTS, "experiment")
+    exp = EXPERIMENTS[name]
+    optional = exp.optional + ("out_dir",) + (("scheme",) if exp.scheme else ())
+    _require_keys(config, "top level", ("experiment",) + exp.required, optional)
+    if not isinstance(config.get("out_dir", ""), str):
+        raise ConfigError("out_dir must be a string")
 
-_COMMON_KEYS = ["experiment", "out_dir"]
-
-_EXPERIMENT_KEYS = {
-    "scalar_resolvent": (["kernel", "mu", "grid"], []),
-    "cp_check": (["kernel", "grid"], ["mu_list", "tol"]),
-    "resolvent": (["kernel", "operator", "grid"], ["scheme"]),
-    "convolve": (["kernel", "operator", "grid", "noise", "psi"], ["scheme", "path_id", "x0"]),
-    "covariance": (["kernel", "operator", "grid", "noise", "psi", "mc", "t_index"], ["scheme"]),
-    "verify_ito": (["kernel", "operator", "grid", "noise", "psi", "xi", "x0", "mc"], ["scheme"]),
-    "verify_volterra": (["kernel", "operator", "grid", "noise", "psi", "mc"], ["scheme"]),
-    "yosida": (["kernel", "operator", "grid", "noise", "psi", "lambdas", "mc"], ["scheme"]),
-}
-
-
-def _n_paths(config):
-    _require_keys(config["mc"], "mc", ["n_paths"])
-    n = _integer(config["mc"]["n_paths"], "mc.n_paths")
-    least = MIN_COVARIANCE_PATHS if config["experiment"] == "covariance" else 1
-    if n < least:
-        raise ConfigError(f"mc.n_paths must be at least {least}, got {n}")
-    return n
+    echo = json.loads(json.dumps(config))  # deep copy of plain data
+    kernel = _section("kernel", _kernel, echo["kernel"])
+    grid = _section("grid", _grid, echo["grid"], exp.min_cells)
+    echo["grid"]["N"] = grid.N
+    args = {"kernel": kernel, "grid": grid}
+    if exp.scheme:
+        scheme = _choice(echo.get("scheme", exp.scheme), SCHEMES, "scheme")
+        args["scheme"] = echo["scheme"] = scheme
+    if "mu" in echo:
+        args["mu"] = echo["mu"] = _number(echo["mu"], "mu")
+    if "mu_list" in exp.optional:
+        mus = _array(echo.get("mu_list", DEFAULT_MU_GRID), "mu_list", 1)
+        if not mus.size or np.any(mus < 0):
+            raise ConfigError("mu_list must be a nonempty list of numbers >= 0")
+        args["mu_list"] = echo["mu_list"] = mus.tolist()
+        tol = _number(echo.get("tol", default_cp_tolerance(grid.h)), "tol")
+        args["tol"] = echo["tol"] = tol
+        if tol < 0:
+            raise ConfigError(f"tol must be >= 0, got {tol}")
+    if "operator" in echo:
+        A = args["operator"] = _section("operator", _operator, echo["operator"])
+        d = A.shape[0]
+    if "noise" in echo:  # every experiment with noise also has an operator and a psi
+        spec = args["noise"] = _section("noise", _noise, echo["noise"], seed_override)
+        echo["noise"].update(seed=spec.seed, truncation=spec.truncation)
+        if "cylindrical" in echo["noise"]:
+            echo["noise"]["cylindrical"] = spec.cov.dim
+        psi = args["psi"] = _section("psi", _psi, echo["psi"])
+        if psi.shape != (d, spec.cov.dim):
+            raise ConfigError(
+                f"psi is {psi.shape[0]}x{psi.shape[1]}, the operator dimension by the "
+                f"noise modes is {d}x{spec.cov.dim}"
+            )
+        if exp.constant_psi and not isinstance(psi, ConstantDiffusion):
+            raise ConfigError(f"{name} needs a constant psi")
+    if "xi" in echo:
+        args["xi"] = _section("xi", _xi, echo["xi"], d)
+        if not kernel.differentiable:
+            raise ConfigError(f"verify_ito needs a differentiable kernel, got {kernel.label()}")
+    if "x0" in echo:
+        args["x0"] = _array(echo["x0"], "x0", 1, d)
+    if "mc" in echo:
+        _require_keys(echo["mc"], "mc", ["n_paths"])
+        n_paths = _integer(echo["mc"]["n_paths"], "mc.n_paths", exp.min_paths)
+        args["n_paths"] = echo["mc"]["n_paths"] = n_paths
+    if "t_index" in echo:
+        args["t_index"] = echo["t_index"] = _integer(echo["t_index"], "t_index", 0, grid.N)
+    if "path_id" in echo:
+        args["path_id"] = echo["path_id"] = _integer(echo["path_id"], "path_id", 0, 2**64 - 1)
+    if "lambdas" in echo:
+        lams = _array(echo["lambdas"], "lambdas", 1)
+        if not lams.size or np.any(lams <= 0) or np.any(np.diff(lams) >= 0):
+            raise ConfigError("lambdas must be positive and decrease strictly")
+        args["lambdas"] = echo["lambdas"] = lams.tolist()
+    return echo, args
 
 
 def validate_config(config, seed_override=None):
     """Strict validation; returns the resolved configuration that is echoed
     into the manifest (defaults filled in, seed override applied)."""
-    if not isinstance(config, dict):
-        raise ConfigError("top-level configuration must be an object")
-    if "experiment" not in config:
-        raise ConfigError("missing key 'experiment'")
-    experiment = config["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment '{experiment}'")
-    required, optional = _EXPERIMENT_KEYS[experiment]
-    _require_keys(config, "top level", ["experiment"] + required, optional + ["out_dir"])
-
-    resolved = json.loads(json.dumps(config))  # deep copy of plain data
-    _build_kernel(resolved["kernel"])
-    resolved["grid"]["N"] = _build_grid(resolved["grid"]).N
-    if "operator" in resolved:
-        _build_operator(resolved["operator"])
-    if "noise" in resolved:
-        spec = _build_noise(resolved["noise"], seed_override)
-        resolved["noise"]["seed"] = spec.seed
-        resolved["noise"]["truncation"] = spec.truncation
-        if "cylindrical" in resolved["noise"]:
-            resolved["noise"]["cylindrical"] = spec.cov.dim
-    if "psi" in resolved:
-        _build_psi(resolved["psi"])
-    if "xi" in resolved:
-        _build_xi(resolved["xi"])
-    if "mc" in resolved:
-        resolved["mc"]["n_paths"] = _n_paths(resolved)
-    if "path_id" in resolved:
-        resolved["path_id"] = _integer(resolved["path_id"], "path_id")
-        if not 0 <= resolved["path_id"] < 2**64:
-            raise ConfigError("path_id must lie in [0, 2**64)")
-    if "scheme" in optional:
-        resolved["scheme"] = _scheme(
-            resolved, "conv" if experiment.startswith("verify") else "product"
-        )
-    if experiment == "scalar_resolvent":
-        resolved["mu"] = float(resolved["mu"])
-    if experiment == "cp_check":
-        resolved.setdefault("mu_list", [0.5, 1.0, 2.0, 5.0, 10.0])
-        grid = _build_grid(resolved["grid"])
-        resolved.setdefault("tol", 1e-8 + 10.0 * grid.h)
-    if experiment == "covariance":
-        resolved["t_index"] = _integer(resolved["t_index"], "t_index")
-        if not (0 <= resolved["t_index"] <= resolved["grid"]["N"]):
-            raise ConfigError("t_index out of range")
-    if experiment == "yosida":
-        lams = [float(l) for l in resolved["lambdas"]]
-        if not lams or any(l <= 0 for l in lams):
-            raise ConfigError("lambdas must be positive")
-        if any(b >= a for a, b in zip(lams, lams[1:])):
-            raise ConfigError("lambdas must decrease strictly")
-        resolved["lambdas"] = lams
-    return resolved
+    return _resolve(config, seed_override)[0]
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns ({filename: [csv lines]}, results-for-manifest)
+# experiment bodies: each takes the resolved objects and returns
+# ({filename: [csv lines]}, results-for-manifest)
 # ---------------------------------------------------------------------------
 
 
-def _run_scalar_resolvent(cfg, threads):
-    kernel = _build_kernel(cfg["kernel"])
-    grid = _build_grid(cfg["grid"])
-    path = solve_scalar_resolvent(kernel, cfg["mu"], grid)
+def _run_scalar_resolvent(kernel, mu, grid, threads):
+    path = solve_scalar_resolvent(kernel, mu, grid)
     lines = ["t,s"]
     for t, s in zip(grid.nodes(), path.s):
         lines.append(f"{_fmt(t)},{_fmt(s)}")
     return {"scalar_resolvent.csv": lines}, {"s_final": path.s[-1]}
 
 
-def _run_cp_check(cfg, threads):
-    kernel = _build_kernel(cfg["kernel"])
-    report = check_complete_positivity(
-        kernel,
-        mu_list=cfg["mu_list"],
-        T=cfg["grid"]["T"],
-        N=cfg["grid"]["N"],
-        tol=cfg["tol"],
-    )
+def _run_cp_check(kernel, grid, mu_list, tol, threads):
+    report = check_complete_positivity(kernel, mu_list=mu_list, T=grid.T, N=grid.N, tol=tol)
     lines = ["mu,min_s,t_at_min,first_violation_t"]
     for p in report.probes:
         first = "" if p.first_violation_t is None else _fmt(p.first_violation_t)
@@ -314,13 +320,12 @@ def _run_cp_check(cfg, threads):
     return {"cp_check.csv": lines}, {"verdict": report.verdict}
 
 
-def _table(cfg):
-    kernel = ScalarTypeKernel(_build_kernel(cfg["kernel"]), _build_operator(cfg["operator"]))
-    return compute_resolvent(kernel, _build_grid(cfg["grid"]), scheme=cfg["scheme"])
+def _table(kernel, operator, grid, scheme):
+    return compute_resolvent(ScalarTypeKernel(kernel, operator), grid, scheme=scheme)
 
 
-def _run_resolvent(cfg, threads):
-    table = _table(cfg)
+def _run_resolvent(kernel, operator, grid, scheme, threads):
+    table = _table(kernel, operator, grid, scheme)
     d = table.dim
     header = ["t"]
     header += [f"S_{i}_{j}" for i in range(d) for j in range(d)]
@@ -343,34 +348,23 @@ def _run_resolvent(cfg, threads):
     return {"resolvent.csv": lines}, results
 
 
-def _run_convolve(cfg, threads):
-    table = _table(cfg)
-    spec = _build_noise(cfg["noise"], None)
-    psi = _build_psi(cfg["psi"])
-    inc = sample_wiener(spec, table.grid, path_id=cfg.get("path_id", 0))
-    if "x0" in cfg:
-        values = mild_solution(table, np.array(cfg["x0"], dtype=float), psi, inc).values
-    else:
+def _run_convolve(kernel, operator, grid, noise, psi, scheme, threads, path_id=0, x0=None):
+    table = _table(kernel, operator, grid, scheme)
+    inc = sample_wiener(noise, grid, path_id=path_id)
+    if x0 is None:
         values = stochastic_convolution(table, psi, inc).values
-    d = table.dim
-    lines = [",".join(["t"] + [f"X_{i}" for i in range(d)])]
-    for n, t in enumerate(table.grid.nodes()):
+    else:
+        values = mild_solution(table, x0, psi, inc).values
+    lines = [",".join(["t"] + [f"X_{i}" for i in range(table.dim)])]
+    for n, t in enumerate(grid.nodes()):
         lines.append(",".join([_fmt(t)] + [_fmt(x) for x in values[n]]))
     return {"convolve.csv": lines}, {}
 
 
-def _run_covariance(cfg, threads):
-    table = _table(cfg)
-    spec = _build_noise(cfg["noise"], None)
-    psi = _build_psi(cfg["psi"])
-    if not isinstance(psi, ConstantDiffusion):
-        raise ConfigError("covariance experiment needs a constant psi")
-    B = HSOperator(psi.B)
-    t_index = cfg["t_index"]
-    quad = covariance_quadrature(table, B, spec.cov, t_index)
-    est = covariance_monte_carlo(
-        table, B, spec.cov, spec, cfg["mc"]["n_paths"], t_index, threads=threads
-    )
+def _run_covariance(kernel, operator, grid, noise, psi, n_paths, t_index, scheme, threads):
+    table = _table(kernel, operator, grid, scheme)
+    quad = covariance_quadrature(table, psi.B, noise.cov, t_index)
+    est = covariance_monte_carlo(table, psi.B, noise.cov, noise, n_paths, t_index, threads=threads)
     lines = ["i,j,quadrature,mc,std_error"]
     d = table.dim
     for i in range(d):
@@ -382,15 +376,12 @@ def _run_covariance(cfg, threads):
     return {"covariance.csv": lines}, {"n_paths": est.n_paths}
 
 
-def _run_verify_volterra(cfg, threads):
-    table = _table(cfg)
-    spec = _build_noise(cfg["noise"], None)
-    psi = _build_psi(cfg["psi"])
-    n_paths = cfg["mc"]["n_paths"]
+def _run_verify_volterra(kernel, operator, grid, noise, psi, n_paths, scheme, threads):
+    table = _table(kernel, operator, grid, scheme)
     lines = ["path_id,sup_residual"]
     worst = 0.0
     for pid in range(n_paths):
-        inc = sample_wiener(spec, table.grid, path_id=pid)
+        inc = sample_wiener(noise, grid, path_id=pid)
         path = stochastic_convolution(table, psi, inc)
         report = verify_volterra_identity(path, table.kernel, psi, inc)
         worst = max(worst, report.sup_residual)
@@ -398,22 +389,9 @@ def _run_verify_volterra(cfg, threads):
     return {"verify_volterra.csv": lines}, {"max_sup_residual": worst}
 
 
-def _run_verify_ito(cfg, threads):
-    table = _table(cfg)
-    spec = _build_noise(cfg["noise"], None)
-    psi = _build_psi(cfg["psi"])
-    if not isinstance(psi, ConstantDiffusion):
-        raise ConfigError("verify_ito needs a constant psi")
-    xi = _build_xi(cfg["xi"])
-    stats = ito_identity_statistics(
-        table,
-        psi.B,
-        xi,
-        np.array(cfg["x0"], dtype=float),
-        spec,
-        cfg["mc"]["n_paths"],
-        threads=threads,
-    )
+def _run_verify_ito(kernel, operator, grid, noise, psi, xi, x0, n_paths, scheme, threads):
+    table = _table(kernel, operator, grid, scheme)
+    stats = ito_identity_statistics(table, psi.B, xi, x0, noise, n_paths, threads=threads)
     lines = ["path_id,final_residual"]
     for pid, r in enumerate(stats.final_residuals):
         lines.append(f"{pid},{_fmt(r)}")
@@ -421,21 +399,9 @@ def _run_verify_ito(cfg, threads):
     return {"verify_ito.csv": lines}, results
 
 
-def _run_yosida(cfg, threads):
-    kernel = _build_kernel(cfg["kernel"])
-    A = _build_operator(cfg["operator"])
-    spec = _build_noise(cfg["noise"], None)
-    psi = _build_psi(cfg["psi"])
+def _run_yosida(kernel, operator, grid, noise, psi, lambdas, n_paths, scheme, threads):
     study = yosida_convergence_study(
-        kernel,
-        A,
-        psi,
-        spec,
-        cfg["lambdas"],
-        _build_grid(cfg["grid"]),
-        cfg["mc"]["n_paths"],
-        scheme=cfg["scheme"],
-        threads=threads,
+        kernel, operator, psi, noise, lambdas, grid, n_paths, scheme=scheme, threads=threads
     )
     lines = ["lambda,e_S,e_W,e_AW"]
     for lam, es, ew, eaw in zip(study.lambdas, study.e_S, study.e_W, study.e_AW):
@@ -444,15 +410,41 @@ def _run_yosida(cfg, threads):
     return {"yosida.csv": lines}, results
 
 
-_RUNNERS = {
-    "scalar_resolvent": _run_scalar_resolvent,
-    "cp_check": _run_cp_check,
-    "resolvent": _run_resolvent,
-    "convolve": _run_convolve,
-    "covariance": _run_covariance,
-    "verify_ito": _run_verify_ito,
-    "verify_volterra": _run_verify_volterra,
-    "yosida": _run_yosida,
+@dataclass(frozen=True)
+class _Experiment:
+    """An experiment's runner, top-level keys, default table scheme (None: it
+    builds no table and takes no 'scheme' key), the least grid.N and
+    mc.n_paths its library calls accept, and whether psi must be constant."""
+
+    run: object
+    required: tuple
+    optional: tuple = ()
+    scheme: str | None = None
+    min_cells: int = 1
+    min_paths: int = 1
+    constant_psi: bool = False
+
+
+_CELLS = MIN_RESOLVENT_CELLS
+_TABLE = ("kernel", "operator", "grid")
+_NOISY = _TABLE + ("noise", "psi")
+
+EXPERIMENTS = {
+    "scalar_resolvent": _Experiment(_run_scalar_resolvent, ("kernel", "mu", "grid")),
+    "cp_check": _Experiment(_run_cp_check, ("kernel", "grid"), ("mu_list", "tol")),
+    "resolvent": _Experiment(_run_resolvent, _TABLE, (), "product", MIN_BOUND_FIT_CELLS),
+    "convolve": _Experiment(_run_convolve, _NOISY, ("path_id", "x0"), "product", _CELLS),
+    "covariance": _Experiment(
+        _run_covariance, _NOISY + ("mc", "t_index"), (), "product", _CELLS,
+        MIN_COVARIANCE_PATHS, constant_psi=True,
+    ),
+    "verify_ito": _Experiment(
+        _run_verify_ito, _NOISY + ("xi", "x0", "mc"), (), "conv", _CELLS, MIN_ITO_PATHS, True
+    ),
+    "verify_volterra": _Experiment(_run_verify_volterra, _NOISY + ("mc",), (), "conv", _CELLS),
+    "yosida": _Experiment(
+        _run_yosida, _NOISY + ("lambdas", "mc"), (), "product", MIN_BOUND_FIT_CELLS
+    ),
 }
 
 
@@ -462,8 +454,8 @@ def run_experiment(config, out_dir, threads=1, seed_override=None):
     Returns the list of written file paths.  Nothing is written until the
     whole computation has succeeded.
     """
-    resolved = validate_config(config, seed_override=seed_override)
-    files, results = _RUNNERS[resolved["experiment"]](resolved, threads)
+    resolved, args = _resolve(config, seed_override)
+    files, results = EXPERIMENTS[resolved["experiment"]].run(threads=threads, **args)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -490,7 +482,7 @@ def _load_config(path):
     try:
         text = Path(path).read_text()
         data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot parse configuration: {exc}") from exc
     if isinstance(data, dict) and "manifest_version" in data:
         if "config" not in data:

@@ -47,6 +47,7 @@ __all__ = [
 _MC_BLOCK = 1 << 20  # doubles of increments sampled per block of covariance paths
 
 MIN_COVARIANCE_PATHS = 100
+MIN_ITO_PATHS = 2  # a standard error needs two residuals
 
 
 def _check_grids(*grids):
@@ -443,6 +444,8 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     indistinguishable from zero and the root mean square shrinks with the
     grid step.
     """
+    if n_paths < MIN_ITO_PATHS:
+        raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
     _require_w11(table.kernel)
     xi.check_consistency(table.grid.T)
     X0 = np.asarray(X0, dtype=float)

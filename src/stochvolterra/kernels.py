@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, march
+from .grids import TimeGrid, cell_values, march
 
 __all__ = [
     "ScalarKernel",
@@ -42,9 +42,15 @@ __all__ = [
     "check_complete_positivity",
     "mittag_leffler",
     "DEFAULT_MU_GRID",
+    "default_cp_tolerance",
 ]
 
 DEFAULT_MU_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
+
+
+def default_cp_tolerance(h):
+    """`check_complete_positivity`'s tolerance: 1e-8 plus an O(h) allowance."""
+    return 1e-8 + 10.0 * h
 
 
 class ScalarKernel(ABC):
@@ -301,13 +307,8 @@ class ScalarResolventPath:
     def residual(self):
         """Max node residual of the discrete equation (machine level by construction)."""
         w = self.kernel.cell_moments(self.grid.h, self.grid.N)
-        s = self.s
-        if self.scheme == "product":
-            savg = 0.5 * (s[:-1] + s[1:])
-        else:
-            savg = s[1:]
-        conv = np.convolve(w, savg)[: self.grid.N]
-        return float(np.max(np.abs(s[1:] + self.mu * conv - 1.0)))
+        conv = np.convolve(w, cell_values(self.s, self.scheme))[: self.grid.N]
+        return float(np.max(np.abs(self.s[1:] + self.mu * conv - 1.0)))
 
 
 def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
@@ -413,7 +414,7 @@ class CompletePositivityReport:
 def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
     """Probe the sign of the relaxation solution for each mu >= 0 given.
 
-    tol defaults to 1e-8 plus an O(h) allowance for discretization error.
+    tol defaults to `default_cp_tolerance(h)` on the grid of step h = T/N.
     """
     if mu_list is None:
         mu_list = DEFAULT_MU_GRID
@@ -424,7 +425,7 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
         raise ValueError("complete positivity is defined over mu >= 0")
     grid = TimeGrid(float(T), int(N))
     if tol is None:
-        tol = 1e-8 + 10.0 * grid.h
+        tol = default_cp_tolerance(grid.h)
     probes = []
     t_nodes = grid.nodes()
     for mu in mu_list:

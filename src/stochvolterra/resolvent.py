@@ -56,6 +56,9 @@ __all__ = [
 
 SCHEMES = ("product", "conv")
 
+MIN_RESOLVENT_CELLS = 2  # fewest grid cells compute_resolvent accepts
+MIN_BOUND_FIT_CELLS = 8  # fewest grid cells exponential_bound_fit accepts
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
@@ -268,8 +271,8 @@ def compute_resolvent(kernel, grid, scheme="product"):
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if grid.N < 2:
-        raise ValueError("need at least two cells")
+    if grid.N < MIN_RESOLVENT_CELLS:
+        raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
     W = kernel.cell_weights(grid)
     S = march(W, scheme)
     U = _trapezoid_integral(S, grid.h)
@@ -383,8 +386,8 @@ def exponential_bound_fit(table):
     holds at every node (and never drops below one, which S(0) = I forces
     anyway).
     """
-    if table.grid.N < 8:
-        raise ValueError("need at least 8 cells for a meaningful fit")
+    if table.grid.N < MIN_BOUND_FIT_CELLS:
+        raise ValueError(f"need at least {MIN_BOUND_FIT_CELLS} cells for a meaningful fit")
     t = table.grid.nodes()
     eta = np.linalg.norm(table.S, 2, axis=(1, 2))
     log_eta = np.log(np.maximum(eta, 1e-300))

@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stochvolterra
+from stochvolterra import cli
 from stochvolterra.cli import main
 
 # a child interpreter imports the same package as this process, installed or not
@@ -161,6 +166,199 @@ def test_integral_floats_resolve_to_integers(tmp_path):
     resolved = json.loads((out / "manifest.json").read_text())["config"]
     assert resolved["grid"]["N"] == 16 and isinstance(resolved["grid"]["N"], int)
     assert resolved["mc"]["n_paths"] == 200 and isinstance(resolved["mc"]["n_paths"], int)
+
+
+# small valid configurations of every experiment
+SMALL = {
+    "scalar_resolvent": edited(OU_SCALAR, "grid", "N", 16),
+    "cp_check": {
+        "experiment": "cp_check",
+        "kernel": {"variant": "linear"},
+        "grid": {"T": 1.0, "N": 16},
+        "mu_list": [1.0],
+        "tol": 1e-3,
+    },
+    "resolvent": {
+        "experiment": "resolvent",
+        "kernel": {"variant": "exponential", "c": 1.0, "b": 1.0},
+        "operator": {"matrix": [[-1.0, 0.5], [0.0, -2.0]]},
+        "grid": {"T": 1.0, "N": 16},
+    },
+    "convolve": {
+        "experiment": "convolve",
+        **{k: COVARIANCE[k] for k in ("kernel", "operator", "grid", "noise", "psi")},
+        "path_id": 3,
+        "x0": [1.0],
+    },
+    "covariance": edited(COVARIANCE, "mc", "n_paths", 100),
+    "verify_ito": {
+        "experiment": "verify_ito",
+        "kernel": {"variant": "exponential"},
+        "operator": {"benchmark": "ou1"},
+        "grid": {"T": 1.0, "N": 16},
+        "noise": {"q": [1.0], "seed": 11},
+        "psi": {"variant": "constant", "matrix": [[1.0]]},
+        "xi": {"xi0": [1.0], "phi": "exp"},
+        "x0": [1.0],
+        "mc": {"n_paths": 4},
+    },
+    "verify_volterra": {
+        "experiment": "verify_volterra",
+        **{k: COVARIANCE[k] for k in ("kernel", "operator", "grid", "noise", "psi")},
+        "mc": {"n_paths": 3},
+    },
+    "yosida": {
+        "experiment": "yosida",
+        "kernel": {"variant": "exponential"},
+        "operator": {"benchmark": "ou1"},
+        "grid": {"T": 1.0, "N": 16},
+        "noise": {"cylindrical": 1, "seed": 21},
+        "psi": {"variant": "step", "breakpoints": [0.0, 0.5], "matrices": [[[1.0]], [[0.5]]]},
+        "lambdas": [0.2, 0.1],
+        "mc": {"n_paths": 4},
+    },
+}
+
+STEP_PSI = {"variant": "step", "breakpoints": [0.0], "matrices": [[[1.0]]]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        edited(SMALL["scalar_resolvent"], None, "mu", "abc"),
+        edited(SMALL["scalar_resolvent"], None, "mu", True),
+        edited(SMALL["cp_check"], None, "tol", "abc"),
+        edited(SMALL["cp_check"], None, "mu_list", []),
+        edited(SMALL["cp_check"], None, "mu_list", [-1.0]),
+        edited(SMALL["cp_check"], None, "mu_list", ["a"]),
+        edited(SMALL["cp_check"], None, "mu_list", 5),
+        edited(SMALL["yosida"], None, "lambdas", 5),
+        edited(SMALL["yosida"], None, "lambdas", ["a"]),
+        edited(SMALL["resolvent"], "operator", "matrix", "abc"),
+        edited(SMALL["resolvent"], "operator", "matrix", [[-1.0, math.nan], [0.0, -2.0]]),
+        edited(SMALL["convolve"], None, "x0", "ab"),
+        edited(SMALL["verify_ito"], "xi", "xi0", "ab"),
+        edited(SMALL["convolve"], "operator", "benchmark", ["x"]),
+        edited(SMALL["verify_ito"], "xi", "phi", ["x"]),
+        # sizes that disagree across sections, or that the library calls refuse
+        edited(SMALL["convolve"], None, "x0", [1.0, 2.0]),
+        edited(SMALL["convolve"], "psi", "matrix", [[1.0], [1.0]]),
+        edited(SMALL["convolve"], "psi", "matrix", [[1.0, 1.0]]),
+        dict(SMALL["verify_ito"], kernel={"variant": "fractional", "alpha": 0.5}),
+        edited(SMALL["verify_ito"], "xi", "xi0", [1.0, 0.0]),
+        edited(SMALL["resolvent"], "grid", "N", 1),
+        edited(SMALL["convolve"], "grid", "N", 1),
+        edited(SMALL["resolvent"], "grid", "N", 4),
+        edited(SMALL["yosida"], "grid", "N", 4),
+        edited(SMALL["covariance"], None, "psi", STEP_PSI),
+        edited(SMALL["verify_ito"], None, "psi", STEP_PSI),
+        edited(SMALL["verify_ito"], "mc", "n_paths", 1),
+    ],
+    ids=[
+        "mu-string",
+        "mu-bool",
+        "tol-string",
+        "mu_list-empty",
+        "mu_list-negative",
+        "mu_list-string-entry",
+        "mu_list-number",
+        "lambdas-number",
+        "lambdas-string-entry",
+        "matrix-string",
+        "matrix-nan",
+        "x0-string",
+        "xi0-string",
+        "benchmark-list",
+        "phi-list",
+        "x0-length",
+        "psi-rows",
+        "psi-columns",
+        "verify_ito-fractional-kernel",
+        "xi0-length",
+        "resolvent-N-1",
+        "convolve-N-1",
+        "resolvent-N-4",
+        "yosida-N-4",
+        "covariance-step-psi",
+        "verify_ito-step-psi",
+        "verify_ito-1-path",
+    ],
+)
+def test_malformed_config_exits_3_before_running(tmp_path, capsys, monkeypatch, config):
+    def never(**kwargs):
+        raise AssertionError("an experiment started on a malformed configuration")
+
+    for name, experiment in cli.EXPERIMENTS.items():
+        monkeypatch.setitem(cli.EXPERIMENTS, name, dataclasses.replace(experiment, run=never))
+    code, out = run(tmp_path, config)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: validation:")
+    assert not out.exists()
+
+
+def test_non_string_out_dir_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, dict(SMALL["scalar_resolvent"], out_dir=5))
+    assert main(["--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("error: validation:")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_small_configs_run(tmp_path, name):
+    code, out = run(tmp_path, SMALL[name])
+    assert code == 0
+    assert (out / "manifest.json").exists()
+
+
+POOL = [None, True, "x", [], {}, [[1.0]], -1, 0, 0.5, 2, math.nan, math.inf]
+
+
+def _paths(node, prefix=()):
+    """Every position below the root: (path, node at that path)."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,), child
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_config_exits_cleanly(data):
+    config = json.loads(json.dumps(SMALL[data.draw(st.sampled_from(sorted(SMALL)))]))
+    paths = list(_paths(config))
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        path, _ = data.draw(st.sampled_from(paths))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from(POOL))
+    else:
+        dicts = [(), *(p for p, node in paths if isinstance(node, dict))]
+        path = data.draw(st.sampled_from(dicts))
+        node = config
+        for key in path:
+            node = node[key]
+        if action == "delete":
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        else:
+            node["unknown_key"] = 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        code = main(["--config", str(cfg), "--out", str(out)])
+        assert code in (0, 3, 4)
+        if code == 0:
+            json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+        else:
+            assert not out.exists()
 
 
 def test_numerical_failure_exits_4(tmp_path):

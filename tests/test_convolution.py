@@ -491,6 +491,17 @@ def test_ito_statistics_smoke():
     assert stats.rms > 0.0
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_ito_statistics_needs_two_paths(n_paths):
+    # a single residual has no sample standard deviation (np.std(ddof=1) is nan)
+    kern = ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0]]))
+    grid = TimeGrid(1.0, 16)
+    table = compute_resolvent(kern, grid)
+    xi = ItoTestFunction.constant(np.ones(1))
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=1), n_paths)
+
+
 def ito_residual_per_node(kernel, xi, grid, X, bdw):
     """Signed residuals of one path with the drift's inner convolution summed
     node by node (full trapezoid sum minus the two halved ends)."""
