@@ -76,7 +76,7 @@ from .resolvent import (
     resolvent_residuals,
     spectral_resolvent,
 )
-from .spaces import CovOperator, HilbertSpec, HSOperator, hs_norm
+from .spaces import CovOperator, HSOperator, hs_norm
 from .yosida import (
     AccretivityReport,
     YosidaFamily,
@@ -90,7 +90,6 @@ __all__ = [
     "__version__",
     # grids / spaces
     "TimeGrid",
-    "HilbertSpec",
     "CovOperator",
     "HSOperator",
     "hs_norm",

@@ -10,8 +10,9 @@ Validation is the only parsing pass: it builds each section once into the
 object the runner takes and checks sizes across sections, so every
 configuration fault is reported before any computation starts.
 
-Exit codes: 0 success, 2 configuration parse error, 3 validation error,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration parse error or output fault (an output
+location that cannot be a directory, checked before any computation, or a
+failed write), 3 validation error, 4 numerical failure.
 """
 
 import argparse
@@ -103,6 +104,14 @@ def _number(value, name):
     return float(value)
 
 
+def _numbers(value, depth):
+    """True for lists nested `depth` deep whose leaves are all ints or floats
+    (not bools, which numpy would upcast in a mixed list)."""
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, (list, tuple)) and all(_numbers(v, depth - 1) for v in value)
+
+
 def _array(value, name, ndim, length=None):
     """Lists of finite numbers nested `ndim` deep (`length` of them at the top,
     when given), as a float array."""
@@ -110,7 +119,8 @@ def _array(value, name, ndim, length=None):
         a = np.array(value)
     except ValueError:  # ragged nesting
         a = np.array(None)
-    if a.dtype.kind not in "iuf" or a.ndim != ndim or not np.all(np.isfinite(a)):
+    kind_ok = a.dtype.kind in "iuf" and _numbers(value, ndim)
+    if not kind_ok or a.ndim != ndim or not np.all(np.isfinite(a)):
         kind = ("a list", "a matrix", "a list of matrices")[ndim - 1]
         raise ConfigError(f"{name} must be {kind} of finite numbers")
     if length is not None and len(a) != length:
@@ -448,16 +458,29 @@ EXPERIMENTS = {
 }
 
 
+def _check_out_dir(out_dir):
+    """Raise NotADirectoryError if out_dir, or else its nearest existing
+    ancestor, is not a directory (so out_dir cannot be made one)."""
+    place = out_dir.resolve()
+    while not place.exists():
+        place = place.parent
+    if not place.is_dir():
+        raise NotADirectoryError(f"output location {place} is not a directory")
+
+
 def run_experiment(config, out_dir, threads=1, seed_override=None):
-    """Validate, run, and write outputs plus the manifest.
+    """Validate, check the output location, run, and write outputs plus the
+    manifest (last).
 
     Returns the list of written file paths.  Nothing is written until the
-    whole computation has succeeded.
+    whole computation has succeeded; an unusable output location raises
+    OSError before it starts, as does a failed write.
     """
     resolved, args = _resolve(config, seed_override)
+    out_dir = Path(out_dir)
+    _check_out_dir(out_dir)
     files, results = EXPERIMENTS[resolved["experiment"]].run(threads=threads, **args)
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, lines in files.items():
@@ -515,6 +538,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 2
     except (StochVolterraError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4

@@ -14,15 +14,18 @@ Every history sum (path convolution, verifiers' kernel convolutions, Ito drift)
 is one `grids.lag_convolve` call: at most P N^2 d^2 / 2 multiply-adds in N matrix
 products per block of paths, in ascending source node, so node 0 of a path is
 exactly zero and the identity table reduces to the elementary Ito sum bit for bit.
+The Monte Carlo consumers (covariance, Ito statistics, the Yosida study) fold
+`_path_blocks` of about 2^20 increments into running results, one block at a time.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
-from .noise import ConstantDiffusion, sample_wiener_batch
+from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch, stochastic_integral
 from .spaces import as_matrix
 
 __all__ = [
@@ -44,7 +47,7 @@ __all__ = [
 ]
 
 
-_MC_BLOCK = 1 << 20  # doubles of increments sampled per block of covariance paths
+_MC_BLOCK = 1 << 20  # doubles of increments sampled per block of Monte Carlo paths
 
 MIN_COVARIANCE_PATHS = 100
 MIN_ITO_PATHS = 2  # a standard error needs two residuals
@@ -57,11 +60,13 @@ def _check_grids(*grids):
             raise GridMismatch(f"incompatible grids: {first} vs {g}")
 
 
-def _left_point_products(psi, grid, dw_batch):
-    """(P, N, dim_H) array of Psi(t_m) dW_m over a batch of paths."""
-    K = dw_batch.shape[1]
-    vals = psi.values_on_grid(grid)
-    return np.einsum("mik,pkm->pmi", vals[:, :, :K], dw_batch)
+def _path_blocks(spec, grid, n_paths, threads):
+    """Increments of paths 0, ..., n_paths - 1 as consecutive (b, K, N) blocks,
+    b = max(1, _MC_BLOCK // (K N)).  Consumers map a function over the blocks,
+    so one block, about _MC_BLOCK doubles, is alive at a time whatever n_paths is."""
+    block = max(1, _MC_BLOCK // (spec.truncation * grid.N))
+    for p in range(0, n_paths, block):
+        yield sample_wiener_batch(spec, grid, range(p, min(p + block, n_paths)), threads=threads)
 
 
 def _convolve_paths(S, c_batch):
@@ -227,10 +232,11 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     exactly; per-entry standard errors use the Gaussian formula
     sqrt((C_ii C_jj + C_ij^2)/n).
 
-    Paths are sampled in blocks of b = 2^20 / (K N) paths, and each block is
-    folded into X(t_n) by one GEMM, the (b, K n) increments times the (K n, d)
-    weights of `_node_weights`: P K n d multiply-adds in all.  Scratch is about
-    2^20 doubles (twice that when n < N) whatever P is, plus X itself, P d.
+    Paths stream through `_path_blocks` (b = 2^20 / (K N) paths a block), and
+    each block is folded into X(t_n) by one GEMM, the (b, K n) increments times
+    the (K n, d) weights of `_node_weights`: P K n d multiply-adds in all.
+    Scratch is about 2^20 doubles (twice that when n < N) whatever P is, plus X
+    itself, P d.
     """
     if n_paths < MIN_COVARIANCE_PATHS:
         raise ValueError(f"need at least {MIN_COVARIANCE_PATHS} paths, got {n_paths}")
@@ -238,15 +244,9 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
         raise ValueError("Q disagrees with the covariance in the noise spec")
     if not (0 <= t_index <= table.grid.N):
         raise ValueError(f"t_index must lie in [0, {table.grid.N}], got {t_index}")
-    grid, K = table.grid, spec.truncation
-    G = _node_weights(table.S, as_matrix(B)[:, :K], t_index)
-    block = max(1, _MC_BLOCK // (K * grid.N))
-
-    def fold(p):
-        ids = range(p, min(p + block, n_paths))
-        return _convolve_at(G, sample_wiener_batch(spec, grid, ids, threads=threads), t_index)
-
-    X = np.concatenate([fold(p) for p in range(0, n_paths, block)])
+    G = _node_weights(table.S, as_matrix(B)[:, : spec.truncation], t_index)
+    blocks = _path_blocks(spec, table.grid, n_paths, threads)
+    X = np.concatenate(list(map(partial(_convolve_at, G, n=t_index), blocks)))
     mean = X.mean(axis=0)
     centered = X - mean
     C = (centered.T @ centered) / (n_paths - 1)
@@ -291,10 +291,9 @@ def verify_volterra_identity(path, kernel, psi, inc):
     _check_grids(path.grid, inc.grid)
     grid = path.grid
     W = kernel.cell_weights(grid)
-    c = _left_point_products(psi, grid, inc.dW[None])[0]
     conv = np.zeros((grid.N, path.values.shape[1]))
     lag_convolve(W, cell_values(path.values, path.scheme)[None], conv[None])
-    res = np.linalg.norm(path.values[1:] - conv - np.cumsum(c, axis=0), axis=1)
+    res = np.linalg.norm(path.values[1:] - conv - stochastic_integral(psi, inc)[1:], axis=1)
     return IdentityReport.of(np.concatenate([[0.0], res]), path.scheme)
 
 
@@ -442,23 +441,24 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
 
     All paths share the table; the reported mean should be statistically
     indistinguishable from zero and the root mean square shrinks with the
-    grid step.
+    grid step.  Paths stream through `_path_blocks`: one block of paths and
+    residuals is alive at a time, and only a copy of each path's final
+    residual is kept, so memory grows with P by 8 bytes a path.
     """
     if n_paths < MIN_ITO_PATHS:
         raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
     _require_w11(table.kernel)
     xi.check_consistency(table.grid.T)
-    X0 = np.asarray(X0, dtype=float)
     grid = table.grid
-    Bm = as_matrix(B)
-    psi = ConstantDiffusion(Bm)
-    c = _left_point_products(
-        psi, grid, sample_wiener_batch(spec, grid, range(n_paths), threads=threads)
-    )
-    X = _convolve_paths(table.S, c)
-    X += np.einsum("nij,j->ni", table.S, X0)[None]
-    res = _ito_residual_batch(table.kernel, xi, grid, X, c)
-    final = res[:, -1]
+    psi = ConstantDiffusion(as_matrix(B))
+    start = np.einsum("nij,j->ni", table.S, np.asarray(X0, dtype=float))
+    finals = []
+    blocks = _path_blocks(spec, grid, n_paths, threads)
+    for c in map(partial(_left_point_products, psi, grid), blocks):
+        X = _convolve_paths(table.S, c)
+        X += start[None]
+        finals.append(_ito_residual_batch(table.kernel, xi, grid, X, c)[:, -1].copy())
+    final = np.concatenate(finals)
     mean = float(np.mean(final))
     se = float(np.std(final, ddof=1) / np.sqrt(n_paths))
     rms = float(np.sqrt(np.mean(final**2)))

@@ -20,6 +20,8 @@ _LAG_BLOCK = 1 << 16  # doubles in lag_convolve's product of one block of paths
 
 OVERFLOW_LIMIT = 1e100  # largest |entry| a marched table may reach
 
+SCHEMES = ("product", "conv")
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -41,10 +43,6 @@ class TimeGrid:
     def nodes(self):
         """All N+1 grid nodes as an array."""
         return np.linspace(0.0, self.T, self.N + 1)
-
-    def refined(self, factor=2):
-        """Same horizon with `factor` times as many cells."""
-        return TimeGrid(self.T, self.N * factor)
 
 
 def lag_convolve(w, x, out):
@@ -90,14 +88,15 @@ def march(W, scheme):
     lag-0 term holds the unknown, so each step is one product with the inverted
     step matrix I - W[0]/2 (or I - W[0]).  Once S[m] is known, c[m] goes through
     the lag columns of W[1:] into the history of every later node, one BLAS
-    product of d x d by d x (N-m) d.  Raises NumericalFailure for a singular
-    step matrix or an entry past OVERFLOW_LIMIT.
+    product of d x d by d x (N-m) d.  Raises ValueError for a scheme not in
+    SCHEMES, NumericalFailure for a singular step matrix or an entry past
+    OVERFLOW_LIMIT.
     """
     N, d, _ = W.shape
     eye = np.eye(d)
     S = np.empty((N + 1, d, d))
     S[0] = eye
-    implicit = 0.5 if scheme == "product" else 1.0
+    implicit = implicit_share(scheme)
     try:
         M_inv = np.linalg.inv(eye - implicit * W[0])
     except np.linalg.LinAlgError as exc:
@@ -114,6 +113,13 @@ def march(W, scheme):
         if k < N:
             _add_lagged(history[:, k + 1 :], cell_values(S[k - 1 : k + 1], scheme)[0].T, flat)
     return S
+
+
+def implicit_share(scheme):
+    """Share of a cell's weight on its right endpoint: 1/2 (product) or 1 (conv)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return 0.5 if scheme == "product" else 1.0
 
 
 def cell_values(values, scheme):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, march
+from .grids import TimeGrid, cell_values, implicit_share, march
 
 __all__ = [
     "ScalarKernel",
@@ -278,9 +278,7 @@ def march_scalar(weights, mu, scheme="product"):
     coefficient, which cannot occur for mu >= 0 and a nonnegative kernel.
     """
     w = np.asarray(weights, dtype=float)
-    if scheme not in ("product", "conv"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    denom = 1.0 + (0.5 if scheme == "product" else 1.0) * mu * w[0]
+    denom = 1.0 + implicit_share(scheme) * mu * w[0]
     if denom <= 0.0:
         raise NumericalFailure(f"nonpositive diagonal coefficient {denom} in marching scheme")
     s = march(-mu * w[:, None, None], scheme)[:, 0, 0]

@@ -157,11 +157,7 @@ class DiffusionProcess(ABC):
 
     def values_on_grid(self, grid):
         """(N, dim_H, dim_U) stack of left-endpoint values."""
-        t = grid.nodes()[:-1]
-        out = np.empty((grid.N,) + self.shape)
-        for m, tm in enumerate(t):
-            out[m] = self.value(tm)
-        return out
+        return np.array([self.value(t) for t in grid.nodes()[:-1]], dtype=float)
 
     def integrated_hs_norm_sq(self, grid, cov, modes=None):
         """Squared time-integrated Hilbert-Schmidt norm, sum_m h |value(t_m)|^2.
@@ -256,15 +252,11 @@ class RuleDiffusion(DiffusionProcess):
 # ---------------------------------------------------------------------------
 
 
-def _psi_increments(psi, inc):
-    """Left-point products value(t_m) dW_m as an (N, dim_H) array."""
-    K = inc.modes
-    if psi.shape[1] != inc.spec.cov.dim:
-        raise DimensionMismatch(
-            "integrand columns vs noise dimension", psi.shape, (inc.spec.cov.dim,)
-        )
-    vals = psi.values_on_grid(inc.grid)
-    return np.einsum("mik,km->mi", vals[:, :, :K], inc.dW)
+def _left_point_products(psi, grid, dw_batch):
+    """(P, N, dim_H) array of Psi(t_m) dW_m over a (P, K, N) batch of increments."""
+    K = dw_batch.shape[1]
+    vals = psi.values_on_grid(grid)
+    return np.einsum("mik,pkm->pmi", vals[:, :, :K], dw_batch)
 
 
 def stochastic_integral(psi, inc):
@@ -275,7 +267,10 @@ def stochastic_integral(psi, inc):
     isometry holds in expectation against the integrand's time-integrated
     Hilbert-Schmidt norm.
     """
-    steps = _psi_increments(psi, inc)
+    if psi.shape[1] != inc.spec.cov.dim:
+        raise DimensionMismatch(
+            "integrand columns vs noise dimension", psi.shape, (inc.spec.cov.dim,)
+        )
     out = np.zeros((inc.grid.N + 1, psi.shape[0]))
-    out[1:] = np.cumsum(steps, axis=0)
+    out[1:] = np.cumsum(_left_point_products(psi, inc.grid, inc.dW[None])[0], axis=0)
     return out

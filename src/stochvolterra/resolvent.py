@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SmoothnessError
-from .grids import OVERFLOW_LIMIT, TimeGrid, cell_values, lag_convolve, march
+from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, cell_values, lag_convolve, march
 from .kernels import ScalarKernel, march_scalar
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "operator_2norm",
     "SCHEMES",
 ]
-
-SCHEMES = ("product", "conv")
 
 MIN_RESOLVENT_CELLS = 2  # fewest grid cells compute_resolvent accepts
 MIN_BOUND_FIT_CELLS = 8  # fewest grid cells exponential_bound_fit accepts
@@ -269,8 +267,6 @@ def compute_resolvent(kernel, grid, scheme="product"):
     value into every later node's history; see `grids.march`.  With the zero
     kernel the table is identically the identity under either scheme.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
     W = kernel.cell_weights(grid)
@@ -332,8 +328,6 @@ def spectral_resolvent(a, A, grid, scheme="product"):
         raise ValueError(f"A must be square, got shape {A.shape}")
     if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(A)))):
         raise ValueError("A must be symmetric for the spectral construction")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     lam, V = np.linalg.eigh(0.5 * (A + A.T))
     if np.any(lam > 0.0):
         warnings.warn(
@@ -342,9 +336,7 @@ def spectral_resolvent(a, A, grid, scheme="product"):
             stacklevel=2,
         )
     w = a.cell_moments(grid.h, grid.N)
-    channels = np.empty((grid.N + 1, lam.size))
-    for k, lk in enumerate(lam):
-        channels[:, k] = march_scalar(w, -lk, scheme=scheme)
+    channels = np.stack([march_scalar(w, -lk, scheme=scheme) for lk in lam], axis=1)
     S = np.einsum("ik,nk,jk->nij", V, channels, V)
     S[0] = np.eye(lam.size)
     U = _trapezoid_integral(S, grid.h)

@@ -1,10 +1,9 @@
-"""Finite-dimensional model of the state, smoothness and noise spaces.
+"""Finite-dimensional model of the state and noise spaces.
 
 Everything lives in R^n: the state space H is R^{dim_H} with the Euclidean
-inner product, an optional weight matrix turns a subspace copy into the
-smoothness space G, and the noise space U is R^{dim_U} in a basis that
+inner product, and the noise space U is R^{dim_U} in a basis that
 diagonalizes the covariance operator.  In finite dimensions all operators are
-bounded, so the grading between the spaces is recorded, not enforced.
+bounded and the smoothness space G is H itself, so no grading is modeled.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,6 @@ import numpy as np
 from .errors import DimensionMismatch
 
 __all__ = [
-    "HilbertSpec",
     "CovOperator",
     "HSOperator",
     "hs_norm",
@@ -26,50 +24,6 @@ def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True, eq=False)
-class HilbertSpec:
-    """Dimensions of the state space and the noise space.
-
-    ``g_weight``, when given, is a symmetric positive definite matrix defining
-    the squared norm x' W x of the smoothness space; absent means the two
-    spaces coincide.
-    """
-
-    dim_H: int
-    dim_U: int
-    g_weight: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (isinstance(self.dim_H, int) and self.dim_H >= 1):
-            raise ValueError(f"dim_H must be a positive integer, got {self.dim_H!r}")
-        if not (isinstance(self.dim_U, int) and self.dim_U >= 1):
-            raise ValueError(f"dim_U must be a positive integer, got {self.dim_U!r}")
-        if self.g_weight is not None:
-            w = _readonly(self.g_weight)
-            if w.shape != (self.dim_H, self.dim_H):
-                raise DimensionMismatch("g_weight shape", w.shape, (self.dim_H, self.dim_H))
-            if not np.allclose(w, w.T, rtol=1e-12, atol=1e-12):
-                raise ValueError("g_weight must be symmetric")
-            if np.min(np.linalg.eigvalsh(0.5 * (w + w.T))) <= 0.0:
-                raise ValueError("g_weight must be positive definite")
-            object.__setattr__(self, "g_weight", w)
-
-    def h_norm(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim_H,):
-            raise DimensionMismatch("vector shape", x.shape, (self.dim_H,))
-        return float(np.linalg.norm(x))
-
-    def g_norm(self, x):
-        """Weighted norm of the smoothness space (equals h_norm without a weight)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim_H,):
-            raise DimensionMismatch("vector shape", x.shape, (self.dim_H,))
-        if self.g_weight is None:
-            return float(np.linalg.norm(x))
-        return float(np.sqrt(x @ (self.g_weight @ x)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,13 +15,14 @@ be used).
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .convolution import _convolve_paths, _left_point_products
+from .convolution import _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .kernels import check_complete_positivity
-from .noise import sample_wiener_batch
+from .noise import _left_point_products
 from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit
 
 __all__ = [
@@ -72,10 +73,7 @@ class YosidaFamily:
     def identity_defect(self):
         """max over lam of |A_lam - (J_lam - I)/lam|, an exact identity."""
         eye = np.eye(self.A.shape[0])
-        worst = 0.0
-        for lam, J, Al in zip(self.lambdas, self.J, self.A_lam):
-            worst = max(worst, float(np.max(np.abs(Al - (J - eye) / lam))))
-        return worst
+        return float(np.max(np.abs(self.A_lam - (self.J - eye) / self.lambdas[:, None, None])))
 
     def resolvent_norms(self):
         """Operator norms of the J_lam (at most one for a dissipative A)."""
@@ -139,6 +137,12 @@ class YosidaStudy:
     cp_consistent: bool
 
 
+def _node_sums(diff):
+    """Sum over paths of |diff|^2 at every node of a (P, N+1, d) array, squared in place."""
+    diff **= 2
+    return np.sum(diff, axis=2).sum(axis=0)
+
+
 def yosida_convergence_study(
     a, A, psi, spec, lambdas, grid, n_paths, scheme="product", threads=1
 ):
@@ -148,6 +152,11 @@ def yosida_convergence_study(
     dissipativity of A) are advisory: violations warn rather than fail, since
     the point of the study is to watch the limits the theory promises under
     those hypotheses.
+
+    Paths stream through `convolution._path_blocks` and every table convolves
+    the same block (common noise).  Per lam and node the study sums
+    |W_lam - W_base|^2 and |A_lam W_lam - A W_base|^2 over paths, and e = max
+    over nodes of sum / P; only one block is alive, so memory does not grow with P.
     """
     A = np.asarray(A, dtype=float)
     cp = check_complete_positivity(a, T=grid.T, N=max(grid.N, 256))
@@ -169,19 +178,18 @@ def yosida_convergence_study(
 
     e_S = np.array([np.max(np.linalg.norm(tb.S - base.S, 2, axis=(1, 2))) for tb in tables])
 
-    # common noise: one increment batch reused for the base and every lam
-    increments = sample_wiener_batch(spec, grid, range(n_paths), threads=threads)
-    dw = _left_point_products(psi, grid, increments)
-    W_base = _convolve_paths(base.S, dw)
-    AW_base = np.einsum("ab,pnb->pna", A, W_base)
-    e_W = np.empty(family.lambdas.size)
-    e_AW = np.empty(family.lambdas.size)
-    for i, tb in enumerate(tables):
-        W_lam = _convolve_paths(tb.S, dw)
-        diff = W_lam - W_base
-        e_W[i] = float(np.max(np.mean(np.sum(diff**2, axis=2), axis=0)))
-        diff_A = np.einsum("ab,pnb->pna", family.A_lam[i], W_lam) - AW_base
-        e_AW[i] = float(np.max(np.mean(np.sum(diff_A**2, axis=2), axis=0)))
+    # common noise: each block of increments is reused for the base and every lam
+    sums = np.zeros((2, family.lambdas.size, grid.N + 1))
+    blocks = _path_blocks(spec, grid, n_paths, threads)
+    for c in map(partial(_left_point_products, psi, grid), blocks):
+        W_base = _convolve_paths(base.S, c)
+        AW_base = np.einsum("ab,pnb->pna", A, W_base)
+        for i, tb in enumerate(tables):
+            W_lam = _convolve_paths(tb.S, c)
+            sums[1, i] += _node_sums(np.einsum("ab,pnb->pna", family.A_lam[i], W_lam) - AW_base)
+            W_lam -= W_base
+            sums[0, i] += _node_sums(W_lam)
+    e_W, e_AW = np.max(sums / n_paths, axis=2)
 
     fits = [exponential_bound_fit(tb) for tb in tables + [base]]
     return YosidaStudy(

@@ -231,11 +231,13 @@ STEP_PSI = {"variant": "step", "breakpoints": [0.0], "matrices": [[[1.0]]]}
         edited(SMALL["cp_check"], None, "mu_list", []),
         edited(SMALL["cp_check"], None, "mu_list", [-1.0]),
         edited(SMALL["cp_check"], None, "mu_list", ["a"]),
+        edited(SMALL["cp_check"], None, "mu_list", [1.0, True]),
         edited(SMALL["cp_check"], None, "mu_list", 5),
         edited(SMALL["yosida"], None, "lambdas", 5),
         edited(SMALL["yosida"], None, "lambdas", ["a"]),
         edited(SMALL["resolvent"], "operator", "matrix", "abc"),
         edited(SMALL["resolvent"], "operator", "matrix", [[-1.0, math.nan], [0.0, -2.0]]),
+        edited(SMALL["resolvent"], "operator", "matrix", [[-1.0, False], [0.0, -2.0]]),
         edited(SMALL["convolve"], None, "x0", "ab"),
         edited(SMALL["verify_ito"], "xi", "xi0", "ab"),
         edited(SMALL["convolve"], "operator", "benchmark", ["x"]),
@@ -261,11 +263,13 @@ STEP_PSI = {"variant": "step", "breakpoints": [0.0], "matrices": [[[1.0]]]}
         "mu_list-empty",
         "mu_list-negative",
         "mu_list-string-entry",
+        "mu_list-bool-entry",
         "mu_list-number",
         "lambdas-number",
         "lambdas-string-entry",
         "matrix-string",
         "matrix-nan",
+        "matrix-bool-entry",
         "x0-string",
         "xi0-string",
         "benchmark-list",
@@ -302,6 +306,31 @@ def test_non_string_out_dir_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["--config", cfg]) == 3
     assert capsys.readouterr().err.startswith("error: validation:")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def never(**kwargs):
+        raise AssertionError("an experiment started with an unusable output location")
+
+    monkeypatch.setitem(
+        cli.EXPERIMENTS, "cp_check", dataclasses.replace(cli.EXPERIMENTS["cp_check"], run=never)
+    )
+    cfg = write_config(tmp_path, SMALL["cp_check"])
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "below"):  # an existing file, and a path through one
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: output:")
+    assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)  # a directory where the manifest goes
+    cfg = write_config(tmp_path, SMALL["cp_check"])
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: output:")
 
 
 @pytest.mark.parametrize("name", list(SMALL))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from stochvolterra import (
     verify_ito_identity,
     verify_volterra_identity,
     verify_weak_solution,
+    yosida_convergence_study,
 )
 from stochvolterra import convolution
 from stochvolterra.convolution import _left_point_products
@@ -551,6 +553,104 @@ def test_ito_identity_general_matrix_kernel_matches_per_node_sum():
     oracle = ito_residual_per_node(kern, xi, grid, x_path.values, bdw)
     assert np.max(np.abs(oracle)) > 1e-6
     assert np.max(np.abs(report.residuals - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+# --- the Monte Carlo path-block loop ------------------------------------------------
+
+
+def ito_problem(n=32):
+    kern = ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0, 0.4], [0.0, -2.0]]))
+    xi = ItoTestFunction(np.array([1.0, 0.5]), phi=math.exp, phi_dot=math.exp)
+    spec = NoiseSpec(cov=CovOperator(np.ones(2)), truncation=2, seed=31)
+    B = np.array([[0.8, 0.0], [0.3, 0.5]])
+    return compute_resolvent(kern, TimeGrid(1.0, n)), B, xi, np.array([1.0, -1.0]), spec
+
+
+def yosida_problem(n_paths, n=32):
+    psi = ConstantDiffusion(np.eye(5))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    return yosida_convergence_study(
+        ExponentialKernel(),
+        -np.diag(np.arange(1.0, 6.0)),
+        psi,
+        spec,
+        [0.2, 0.1],
+        TimeGrid(1.0, n),
+        n_paths,
+    )
+
+
+def count_blocks(monkeypatch, paths_per_block, K, N):
+    """Set the block to `paths_per_block` paths and count the blocks sampled."""
+    monkeypatch.setattr(convolution, "_MC_BLOCK", paths_per_block * K * N)
+    calls = []
+    sample = convolution.sample_wiener_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(convolution, "sample_wiener_batch", counted)
+    return calls
+
+
+def close(a, b):
+    scale = np.max(np.abs(b))
+    assert scale > 0.0
+    return np.max(np.abs(np.asarray(a) - b)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("paths_per_block, blocks", [(23, 3), (7, 8), (1, 50)])
+def test_ito_statistics_blocks_match_one_block(monkeypatch, paths_per_block, blocks):
+    table, B, xi, X0, spec = ito_problem()
+    whole = ito_identity_statistics(table, B, xi, X0, spec, 50)
+    calls = count_blocks(monkeypatch, paths_per_block, 2, 32)
+    for threads in (1, 2):
+        part = ito_identity_statistics(table, B, xi, X0, spec, 50, threads=threads)
+        assert close(part.final_residuals, whole.final_residuals)
+        scale = np.max(np.abs(whole.final_residuals))
+        for name in ("mean", "std_error", "rms"):
+            assert abs(getattr(part, name) - getattr(whole, name)) <= 1e-12 * scale
+    assert len(calls) == 2 * blocks  # the last block is ragged: 50 % 23 = 4, 50 % 7 = 1
+
+
+@pytest.mark.parametrize("paths_per_block, blocks", [(23, 3), (7, 8)])
+def test_yosida_study_blocks_match_one_block(monkeypatch, paths_per_block, blocks):
+    whole = yosida_problem(50)
+    calls = count_blocks(monkeypatch, paths_per_block, 5, 32)
+    part = yosida_problem(50)
+    assert len(calls) == blocks
+    assert close(part.e_W, whole.e_W)
+    assert close(part.e_AW, whole.e_AW)
+    np.testing.assert_array_equal(part.e_S, whole.e_S)
+
+
+def traced_peak(run):
+    """Peak bytes numpy and Python allocate while run() executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ito_statistics_memory_does_not_grow_with_paths(monkeypatch):
+    table, B, xi, X0, spec = ito_problem(n=64)
+    monkeypatch.setattr(convolution, "_MC_BLOCK", 64 * 2 * 64)  # 64 paths a block
+    ito_identity_statistics(table, B, xi, X0, spec, 64)  # one-time allocations happen here
+    peaks = [
+        traced_peak(lambda: ito_identity_statistics(table, B, xi, X0, spec, 64 * blocks))
+        for blocks in (1, 32)
+    ]
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_yosida_study_memory_does_not_grow_with_paths(monkeypatch):
+    monkeypatch.setattr(convolution, "_MC_BLOCK", 64 * 5 * 64)  # 64 paths a block
+    yosida_problem(64, n=64)  # one-time allocations happen here
+    peaks = [traced_peak(lambda: yosida_problem(64 * blocks, n=64)) for blocks in (1, 32)]
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # --- strong (Euler) vs mild consistency --------------------------------------------

@@ -185,3 +185,14 @@ def test_march_refuses_overflow(scheme):
     with pytest.raises(NumericalFailure, match="overflow"):
         march(np.full((512, 1, 1), 5.0 * 50.0 / 512), scheme)
 
+
+
+def test_march_rejects_unknown_scheme():
+    # one owner of the scheme names: march, and every caller through it
+    W = np.full((4, 1, 1), -0.25)
+    for scheme in ("simpson", "Product", None):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            march(W, scheme)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        march_scalar(W[:, 0, 0], 1.0, scheme="simpson")
+    assert grids.SCHEMES == ("product", "conv")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochvolterra import CovOperator, DimensionMismatch, HilbertSpec, HSOperator, hs_norm
+from stochvolterra import CovOperator, DimensionMismatch, HSOperator, hs_norm
 
 
 def test_identity_case():
@@ -79,20 +79,6 @@ def test_cov_operator_validation():
     assert cov.dim == 3
     cyl = CovOperator.cylindrical_truncation(4)
     assert cyl.cylindrical and cyl.trace == 4.0
-
-
-def test_hilbert_spec_validation():
-    with pytest.raises(ValueError):
-        HilbertSpec(0, 1)
-    with pytest.raises(ValueError):
-        HilbertSpec(2, 2, g_weight=np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        HilbertSpec(2, 2, g_weight=np.array([[1.0, 0.0], [0.0, -1.0]]))  # not positive
-    spec = HilbertSpec(2, 3, g_weight=np.diag([4.0, 1.0]))
-    assert spec.g_norm(np.array([1.0, 0.0])) == pytest.approx(2.0)
-    assert spec.h_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-    plain = HilbertSpec(2, 3)
-    assert plain.g_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 def test_hs_operator_rejects_nonfinite():
