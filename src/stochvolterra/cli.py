@@ -3,8 +3,10 @@
 One experiment per invocation: a JSON configuration file is validated
 strictly (unknown keys anywhere are errors), dispatched to the library, and
 the results are written as CSV files plus a manifest echoing the fully
-resolved configuration and the package version.  Identical configurations
-produce byte-identical CSV output, independent of the thread count.
+resolved configuration and the package version.  Runners return numbers; one
+writer streams them row by row, every cell to 17 significant digits, so
+identical configurations produce byte-identical CSV output, independent of
+the thread count.
 
 Validation is the only parsing pass: it builds each section once into the
 object the runner takes and checks sizes across sections, so every
@@ -16,6 +18,7 @@ failed write), 3 validation error, 4 numerical failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -77,10 +80,6 @@ _PHI_FORMS = {
     "constant": (lambda t: 1.0, lambda t: 0.0),
     "exp": (lambda t: float(np.exp(t)), lambda t: float(np.exp(t))),
 }
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _integer(value, name, least=-math.inf, most=math.inf):
@@ -308,26 +307,23 @@ def validate_config(config, seed_override=None):
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each takes the resolved objects and returns
-# ({filename: [csv lines]}, results-for-manifest)
+# experiment bodies: each takes the resolved objects and returns numbers,
+# ({filename: (header, rows)}, results-for-manifest); rows is any iterable of
+# number sequences (None for an empty cell), and `_write_csv` formats them
 # ---------------------------------------------------------------------------
 
 
 def _run_scalar_resolvent(kernel, mu, grid, threads):
     path = solve_scalar_resolvent(kernel, mu, grid)
-    lines = ["t,s"]
-    for t, s in zip(grid.nodes(), path.s):
-        lines.append(f"{_fmt(t)},{_fmt(s)}")
-    return {"scalar_resolvent.csv": lines}, {"s_final": path.s[-1]}
+    rows = zip(grid.nodes(), path.s)
+    return {"scalar_resolvent.csv": (["t", "s"], rows)}, {"s_final": path.s[-1]}
 
 
 def _run_cp_check(kernel, grid, mu_list, tol, threads):
     report = check_complete_positivity(kernel, mu_list=mu_list, T=grid.T, N=grid.N, tol=tol)
-    lines = ["mu,min_s,t_at_min,first_violation_t"]
-    for p in report.probes:
-        first = "" if p.first_violation_t is None else _fmt(p.first_violation_t)
-        lines.append(f"{_fmt(p.mu)},{_fmt(p.min_s)},{_fmt(p.t_at_min)},{first}")
-    return {"cp_check.csv": lines}, {"verdict": report.verdict}
+    header = ["mu", "min_s", "t_at_min", "first_violation_t"]
+    rows = [(p.mu, p.min_s, p.t_at_min, p.first_violation_t) for p in report.probes]
+    return {"cp_check.csv": (header, rows)}, {"verdict": report.verdict}
 
 
 def _table(kernel, operator, grid, scheme):
@@ -336,16 +332,6 @@ def _table(kernel, operator, grid, scheme):
 
 def _run_resolvent(kernel, operator, grid, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
-    d = table.dim
-    header = ["t"]
-    header += [f"S_{i}_{j}" for i in range(d) for j in range(d)]
-    header += [f"U_{i}_{j}" for i in range(d) for j in range(d)]
-    lines = [",".join(header)]
-    for n, t in enumerate(table.grid.nodes()):
-        row = [_fmt(t)]
-        row += [_fmt(x) for x in table.S[n].ravel()]
-        row += [_fmt(x) for x in table.U[n].ravel()]
-        lines.append(",".join(row))
     res = resolvent_residuals(table)
     bound = exponential_bound_fit(table)
     results = {
@@ -355,7 +341,12 @@ def _run_resolvent(kernel, operator, grid, scheme, threads):
         "bound_w": bound.w,
         "u_lipschitz": table.u_lipschitz(),
     }
-    return {"resolvent.csv": lines}, results
+    d, n = table.dim, grid.N + 1
+    entries = [f"{i}_{j}" for i in range(d) for j in range(d)]
+    header = ["t"] + [f"S_{ij}" for ij in entries] + [f"U_{ij}" for ij in entries]
+    # stacked after the residuals, whose temporary arrays set the peak memory
+    rows = np.column_stack([grid.nodes(), table.S.reshape(n, -1), table.U.reshape(n, -1)])
+    return {"resolvent.csv": (header, rows)}, results
 
 
 def _run_convolve(kernel, operator, grid, noise, psi, scheme, threads, path_id=0, x0=None):
@@ -365,59 +356,46 @@ def _run_convolve(kernel, operator, grid, noise, psi, scheme, threads, path_id=0
         values = stochastic_convolution(table, psi, inc).values
     else:
         values = mild_solution(table, x0, psi, inc).values
-    lines = [",".join(["t"] + [f"X_{i}" for i in range(table.dim)])]
-    for n, t in enumerate(grid.nodes()):
-        lines.append(",".join([_fmt(t)] + [_fmt(x) for x in values[n]]))
-    return {"convolve.csv": lines}, {}
+    header = ["t"] + [f"X_{i}" for i in range(table.dim)]
+    return {"convolve.csv": (header, np.column_stack([grid.nodes(), values]))}, {}
 
 
 def _run_covariance(kernel, operator, grid, noise, psi, n_paths, t_index, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
     quad = covariance_quadrature(table, psi.B, noise.cov, t_index)
     est = covariance_monte_carlo(table, psi.B, noise.cov, noise, n_paths, t_index, threads=threads)
-    lines = ["i,j,quadrature,mc,std_error"]
-    d = table.dim
-    for i in range(d):
-        for j in range(d):
-            lines.append(
-                f"{i},{j},{_fmt(quad[i, j])},{_fmt(est.sample_cov[i, j])},"
-                f"{_fmt(est.std_error[i, j])}"
-            )
-    return {"covariance.csv": lines}, {"n_paths": est.n_paths}
+    header = ["i", "j", "quadrature", "mc", "std_error"]
+    i, j = np.indices(quad.shape).reshape(2, -1)
+    rows = zip(i, j, quad.ravel(), est.sample_cov.ravel(), est.std_error.ravel())
+    return {"covariance.csv": (header, rows)}, {"n_paths": est.n_paths}
 
 
 def _run_verify_volterra(kernel, operator, grid, noise, psi, n_paths, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
-    lines = ["path_id,sup_residual"]
-    worst = 0.0
+    residuals = []
     for pid in range(n_paths):
         inc = sample_wiener(noise, grid, path_id=pid)
         path = stochastic_convolution(table, psi, inc)
-        report = verify_volterra_identity(path, table.kernel, psi, inc)
-        worst = max(worst, report.sup_residual)
-        lines.append(f"{pid},{_fmt(report.sup_residual)}")
-    return {"verify_volterra.csv": lines}, {"max_sup_residual": worst}
+        residuals.append(verify_volterra_identity(path, table.kernel, psi, inc).sup_residual)
+    results = {"max_sup_residual": max(residuals)}
+    return {"verify_volterra.csv": (["path_id", "sup_residual"], enumerate(residuals))}, results
 
 
 def _run_verify_ito(kernel, operator, grid, noise, psi, xi, x0, n_paths, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
     stats = ito_identity_statistics(table, psi.B, xi, x0, noise, n_paths, threads=threads)
-    lines = ["path_id,final_residual"]
-    for pid, r in enumerate(stats.final_residuals):
-        lines.append(f"{pid},{_fmt(r)}")
+    rows = enumerate(stats.final_residuals)
     results = {"mean": stats.mean, "std_error": stats.std_error, "rms": stats.rms}
-    return {"verify_ito.csv": lines}, results
+    return {"verify_ito.csv": (["path_id", "final_residual"], rows)}, results
 
 
 def _run_yosida(kernel, operator, grid, noise, psi, lambdas, n_paths, scheme, threads):
     study = yosida_convergence_study(
         kernel, operator, psi, noise, lambdas, grid, n_paths, scheme=scheme, threads=threads
     )
-    lines = ["lambda,e_S,e_W,e_AW"]
-    for lam, es, ew, eaw in zip(study.lambdas, study.e_S, study.e_W, study.e_AW):
-        lines.append(f"{_fmt(lam)},{_fmt(es)},{_fmt(ew)},{_fmt(eaw)}")
+    rows = zip(study.lambdas, study.e_S, study.e_W, study.e_AW)
     results = {"bound_M": study.bound_M, "bound_w": study.bound_w}
-    return {"yosida.csv": lines}, results
+    return {"yosida.csv": (["lambda", "e_S", "e_W", "e_AW"], rows)}, results
 
 
 @dataclass(frozen=True)
@@ -468,13 +446,24 @@ def _check_out_dir(out_dir):
         raise NotADirectoryError(f"output location {place} is not a directory")
 
 
+def _write_csv(path, header, rows):
+    """Write the header line, then one line per row, each number to 17
+    significant digits and None as an empty cell."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join("" if x is None else format(float(x), ".17g") for x in row) + "\n")
+
+
 def run_experiment(config, out_dir, threads=1, seed_override=None):
     """Validate, check the output location, run, and write outputs plus the
     manifest (last).
 
     Returns the list of written file paths.  Nothing is written until the
     whole computation has succeeded; an unusable output location raises
-    OSError before it starts, as does a failed write.
+    OSError before it starts, as does a failed write.  A manifest only sits
+    next to the files it lists: an existing one is removed before the first
+    write, and a failed write removes every file this run wrote.
     """
     resolved, args = _resolve(config, seed_override)
     out_dir = Path(out_dir)
@@ -482,11 +471,8 @@ def run_experiment(config, out_dir, threads=1, seed_override=None):
     files, results = EXPERIMENTS[resolved["experiment"]].run(threads=threads, **args)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, lines in files.items():
-        path = out_dir / name
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     manifest = {
         "manifest_version": 1,
         "package_version": __version__,
@@ -495,10 +481,19 @@ def run_experiment(config, out_dir, threads=1, seed_override=None):
         "outputs": sorted(files),
         "results": results,
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    written.append(str(manifest_path))
-    return written
+    written = []
+    try:
+        for name, (header, rows) in files.items():
+            written.append(out_dir / name)
+            _write_csv(written[-1], header, rows)
+        written.append(manifest_path)
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError:
+        for path in written:  # the last may be partly written, or a directory
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+    return [str(path) for path in written]
 
 
 def _load_config(path):

@@ -68,6 +68,16 @@ class ScalarKernel(ABC):
     def primitive(self, t):
         """The running integral of a from 0 to t."""
 
+    def _times(self, t, value=False):
+        """t as a float array; KernelDomainError at negative times, and at
+        t = 0 too for the `value` of a kernel singular at zero."""
+        t = np.asarray(t, dtype=float)
+        if value and self.singular_at_zero and np.any(t <= 0.0):
+            raise KernelDomainError(f"{self.label()} is singular at t <= 0")
+        if np.any(t < 0.0):
+            raise KernelDomainError(f"{self.label()} evaluated at negative time")
+        return t
+
     def cell_moments(self, h, n):
         """Exact integrals of a over the n cells [ih, (i+1)h], i = 0..n-1."""
         t = np.arange(n + 1) * h
@@ -75,6 +85,7 @@ class ScalarKernel(ABC):
 
     def deriv(self, t):
         """Time derivative a'(t); only smooth kernels provide one."""
+        self._times(t)
         raise SmoothnessError(f"{self.label()} has no usable time derivative")
 
     @property
@@ -106,24 +117,19 @@ class FractionalKernel(ScalarKernel):
         self._gamma1 = math.gamma(alpha + 1.0)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.singular_at_zero and np.any(t <= 0.0):
-            raise KernelDomainError(
-                f"fractional kernel with alpha={self.alpha} is singular at t <= 0"
-            )
-        if np.any(t < 0.0):
-            raise KernelDomainError("kernel evaluated at negative time")
+        t = self._times(t, value=True)
         out = np.power(t, self.alpha - 1.0) / self._gamma
         return out if out.ndim else float(out)
 
     def primitive(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         out = np.power(t, self.alpha) / self._gamma1
         return out if out.ndim else float(out)
 
     def deriv(self, t):
+        t = self._times(t)
         if self.alpha == 1.0:
-            return np.zeros_like(np.asarray(t, dtype=float)) + 0.0
+            return np.zeros_like(t) + 0.0
         raise SmoothnessError(
             "fractional kernel derivative is unbounded near t = 0; "
             "no W^{1,1} evaluation is provided"
@@ -145,12 +151,12 @@ class ExponentialKernel(ScalarKernel):
         self.c, self.b = c, b
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t, value=True)
         out = self.c * np.exp(-self.b * t)
         return out if out.ndim else float(out)
 
     def primitive(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         if self.b == 0.0:
             out = self.c * t
         else:
@@ -158,7 +164,7 @@ class ExponentialKernel(ScalarKernel):
         return out if out.ndim else float(out)
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         out = -self.b * self.c * np.exp(-self.b * t)
         return out if out.ndim else float(out)
 
@@ -176,17 +182,17 @@ class ConstantKernel(ScalarKernel):
         self.c = c
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t, value=True)
         out = np.full_like(t, self.c)
         return out if out.ndim else float(out)
 
     def primitive(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         out = self.c * t
         return out if out.ndim else float(out)
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         out = np.zeros_like(t)
         return out if out.ndim else float(out)
 
@@ -198,16 +204,16 @@ class LinearKernel(ScalarKernel):
     """a(t) = t."""
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t, value=True)
         return t if t.ndim else float(t)
 
     def primitive(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         out = 0.5 * t * t
         return out if out.ndim else float(out)
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         out = np.ones_like(t)
         return out if out.ndim else float(out)
 
@@ -236,16 +242,15 @@ class TabulatedKernel(ScalarKernel):
         self.times, self.values = times, values
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise KernelDomainError("kernel evaluated at negative time")
+        t = self._times(t, value=True)
         out = np.interp(t, self.times, self.values)
         return out if out.ndim else float(out)
 
     def primitive(self, t):
-        # exact integral of the interpolant: accumulate full table cells,
-        # then the partial cell that t lands in
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        # exact integral of the interpolant: accumulate full table cells, then
+        # the partial cell that t lands in (past the table, the last cell,
+        # where np.interp holds the last value)
+        t_arr = np.atleast_1d(self._times(t))
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * np.diff(self.times) * (self.values[1:] + self.values[:-1]))]
         )
@@ -253,10 +258,6 @@ class TabulatedKernel(ScalarKernel):
         base = cum[idx]
         t0 = self.times[idx]
         head = 0.5 * (self.values[idx] + np.interp(t_arr, self.times, self.values)) * (t_arr - t0)
-        # past the end of the table the interpolant is constant
-        past = t_arr > self.times[-1]
-        head[past] = self.values[-1] * (t_arr[past] - self.times[-1])
-        base = base + np.where(past, cum[-1] - cum[idx], 0.0)
         out = base + head
         return out if np.asarray(t).ndim else float(out[0])
 

@@ -245,11 +245,11 @@ class ResolventTable:
 
     def sup_norm(self):
         """max_n of the operator 2-norm of S(t_n)."""
-        return float(np.max(np.linalg.norm(self.S, 2, axis=(1, 2))))
+        return float(np.max(operator_2norm(self.S)))
 
     def u_lipschitz(self):
         """Discrete Lipschitz estimate of U: max_n |U(t_{n+1}) - U(t_n)| / h."""
-        steps = np.linalg.norm(np.diff(self.U, axis=0), 2, axis=(1, 2))
+        steps = operator_2norm(np.diff(self.U, axis=0))
         return float(np.max(steps)) / self.grid.h
 
 
@@ -358,8 +358,10 @@ def spectral_resolvent(a, A, grid, scheme="product"):
 
 
 def operator_2norm(M):
-    """Largest singular value of the matrix M."""
-    return float(np.linalg.norm(M, 2))
+    """Largest singular value of the matrix M (a float), or of each matrix in
+    the stack M (an array over its leading axes)."""
+    out = np.linalg.norm(M, 2, axis=(-2, -1))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -381,7 +383,7 @@ def exponential_bound_fit(table):
     if table.grid.N < MIN_BOUND_FIT_CELLS:
         raise ValueError(f"need at least {MIN_BOUND_FIT_CELLS} cells for a meaningful fit")
     t = table.grid.nodes()
-    eta = np.linalg.norm(table.S, 2, axis=(1, 2))
+    eta = operator_2norm(table.S)
     log_eta = np.log(np.maximum(eta, 1e-300))
     half = table.grid.N // 2
     design = np.vstack([t[half:], np.ones(t.size - half)]).T

@@ -23,7 +23,7 @@ from .convolution import _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
-from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit
+from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit, operator_2norm
 
 __all__ = [
     "AccretivityReport",
@@ -77,7 +77,7 @@ class YosidaFamily:
 
     def resolvent_norms(self):
         """Operator norms of the J_lam (at most one for a dissipative A)."""
-        return np.linalg.norm(self.J, 2, axis=(1, 2))
+        return operator_2norm(self.J)
 
 
 def make_yosida(A, lambdas, force=False):
@@ -176,7 +176,7 @@ def yosida_convergence_study(
         for Al in family.A_lam
     ]
 
-    e_S = np.array([np.max(np.linalg.norm(tb.S - base.S, 2, axis=(1, 2))) for tb in tables])
+    e_S = np.array([np.max(operator_2norm(tb.S - base.S)) for tb in tables])
 
     # common noise: each block of increments is reused for the base and every lam
     sums = np.zeros((2, family.lambdas.size, grid.N + 1))

@@ -7,12 +7,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stochvolterra
-from stochvolterra import cli
+from stochvolterra import ExponentialKernel, ScalarTypeKernel, TimeGrid, cli, compute_resolvent
 from stochvolterra.cli import main
 
 # a child interpreter imports the same package as this process, installed or not
@@ -331,13 +332,46 @@ def test_failed_write_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL["cp_check"])
     assert main(["--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: output:")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]  # no cp_check.csv
+
+
+def test_failed_write_removes_manifest_and_written_files(tmp_path, capsys, monkeypatch):
+    code, out = run(tmp_path, SMALL["cp_check"])  # a finished run
+    assert code == 0
+    cp_check = cli.EXPERIMENTS["cp_check"]
+
+    def with_extra_file(**kwargs):
+        files, results = cp_check.run(**kwargs)
+        return dict(files, **{"z.csv": (["x"], [(1.0,)])}), results
+
+    monkeypatch.setitem(
+        cli.EXPERIMENTS, "cp_check", dataclasses.replace(cp_check, run=with_extra_file)
+    )
+    (out / "z.csv").mkdir()  # the rerun writes cp_check.csv, then fails on z.csv
+    code, out = run(tmp_path, SMALL["cp_check"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: output:")
+    assert [p.name for p in out.iterdir()] == ["z.csv"]
 
 
 @pytest.mark.parametrize("name", list(SMALL))
 def test_small_configs_run(tmp_path, name):
+    """Every CSV keeps the contract: as many cells as header names in each
+    row, and each nonempty cell is its own 17-significant-digit form."""
     code, out = run(tmp_path, SMALL[name])
     assert code == 0
-    assert (out / "manifest.json").exists()
+    for csv_name in json.loads((out / "manifest.json").read_text())["outputs"]:
+        header, rows = read_csv(out / csv_name)
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            assert all(c == "" or format(float(c), ".17g") == c for c in row)
+    if name == "resolvent":
+        kernel = ScalarTypeKernel(ExponentialKernel(1.0, 1.0), [[-1.0, 0.5], [0.0, -2.0]])
+        table = compute_resolvent(kernel, TimeGrid(1.0, 16))
+        data = np.array(rows, dtype=float)
+        assert (data[:, 1:5] == table.S.reshape(17, 4)).all()
+        assert (data[:, 5:] == table.U.reshape(17, 4)).all()
 
 
 POOL = [None, True, "x", [], {}, [[1.0]], -1, 0, 0.5, 2, math.nan, math.inf]

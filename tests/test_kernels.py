@@ -47,6 +47,27 @@ def test_fractional_singular_rejects_origin():
         FractionalKernel(0.5)(np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("method", ["__call__", "primitive", "deriv"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        ExponentialKernel(),
+        ConstantKernel(2.0),
+        LinearKernel(),
+        TabulatedKernel([0.0, 1.0], [1.0, 0.0]),
+        FractionalKernel(1.5),
+    ],
+    ids=lambda k: k.label(),
+)
+def test_negative_time_rejected(kernel, method):
+    # unchecked, each of these returns a value (e.g. exp(1) for the
+    # exponential kernel at t = -1, nan for the fractional primitive)
+    with pytest.raises(KernelDomainError, match="negative time"):
+        getattr(kernel, method)(-1.0)
+    with pytest.raises(KernelDomainError, match="negative time"):
+        getattr(kernel, method)(np.array([0.5, -1e-12]))
+
+
 def test_fractional_alpha_range():
     with pytest.raises(ValueError):
         FractionalKernel(0.0)

@@ -288,3 +288,10 @@ def test_operator_2norm_against_svd():
     # nearly equal leading singular values
     assert operator_2norm(np.diag([1.0, 1.0 - 1e-8, 0.5])) == pytest.approx(1.0, rel=1e-12)
     assert operator_2norm(np.array([[0.5, 0.2], [0.2, 0.5]])) == pytest.approx(0.7, rel=1e-12)
+    assert isinstance(operator_2norm(np.eye(2)), float)
+    # a (k, m, n) stack gives one norm per matrix
+    stack = rng.standard_normal((4, 3, 5))
+    norms = operator_2norm(stack)
+    assert norms.shape == (4,)
+    for M, norm in zip(stack, norms):
+        assert norm == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
