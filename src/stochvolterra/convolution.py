@@ -11,11 +11,11 @@ Volterra and weak-form identities hold per path to machine precision; on
 first order in the step.
 
 Every history sum (path convolution, verifiers' kernel convolutions, Ito drift)
-is one `grids.lag_convolve` call: at most P N^2 d^2 / 2 multiply-adds in N matrix
-products per block of paths, in ascending source node, so node 0 of a path is
-exactly zero and the identity table reduces to the elementary Ito sum bit for bit.
-The Monte Carlo consumers (covariance, Ito statistics, the Yosida study) fold
-`_path_blocks` of about 2^20 increments into running results, one block at a time.
+is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A single
+path is summed in ascending source node, so node 0 is exactly zero and the
+identity table reduces to the elementary Ito sum bit for bit.  The Monte Carlo
+consumers fold `_path_blocks` of about 2^20 increments into running results one
+block at a time, and push _MC_TILE nodes per product (roundoff-level reordering).
 """
 
 from dataclasses import dataclass
@@ -48,6 +48,7 @@ __all__ = [
 
 
 _MC_BLOCK = 1 << 20  # doubles of increments sampled per block of Monte Carlo paths
+_MC_TILE = 16  # input nodes per lag_convolve product on batches of paths
 
 MIN_COVARIANCE_PATHS = 100
 MIN_ITO_PATHS = 2  # a standard error needs two residuals
@@ -69,11 +70,11 @@ def _path_blocks(spec, grid, n_paths, threads):
         yield sample_wiener_batch(spec, grid, range(p, min(p + block, n_paths)), threads=threads)
 
 
-def _convolve_paths(S, c_batch):
-    """Running convolution sum_{m<n} S[n-m] c[m] for each path in the batch."""
+def _convolve_paths(S, c_batch, tile=1):
+    """Running convolution sum_{m<n} S[n-m] c[m] for each path, `tile` nodes per product."""
     P, N, d = c_batch.shape
     out = np.zeros((P, N + 1, d))
-    lag_convolve(S[1:], c_batch, out[:, 1:])
+    lag_convolve(S[1:], c_batch, out[:, 1:], tile=tile)
     return out
 
 
@@ -374,8 +375,9 @@ def _require_w11(kernel):
         )
 
 
-def _ito_residual_batch(kernel, xi, grid, X, bdw):
-    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d)."""
+def _ito_residual_batch(kernel, xi, grid, X, bdw, tile=1):
+    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d); the drift
+    history sum pushes `tile` nodes per product."""
     t = grid.nodes()
     h = grid.h
     A0 = kernel.value_at_zero()
@@ -389,7 +391,7 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     u[0] *= 0.5
     rate = np.zeros((X.shape[0], grid.N + 1))
     rate[:, 1:] = X[:, 0] @ (0.5 * u[1:, 0].T)
-    lag_convolve(u, X[:, 1:], rate[:, 1:, None])
+    lag_convolve(u, X[:, 1:], rate[:, 1:, None], tile=tile)
     rate += X @ (A0.T @ xi.xi0)
 
     # deterministic rate of <X, xi>: drift * phi + <X, xi0> * phi_dot, updated
@@ -442,8 +444,10 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     All paths share the table; the reported mean should be statistically
     indistinguishable from zero and the root mean square shrinks with the
     grid step.  Paths stream through `_path_blocks`: one block of paths and
-    residuals is alive at a time, and only a copy of each path's final
-    residual is kept, so memory grows with P by 8 bytes a path.
+    residuals is alive at a time, and each block's final residuals go into one
+    array of P doubles, so memory grows with P by 8 bytes a path (small
+    per-block copies would sit between blocks on the heap and keep it from
+    shrinking).
     """
     if n_paths < MIN_ITO_PATHS:
         raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
@@ -452,13 +456,13 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     grid = table.grid
     psi = ConstantDiffusion(as_matrix(B))
     start = np.einsum("nij,j->ni", table.S, np.asarray(X0, dtype=float))
-    finals = []
+    final, p = np.empty(n_paths), 0
     blocks = _path_blocks(spec, grid, n_paths, threads)
     for c in map(partial(_left_point_products, psi, grid), blocks):
-        X = _convolve_paths(table.S, c)
+        X = _convolve_paths(table.S, c, tile=_MC_TILE)
         X += start[None]
-        finals.append(_ito_residual_batch(table.kernel, xi, grid, X, c)[:, -1].copy())
-    final = np.concatenate(finals)
+        final[p : p + len(c)] = _ito_residual_batch(table.kernel, xi, grid, X, c, _MC_TILE)[:, -1]
+        p += len(c)
     mean = float(np.mean(final))
     se = float(np.std(final, ddof=1) / np.sqrt(n_paths))
     rms = float(np.sqrt(np.mean(final**2)))

@@ -2,11 +2,11 @@
 
 Both history sums share one layout: the lag weights flattened to a (b, n a)
 matrix whose column j a + i holds row i of w[j], so one matrix product applies
-every lag to one node's value at once.  `lag_convolve` pulls the whole history
-of known inputs through it; `march` pushes each newly solved cell value through
-it into the histories of all later nodes.  The marcher spends N^2 d^3 / 2
-multiply-adds in N BLAS products, and every node's history is summed in
-ascending cell order.
+every lag to one node's value (or, stacked block-Toeplitz, to a tile of nodes).
+`lag_convolve` pulls the history of known inputs through it; `march` pushes each
+solved cell value through it into the histories of all later nodes.  Both sum a
+node's history in ascending cell order (`lag_convolve` at tile 1 only); the
+marcher spends N^2 d^3 / 2 multiply-adds in N BLAS products.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
 
-_LAG_BLOCK = 1 << 16  # doubles in lag_convolve's product of one block of paths
+_LAG_BLOCK = 1 << 18  # doubles (2 MiB) in lag_convolve's product of one block of paths
 
 OVERFLOW_LIMIT = 1e100  # largest |entry| a marched table may reach
 
@@ -45,27 +45,33 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
-def lag_convolve(w, x, out):
+def lag_convolve(w, x, out, tile=1):
     """Add the causal lag sum  sum_{m<=n} w[n-m] @ x[:, m]  into out[:, n] for every n.
 
     w is (L, a, b) (scalar weights enter as 1x1 matrices), x is (P, M, b) and
-    out is (P, n_out, a) with n_out <= L; x may be shorter than out.  Each
-    out[:, n] gains its terms in ascending m, so identity weights reproduce
-    np.cumsum bit for bit.  Cost: about P n_out min(M, n_out) a b / 2
-    multiply-adds, one matrix product per input node and block of paths;
-    temporaries hold about (1 + b / a) max(2**16, n_out a) doubles.
+    out is (P, n_out, a) with n_out <= L; x may be shorter than out.  Each block
+    of paths pushes `tile` input nodes per product, through a block-Toeplitz
+    matrix whose block (t, j) is w[j-t]' for j >= t.  At tile 1 each out[:, n]
+    gains its terms in ascending m, so identity weights reproduce np.cumsum bit
+    for bit; a larger tile leaves the order within a tile to BLAS.  Cost: about
+    P min(M, n_out) (n_out + tile) a b / 2 multiply-adds; temporaries hold about
+    (1 + b / a) max(2**18, n_out a) doubles (2 MiB at 2**18) and that matrix.
     """
     L, a, b = w.shape
     P, n_out, _ = out.shape
     if x.shape[0] != P or x.shape[2] != b or out.shape[2] != a or n_out > L:
         raise DimensionMismatch("lag weights, input and output", w.shape, x.shape, out.shape)
     flat = _lag_columns(w, n_out)
+    tile = max(1, min(tile, n_out))
+    if tile > 1:  # rows t b to (t + 1) b: the lag columns shifted right by t nodes
+        pad = [np.pad(flat[:, : (n_out - t) * a], ((0, 0), (t * a, 0))) for t in range(tile)]
+        flat = np.concatenate(pad)
     block = max(1, _LAG_BLOCK // max(1, n_out * a))
     for p in range(0, P, block):
         dst = out[p : p + block]
-        src = np.ascontiguousarray(x[p : p + block, :n_out])
-        for m in range(src.shape[1]):
-            _add_lagged(dst[:, m:], src[:, m], flat)
+        src = np.ascontiguousarray(x[p : p + block, :n_out]).reshape(len(dst), -1)
+        for m in range(0, min(n_out, x.shape[1]), tile):
+            _add_lagged(dst[:, m:], src[:, m * b : (m + tile) * b], flat)
 
 
 def _lag_columns(w, n):
@@ -75,9 +81,9 @@ def _lag_columns(w, n):
 
 
 def _add_lagged(dst, x, flat):
-    """dst[p, j] += w[j] @ x[p] for the k = dst.shape[1] lags leading `flat`."""
+    """dst[p, j] += x[p] @ flat[: len(x[p]), j a : (j + 1) a] for j < k = dst.shape[1]."""
     P, k, a = dst.shape
-    dst += (x @ flat[:, : k * a]).reshape(P, k, a)
+    dst += (x @ flat[: x.shape[1], : k * a]).reshape(P, k, a)
 
 
 def march(W, scheme):

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .convolution import _convolve_paths, _path_blocks
+from .convolution import _MC_TILE, _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
@@ -182,13 +182,14 @@ def yosida_convergence_study(
     sums = np.zeros((2, family.lambdas.size, grid.N + 1))
     blocks = _path_blocks(spec, grid, n_paths, threads)
     for c in map(partial(_left_point_products, psi, grid), blocks):
-        W_base = _convolve_paths(base.S, c)
-        AW_base = np.einsum("ab,pnb->pna", A, W_base)
+        W_base = _convolve_paths(base.S, c, tile=_MC_TILE)
+        AW_base = W_base @ A.T
         for i, tb in enumerate(tables):
-            W_lam = _convolve_paths(tb.S, c)
-            sums[1, i] += _node_sums(np.einsum("ab,pnb->pna", family.A_lam[i], W_lam) - AW_base)
+            W_lam = _convolve_paths(tb.S, c, tile=_MC_TILE)
+            sums[1, i] += _node_sums(W_lam @ family.A_lam[i].T - AW_base)
             W_lam -= W_base
             sums[0, i] += _node_sums(W_lam)
+            del W_lam  # free before the next table's convolution allocates its own
     e_W, e_AW = np.max(sums / n_paths, axis=2)
 
     fits = [exponential_bound_fit(tb) for tb in tables + [base]]

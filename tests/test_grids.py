@@ -30,6 +30,7 @@ def with_block(block, fn):
 
 
 blocks = st.sampled_from([1, 7, 1 << 16])
+tiles = st.sampled_from([1, 2, 3, 16])  # 2 and 3 leave ragged last tiles; 16 may exceed n_out
 
 
 @settings(max_examples=80, deadline=None)
@@ -42,9 +43,12 @@ blocks = st.sampled_from([1, 7, 1 << 16])
     b=st.integers(1, 3),
     scalar=st.booleans(),
     block=blocks,
+    tile=tiles,
     seed=st.integers(0, 2**31 - 1),
 )
-def test_lag_convolve_matches_double_loop(P, n_out, short, extra_lags, a, b, scalar, block, seed):
+def test_lag_convolve_matches_double_loop(
+    P, n_out, short, extra_lags, a, b, scalar, block, tile, seed
+):
     if scalar:
         a = b = 1
     rng = np.random.default_rng(seed)
@@ -52,7 +56,7 @@ def test_lag_convolve_matches_double_loop(P, n_out, short, extra_lags, a, b, sca
     x = rng.normal(size=(P, max(n_out - short, 0), b))
     out = rng.normal(size=(P, n_out, a))
     expected = double_loop(w, x, out)
-    with_block(block, lambda: lag_convolve(w, x, out))
+    with_block(block, lambda: lag_convolve(w, x, out, tile=tile))
     # at most 12 * 3 products of unit normals per entry: a few hundred eps
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -64,12 +68,15 @@ def test_lag_convolve_matches_double_loop(P, n_out, short, extra_lags, a, b, sca
     a=st.integers(1, 3),
     b=st.integers(1, 3),
     block=blocks,
+    tile=tiles,
+    short=st.integers(0, 5),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_lag_convolve_zero_input_gives_exact_zeros(P, n_out, a, b, block, seed):
+def test_lag_convolve_zero_input_gives_exact_zeros(P, n_out, a, b, block, tile, short, seed):
     w = np.random.default_rng(seed).normal(size=(n_out, a, b))
     out = np.zeros((P, n_out, a))
-    with_block(block, lambda: lag_convolve(w, np.zeros((P, n_out, b)), out))
+    x = np.zeros((P, max(n_out - short, 0), b))
+    with_block(block, lambda: lag_convolve(w, x, out, tile=tile))
     assert np.all(out == 0.0)
 
 
