@@ -6,7 +6,9 @@ every lag to one node's value (or, stacked block-Toeplitz, to a tile of nodes).
 `lag_convolve` pulls the history of known inputs through it; `march` pushes each
 solved cell value through it into the histories of all later nodes.  Both sum a
 node's history in ascending cell order (`lag_convolve` at tile 1 only); the
-marcher spends N^2 d^3 / 2 multiply-adds in N BLAS products.
+marcher spends N^2 d^3 / 2 multiply-adds in N BLAS products, `march_channels`
+N^2 C / 2 on C scalar channels.  `lag_convolve` at tile=None takes all nodes by
+FFT in O(N log N) a path, its error scaling with a path's norm, not each entry.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
 
-_LAG_BLOCK = 1 << 18  # doubles (2 MiB) in lag_convolve's product of one block of paths
+_LAG_BLOCK = 1 << 16  # doubles (0.5 MiB) in lag_convolve's product of one block of paths
 
 OVERFLOW_LIMIT = 1e100  # largest |entry| a marched table may reach
 
@@ -55,12 +57,23 @@ def lag_convolve(w, x, out, tile=1):
     gains its terms in ascending m, so identity weights reproduce np.cumsum bit
     for bit; a larger tile leaves the order within a tile to BLAS.  Cost: about
     P min(M, n_out) (n_out + tile) a b / 2 multiply-adds; temporaries hold about
-    (1 + b / a) max(2**18, n_out a) doubles (2 MiB at 2**18) and that matrix.
+    (1 + b / a) max(2**16, n_out a) doubles (0.5 MiB at 2**16) and that matrix.
+    tile=None takes the whole product, path by path, by rfft/irfft of a power of
+    two n >= n_out + M - 1: O(n log n a b) a path, a few (n, a b) complex arrays,
+    and an error that scales with the norms of w and of the path, not each entry.
     """
     L, a, b = w.shape
     P, n_out, _ = out.shape
     if x.shape[0] != P or x.shape[2] != b or out.shape[2] != a or n_out > L:
         raise DimensionMismatch("lag weights, input and output", w.shape, x.shape, out.shape)
+    M = min(n_out, x.shape[1])
+    if tile is None:  # n >= n_out + M - 1, so the circular convolution does not wrap
+        n = 1 << max(n_out + M - 2, 0).bit_length()
+        w_hat = np.fft.rfft(w[:n_out], n, axis=0)
+        for p in range(P if M else 0):
+            x_hat = np.fft.rfft(x[p, :M], n, axis=0)
+            out[p] += np.fft.irfft(np.einsum("fab,fb->fa", w_hat, x_hat), n, axis=0)[:n_out]
+        return
     flat = _lag_columns(w, n_out)
     tile = max(1, min(tile, n_out))
     if tile > 1:  # rows t b to (t + 1) b: the lag columns shifted right by t nodes
@@ -70,7 +83,7 @@ def lag_convolve(w, x, out, tile=1):
     for p in range(0, P, block):
         dst = out[p : p + block]
         src = np.ascontiguousarray(x[p : p + block, :n_out]).reshape(len(dst), -1)
-        for m in range(0, min(n_out, x.shape[1]), tile):
+        for m in range(0, M, tile):
             _add_lagged(dst[:, m:], src[:, m * b : (m + tile) * b], flat)
 
 
@@ -113,12 +126,39 @@ def march(W, scheme):
     history = np.zeros((d, N + 1, d))
     for k in range(1, N + 1):
         S[k] = M_inv @ (eye + known @ S[k - 1] + history[:, k].T)
-        sup = np.abs(S[k]).max()
-        if not sup <= OVERFLOW_LIMIT:  # also true for nan
-            raise NumericalFailure(f"overflow at step {k}: sup entry {sup}")
+        _guard_overflow(k, S[k])
         if k < N:
             _add_lagged(history[:, k + 1 :], cell_values(S[k - 1 : k + 1], scheme)[0].T, flat)
     return S
+
+
+def march_channels(w, mu, scheme):
+    """(N+1, C) table of `march` on the 1x1 weights -mu[c] w (w is (N,), mu is (C,)).
+
+    Elementwise steps over the channels give each bit for bit; raises as `march` does,
+    naming the mu of a nonpositive diagonal coefficient 1 + implicit_share mu w[0].
+    """
+    W = -np.multiply.outer(mu, w)  # (C, N): each channel's history is a contiguous row
+    implicit = implicit_share(scheme)
+    denom = 1.0 - implicit * W[:, 0]
+    if np.any(denom <= 0.0):
+        i = int(np.argmax(denom <= 0.0))
+        raise NumericalFailure(f"nonpositive diagonal coefficient {denom[i]} at mu={mu[i]}")
+    m_inv, known = 1.0 / denom, (1.0 - implicit) * W[:, 0]
+    C, N = W.shape
+    s, history = np.ones((C, N + 1)), np.zeros((C, N + 1))
+    for k in range(1, N + 1):
+        s[:, k] = m_inv * (1.0 + known * s[:, k - 1] + history[:, k])
+        _guard_overflow(k, s[:, k])
+        if k < N:
+            c = cell_values(s[:, k - 1 : k + 1].T, scheme)[0]
+            history[:, k + 1 :] += c[:, None] * W[:, 1 : N - k + 1]
+    return s.T
+
+
+def _guard_overflow(k, values):
+    if not (sup := np.abs(values).max()) <= OVERFLOW_LIMIT:  # also true for nan
+        raise NumericalFailure(f"overflow at step {k}: sup entry {sup}")
 
 
 def implicit_share(scheme):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, implicit_share, march
+from .grids import TimeGrid, cell_values, march_channels
 
 __all__ = [
     "ScalarKernel",
@@ -273,19 +273,12 @@ class TabulatedKernel(ScalarKernel):
 def march_scalar(weights, mu, scheme="product"):
     """March the discrete equation s + mu * (a convolved with s) = 1.
 
-    `grids.march` with the 1x1 weights -mu * w, where `weights` are the exact
-    kernel cell integrals.  Returns the N+1 node values with s[0] = 1.  Any
-    real mu is accepted; the guarded failure is a nonpositive diagonal
-    coefficient, which cannot occur for mu >= 0 and a nonnegative kernel.
+    `grids.march_channels` with one channel on the exact kernel cell integrals
+    `weights`; returns the N+1 node values, s[0] = 1.  Any real mu is accepted;
+    the guarded failure is a nonpositive diagonal coefficient, which cannot
+    occur for mu >= 0 and a nonnegative kernel.
     """
-    w = np.asarray(weights, dtype=float)
-    denom = 1.0 + implicit_share(scheme) * mu * w[0]
-    if denom <= 0.0:
-        raise NumericalFailure(f"nonpositive diagonal coefficient {denom} in marching scheme")
-    s = march(-mu * w[:, None, None], scheme)[:, 0, 0]
-    if not np.all(np.isfinite(s)):
-        raise NumericalFailure("scalar marching overflowed")
-    return s
+    return march_channels(np.asarray(weights, dtype=float), np.array([float(mu)]), scheme)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,9 +296,9 @@ class ScalarResolventPath:
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
 
-    def residual(self):
-        """Max node residual of the discrete equation (machine level by construction)."""
-        w = self.kernel.cell_moments(self.grid.h, self.grid.N)
+    def residual(self, w=None):
+        """Max node residual (machine level by construction); w: the cell moments, if known."""
+        w = self.kernel.cell_moments(self.grid.h, self.grid.N) if w is None else w
         conv = np.convolve(w, cell_values(self.s, self.scheme))[: self.grid.N]
         return float(np.max(np.abs(self.s[1:] + self.mu * conv - 1.0)))
 
@@ -320,13 +313,18 @@ def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
     accepted (they arise as eigenchannels of operators with spectrum of
     either sign).
     """
-    w = kernel.cell_moments(grid.h, grid.N)
-    s = march_scalar(w, mu, scheme=scheme)
-    path = ScalarResolventPath(grid=grid, mu=float(mu), s=s, kernel=kernel, scheme=scheme)
-    res = path.residual()
-    if res > 1e-12 * (1.0 + abs(mu)):
-        raise NumericalFailure(f"discrete residual {res} exceeds construction tolerance")
-    return path
+    return _relaxation_paths(kernel, [mu], grid, scheme)[0]
+
+
+def _relaxation_paths(kernel, mus, grid, scheme):
+    """One ScalarResolventPath per mu, all marched as channels, each residual checked."""
+    w, mus = kernel.cell_moments(grid.h, grid.N), [float(mu) for mu in mus]
+    s = march_channels(w, np.array(mus), scheme)
+    paths = [ScalarResolventPath(grid, mu, s[:, c], kernel, scheme) for c, mu in enumerate(mus)]
+    for path in paths:
+        if (res := path.residual(w)) > 1e-12 * (1.0 + abs(path.mu)):
+            raise NumericalFailure(f"residual {res} at mu={path.mu} exceeds construction tolerance")
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -411,30 +409,22 @@ class CompletePositivityReport:
 
 
 def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
-    """Probe the sign of the relaxation solution for each mu >= 0 given.
-
-    tol defaults to `default_cp_tolerance(h)` on the grid of step h = T/N.
+    """Probe the sign of the relaxation solution for each mu >= 0 given, all in
+    one channel march.  tol defaults to `default_cp_tolerance(h)`, h = T/N.
     """
-    if mu_list is None:
-        mu_list = DEFAULT_MU_GRID
-    mu_list = [float(m) for m in mu_list]
+    mu_list = [float(m) for m in (DEFAULT_MU_GRID if mu_list is None else mu_list)]
     if not mu_list:
         raise ValueError("mu_list must be nonempty")
     if any(m < 0 for m in mu_list):
         raise ValueError("complete positivity is defined over mu >= 0")
     grid = TimeGrid(float(T), int(N))
-    if tol is None:
-        tol = default_cp_tolerance(grid.h)
+    tol = default_cp_tolerance(grid.h) if tol is None else tol
     probes = []
     t_nodes = grid.nodes()
-    for mu in mu_list:
-        path = solve_scalar_resolvent(kernel, mu, grid)
-        i_min = int(np.argmin(path.s))
-        below = path.s < -tol
+    for path in _relaxation_paths(kernel, mu_list, grid, "product"):
+        i_min, below = int(np.argmin(path.s)), path.s < -tol
         first = float(t_nodes[np.argmax(below)]) if np.any(below) else None
-        probes.append(
-            MuProbe(mu, float(path.s[i_min]), float(t_nodes[i_min]), first, path)
-        )
+        probes.append(MuProbe(path.mu, float(path.s[i_min]), float(t_nodes[i_min]), first, path))
     return CompletePositivityReport(grid=grid, tol=float(tol), probes=tuple(probes))
 
 

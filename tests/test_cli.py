@@ -465,8 +465,8 @@ def test_threads_do_not_change_bytes(tmp_path):
     assert main(["--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
     assert main(["--config", cfg, "--out", str(out4), "--threads", "4"]) == 0
     assert (out1 / "covariance.csv").read_bytes() == (out4 / "covariance.csv").read_bytes()
-    # the experiments whose path batches go through tiled lag sums
-    for name in ("verify_ito", "yosida"):
+    # path batches through tiled lag sums, residuals by FFT, probes by the channel march
+    for name in ("verify_ito", "yosida", "resolvent", "cp_check"):
         cfg = write_config(tmp_path, SMALL[name], name=f"{name}.json")
         outs = [tmp_path / f"{name}-{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):

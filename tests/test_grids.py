@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stochvolterra import DimensionMismatch, NumericalFailure
 from stochvolterra import grids
-from stochvolterra.grids import lag_convolve, march
+from stochvolterra.grids import lag_convolve, march, march_channels
 from stochvolterra.kernels import march_scalar
 
 
@@ -30,7 +30,8 @@ def with_block(block, fn):
 
 
 blocks = st.sampled_from([1, 7, 1 << 16])
-tiles = st.sampled_from([1, 2, 3, 16])  # 2 and 3 leave ragged last tiles; 16 may exceed n_out
+# 2 and 3 leave ragged last tiles; 16 may exceed n_out; None is the whole product by FFT
+tiles = st.sampled_from([1, 2, 3, 16, None])
 
 
 @settings(max_examples=80, deadline=None)
@@ -59,6 +60,18 @@ def test_lag_convolve_matches_double_loop(
     with_block(block, lambda: lag_convolve(w, x, out, tile=tile))
     # at most 12 * 3 products of unit normals per entry: a few hundred eps
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n_out, M, L", [(1, 1, 1), (2, 1, 4), (50, 50, 50), (64, 37, 70)])
+def test_lag_convolve_fft_matches_tile_one(a, b, n_out, M, L):
+    # general (non-symmetric, non-square) weights, x shorter than out, extra lags
+    rng = np.random.default_rng(a * 1000 + b * 100 + n_out)
+    w, x = rng.normal(size=(L, a, b)), rng.normal(size=(3, M, b))
+    direct, fft = np.zeros((3, n_out, a)), np.zeros((3, n_out, a))
+    lag_convolve(w, x, direct, tile=1)
+    lag_convolve(w, x, fft, tile=None)
+    np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,6 +189,28 @@ def test_march_scalar_matches_dot_march(N, scheme, mu, seed):
     got = march_scalar(w, mu, scheme=scheme)
     assert got[0] == 1.0
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(2, 40),
+    scheme=schemes,
+    mus=st.lists(st.sampled_from([0.0, -1.5]) | st.floats(-1.5, 10.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_march_channels_match_single_channels_bit_for_bit(N, scheme, mus, seed):
+    # w0 <= 1/2 keeps every diagonal coefficient 1 + mu w0 at least 1/4
+    w = np.random.default_rng(seed).uniform(0.0, 1.0 / N, size=N)
+    got = march_channels(w, np.array(mus), scheme)
+    assert got.shape == (N + 1, len(mus))
+    for c, mu in enumerate(mus):
+        np.testing.assert_array_equal(got[:, c], march_scalar(w, mu, scheme=scheme))
+        np.testing.assert_array_equal(got[:, c], march(-mu * w[:, None, None], scheme)[:, 0, 0])
+
+
+def test_march_channels_name_the_mu_of_a_nonpositive_diagonal():
+    with pytest.raises(NumericalFailure, match=r"nonpositive diagonal .* mu=-8\.5"):
+        march_channels(np.full(4, 0.25), np.array([1.0, -8.5, 2.0]), "product")
 
 
 @pytest.mark.parametrize("scheme, first", [("product", 2.0), ("conv", 1.0)])
