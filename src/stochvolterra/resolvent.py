@@ -294,7 +294,7 @@ class ResolventResiduals:
 def resolvent_residuals(table):
     """`ResolventResiduals` of the table.  Both history sums are taken by FFT in
     O(N log N) per column of S, so the second residual checks the march by an
-    independent summation: it reads 1e-15 to 1e-14 rather than zero."""
+    independent summation: up to about 1e-14 max|S|, growing with N (not zero)."""
     grid, S, W = table.grid, table.S, table.cell_weights
     N, d = grid.N, table.dim
     # lag k of the first equation's sum is A(t_{k+1}) h

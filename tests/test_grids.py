@@ -224,9 +224,13 @@ def test_march_refuses_singular_step_matrix(scheme, first):
 @pytest.mark.parametrize("scheme", ["product", "conv"])
 def test_march_refuses_overflow(scheme):
     # s' = 5 s over t = 50: e^250 passes the overflow limit
+    w = np.full(512, 5.0 * 50.0 / 512)
     with pytest.raises(NumericalFailure, match="overflow"):
-        march(np.full((512, 1, 1), 5.0 * 50.0 / 512), scheme)
-
+        march(w[:, None, None], scheme)
+    with pytest.raises(NumericalFailure, match="overflow"):
+        march_channels(w, np.array([0.5, -1.0]), scheme)
+    with pytest.raises(NumericalFailure, match="overflow"):
+        march_scalar(w, -1.0, scheme=scheme)
 
 
 def test_march_rejects_unknown_scheme():
