@@ -1,24 +1,28 @@
-"""Uniform time grids, the causal lag sum evaluated on them, and the marcher.
+"""Uniform time grids, the causal lag sum evaluated on them, and the resolvent solver.
 
-Both history sums share one layout: the lag weights flattened to a (b, n a)
-matrix whose column j a + i holds row i of w[j], so one matrix product applies
-every lag to one node's value (or, stacked block-Toeplitz, to a tile of nodes).
-`lag_convolve` pulls the history of known inputs through it; `march` pushes each
-solved cell value through it into the histories of all later nodes.  Both sum a
-node's history in ascending cell order (`lag_convolve` at tile 1 only); the
-marcher spends N^2 d^3 / 2 multiply-adds in N BLAS products, `march_channels`
-N^2 C / 2 on C scalar channels.  `lag_convolve` at tile=None takes all nodes by
-FFT in O(N log N) a path, its error scaling with a path's norm, not each entry.
+Both share one block-Toeplitz strip of the lag weights (`_toeplitz_strip`), so a
+product with it applies every lag to a tile of nodes.  `lag_convolve` adds the
+lag sum of known inputs, a tile per BLAS product (ascending order at tile 1), or
+whole by FFT in O(N log N) a path.  `march` solves the discrete resolvent
+equation by recursive halving, pushing cell values through the lag weights: FFT
+products for the far history, strip products inside zones of _ZONE nodes and one
+product with a precomputed inverse per leaf of _LEAF nodes.  An FFT product's
+error scales with the norm of the block it comes from, not with each entry.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NumericalFailure
 
 _LAG_BLOCK = 1 << 16  # doubles (0.5 MiB) in lag_convolve's product of one block of paths
+
+_LEAF = 8  # nodes per leaf of `march`: one product with the inverted leaf block
+_ZONE = 256  # nodes per block that `march` sums leaf by leaf; longer blocks halve by FFT
+_LEAF_COND = 1e3  # above it a product with the leaf inverse loses cond * eps: substitute
 
 OVERFLOW_LIMIT = 1e100  # largest |entry| a marched table may reach
 
@@ -52,113 +56,153 @@ def lag_convolve(w, x, out, tile=1):
 
     w is (L, a, b) (scalar weights enter as 1x1 matrices), x is (P, M, b) and
     out is (P, n_out, a) with n_out <= L; x may be shorter than out.  Each block
-    of paths pushes `tile` input nodes per product, through a block-Toeplitz
-    matrix whose block (t, j) is w[j-t]' for j >= t.  At tile 1 each out[:, n]
-    gains its terms in ascending m, so identity weights reproduce np.cumsum bit
-    for bit; a larger tile leaves the order within a tile to BLAS.  Cost: about
-    P min(M, n_out) (n_out + tile) a b / 2 multiply-adds; temporaries hold about
-    (1 + b / a) max(2**16, n_out a) doubles (0.5 MiB at 2**16) and that matrix.
-    tile=None takes the whole product, path by path, by rfft/irfft of a power of
-    two n >= n_out + M - 1: O(n log n a b) a path, a few (n, a b) complex arrays,
-    and an error that scales with the norms of w and of the path, not each entry.
+    of paths pushes `tile` input nodes per product through the transposed strip.
+    At tile 1 each out[:, n] gains its terms in ascending m, so identity weights
+    reproduce np.cumsum bit for bit.  Cost: about P min(M, n_out) (n_out + tile)
+    a b / 2 multiply-adds; temporaries hold about (1 + b / a) max(2**16, n_out a)
+    doubles and the strip.  tile=None takes the whole product, path by path, by
+    `_add_lag_sum_fft`: O(n log n a b) a path, n >= n_out + M - 1.
     """
     L, a, b = w.shape
     P, n_out, _ = out.shape
     if x.shape[0] != P or x.shape[2] != b or out.shape[2] != a or n_out > L:
         raise DimensionMismatch("lag weights, input and output", w.shape, x.shape, out.shape)
     M = min(n_out, x.shape[1])
-    if tile is None:  # n >= n_out + M - 1, so the circular convolution does not wrap
-        n = 1 << max(n_out + M - 2, 0).bit_length()
-        w_hat = np.fft.rfft(w[:n_out], n, axis=0)
-        for p in range(P if M else 0):
-            x_hat = np.fft.rfft(x[p, :M], n, axis=0)
-            out[p] += np.fft.irfft(np.einsum("fab,fb->fa", w_hat, x_hat), n, axis=0)[:n_out]
+    if not M:
         return
-    flat = _lag_columns(w, n_out)
+    if tile is None:  # each path is one column
+        _add_lag_sum_fft(w[:n_out], x[:, :M].transpose(1, 2, 0), out.transpose(1, 2, 0), 0)
+        return
     tile = max(1, min(tile, n_out))
-    if tile > 1:  # rows t b to (t + 1) b: the lag columns shifted right by t nodes
-        pad = [np.pad(flat[:, : (n_out - t) * a], ((0, 0), (t * a, 0))) for t in range(tile)]
-        flat = np.concatenate(pad)
+    # row t b + k, column j a + i: entry (i, k) of w[j - t], the lag columns shifted by t nodes
+    flat = np.ascontiguousarray(_toeplitz_strip(w, n_out, tile).swapaxes(-1, -2))
     block = max(1, _LAG_BLOCK // max(1, n_out * a))
     for p in range(0, P, block):
         dst = out[p : p + block]
         src = np.ascontiguousarray(x[p : p + block, :n_out]).reshape(len(dst), -1)
         for m in range(0, M, tile):
-            _add_lagged(dst[:, m:], src[:, m * b : (m + tile) * b], flat)
-
-
-def _lag_columns(w, n):
-    """(b, n a) matrix whose column j a + i holds row i of w[j], for lags j < n."""
-    L, a, b = w.shape
-    return np.ascontiguousarray(w[:n].transpose(2, 0, 1)).reshape(b, n * a)
-
-
-def _add_lagged(dst, x, flat):
-    """dst[p, j] += x[p] @ flat[: len(x[p]), j a : (j + 1) a] for j < k = dst.shape[1]."""
-    P, k, a = dst.shape
-    dst += (x @ flat[: x.shape[1], : k * a]).reshape(P, k, a)
+            x_m = src[:, m * b : (m + tile) * b]
+            dst[:, m:] += (x_m @ flat[: x_m.shape[1], : (n_out - m) * a]).reshape(len(dst), -1, a)
 
 
 def march(W, scheme):
-    """Solve S[n] = I + sum_{j<n} W[j] c[n-j] for the (N+1, d, d) table S, S[0] = I.
+    """Solve S[n] = I + sum_{j<n} W[j] c[n-j] for the (N+1, *batch, d, d) table S, S[0] = I.
 
-    c[m] is what cell m's weight multiplies (`cell_values`): the endpoint
-    average of S under ``product``, the right endpoint S[m] under ``conv``; the
-    lag-0 term holds the unknown, so each step is one product with the inverted
-    step matrix I - W[0]/2 (or I - W[0]).  Once S[m] is known, c[m] goes through
-    the lag columns of W[1:] into the history of every later node, one BLAS
-    product of d x d by d x (N-m) d.  Raises ValueError for a scheme not in
-    SCHEMES, NumericalFailure for a singular step matrix or an entry past
-    OVERFLOW_LIMIT.
+    W is (N, *batch, d, d); c[m] = theta S[m] + (1 - theta) S[m-1] is what cell m's
+    weight multiplies (`cell_values`, theta = `implicit_share`).  `_solve` pushes cell
+    values through W, as a per-step march does, and solves each leaf's nodes from the
+    block Toeplitz system S[n] - sum_{m<=n} K[n-m] S[m] = known terms, K[j] = theta W[j]
+    + (1 - theta) W[j-1].  A leaf block with condition number past _LEAF_COND is solved a
+    node at a time instead.  Raises ValueError for a scheme not in SCHEMES,
+    NumericalFailure for a singular step matrix I - theta W[0] or a node past
+    OVERFLOW_LIMIT (naming the first).
     """
-    N, d, _ = W.shape
-    eye = np.eye(d)
-    S = np.empty((N + 1, d, d))
-    S[0] = eye
     implicit = implicit_share(scheme)
+    W = np.moveaxis(np.asarray(W, dtype=float), 0, -3)  # (*batch, N, d, d)
+    N, d = W.shape[-3], W.shape[-1]
+    b = min(N, _LEAF)
+    K = implicit * W[..., :b, :, :]  # the leaf block's lags
+    K[..., 1:, :, :] += (1.0 - implicit) * W[..., : b - 1, :, :]
+    block = np.eye(b * d) - _toeplitz_strip(K, b, b)
     try:
-        M_inv = np.linalg.inv(eye - implicit * W[0])
+        step_inv, leaf_inv = np.linalg.inv(np.eye(d) - K[..., 0, :, :]), np.linalg.inv(block)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular step matrix at step 1: {exc}") from exc
-    known = (1.0 - implicit) * W[0]  # product: the half of cell n's average at S[n-1]
-    flat = _lag_columns(W[1:], N - 1)
-    # history[c, n, r] is entry (r, c) of sum_{1<=j<n} W[j] c[n-j]: lag_convolve's layout
-    history = np.zeros((d, N + 1, d))
-    for k in range(1, N + 1):
-        S[k] = M_inv @ (eye + known @ S[k - 1] + history[:, k].T)
-        _guard_overflow(k, S[k])
-        if k < N:
-            _add_lagged(history[:, k + 1 :], cell_values(S[k - 1 : k + 1], scheme)[0].T, flat)
-    return S
+    if not np.max(np.linalg.cond(block, np.inf)) <= _LEAF_COND:
+        leaf_inv = step_inv  # one node per leaf: forward substitution
+    S = np.empty(W.shape[:-3] + (N + 1, d, d))
+    S[...] = np.eye(d)  # S[0] and every right-hand side, solved in place
+    _solve(W, S, leaf_inv, implicit, 1, _ZONE << ((N - 1) // _ZONE).bit_length())
+    return np.moveaxis(S, -3, 0)
+
+
+def _toeplitz_strip(K, rows, cols):
+    """(*batch, rows a, cols b) block matrix whose block (j, t) is K[j - t] (zero for j < t)."""
+    a, b = K.shape[-2:]
+    pad = np.zeros(K.shape[:-3] + (cols - 1, a, b))
+    # windows[..., j, :, :, w] is K[j + w - cols + 1]: lag j - t at w = cols - 1 - t
+    windows = sliding_window_view(np.concatenate([pad, K[..., :rows, :, :]], axis=-3), cols, -3)
+    return windows[..., ::-1].swapaxes(-1, -2).reshape(K.shape[:-3] + (rows * a, cols * b))
+
+
+def _cells(rows, p, q, d, implicit):
+    """Cell values c[p..q-1] of the node-major rows (d a node), as `cell_values` gives them."""
+    c = rows[..., p * d : q * d, :]
+    if implicit == 1.0:
+        return c
+    return implicit * c + (1.0 - implicit) * rows[..., (p - 1) * d : (q - 1) * d, :]
+
+
+def _solve(W, S, leaf_inv, implicit, lo, size):
+    """Solve nodes lo..lo+size-1 of S in place, their right-hand sides holding the terms
+    of every cell before lo (Hairer, Lubich & Schlichte 1985).  A block past _ZONE nodes
+    solves its first half, adds that half's cell values to the second by one FFT product
+    and solves the second half; a zone goes leaf by leaf, one product with the leaf inverse
+    and one pushing the leaf's cell values into the rest of the zone.  About N _ZONE d^3 / 2
+    multiply-adds in zones; each halving level adds O(N log N d^2 + N d^3)."""
+    N, d = W.shape[-3], W.shape[-1]
+    hi = min(lo + size, N + 1)
+    rows = S.reshape(S.shape[:-3] + ((N + 1) * d, d))  # node-major: a view
+    if size > _ZONE:
+        mid = lo + size // 2
+        _solve(W, S, leaf_inv, implicit, lo, size // 2)
+        if mid <= N:
+            c = _cells(rows, lo, mid, d, implicit).reshape(S.shape[:-3] + (mid - lo, d, d))
+            _add_lag_sum_fft(W[..., 1 : hi - lo, :, :], c, S[..., mid:hi, :, :], mid - lo - 1)
+            _solve(W, S, leaf_inv, implicit, mid, size // 2)
+        return
+    step = leaf_inv.shape[-1] // d
+    strip = _toeplitz_strip(W, hi - lo, step)  # built per zone, so FFT products never meet it
+    for p in range(lo, hi, step):
+        q = min(p + step, hi)
+        leaf = rows[..., p * d : q * d, :]
+        if implicit < 1.0:  # the share of cell p on node p - 1
+            leaf += (1.0 - implicit) * (strip[..., : leaf.shape[-2], :d] @ S[..., p - 1, :, :])
+        leaf[...] = leaf_inv[..., : leaf.shape[-2], : leaf.shape[-2]] @ leaf
+        _guard_overflow(p, S[..., p:q, :, :])
+        if q < hi:
+            push = strip[..., (q - p) * d : (hi - p) * d, :] @ _cells(rows, p, q, d, implicit)
+            rows[..., q * d : hi * d, :] += push
+
+
+def _add_lag_sum_fft(k, x, out, start):
+    """out[..., i, :, c] += sum_m k[start + i - m] @ x[..., m, :, c] for every i < len(out)
+    and column c, the lags running over k, by zero-padded rfft/irfft.
+
+    A transform of length n >= max(len(k) + len(x) - 1 - start, start + len(out)), the
+    least power of two, does not wrap; taking one column of x at a time keeps the
+    temporaries at about one transform of k.  The error scales with the norms of k and
+    of the column, not with each entry.
+    """
+    n = 1 << (max(k.shape[-3] + x.shape[-3] - 1 - start, start + out.shape[-3]) - 1).bit_length()
+    k_hat = np.fft.rfft(k, n, axis=-3)
+    for c in range(x.shape[-1]):
+        x_hat = np.fft.rfft(x[..., c], n, axis=-2)
+        y = np.fft.irfft(np.einsum("...fab,...fb->...fa", k_hat, x_hat), n, axis=-2)
+        out[..., c] += y[..., start : start + out.shape[-3], :]
 
 
 def march_channels(w, mu, scheme):
     """(N+1, C) table of `march` on the 1x1 weights -mu[c] w (w is (N,), mu is (C,)).
 
-    Elementwise steps over the channels give each bit for bit; raises as `march` does,
-    naming the mu of a nonpositive diagonal coefficient 1 + implicit_share mu w[0].
+    One batched `march` call, so each channel is bit for bit its own 1x1 march
+    (unless only some channels' leaf blocks pass _LEAF_COND); raises as `march`
+    does, naming the mu of a nonpositive diagonal coefficient 1 + implicit_share mu w[0].
     """
-    W = -np.multiply.outer(mu, w)  # (C, N): each channel's history is a contiguous row
-    implicit = implicit_share(scheme)
-    denom = 1.0 - implicit * W[:, 0]
+    W = -np.multiply.outer(w, mu)
+    denom = 1.0 - implicit_share(scheme) * W[0]
     if np.any(denom <= 0.0):
         i = int(np.argmax(denom <= 0.0))
         raise NumericalFailure(f"nonpositive diagonal coefficient {denom[i]} at mu={mu[i]}")
-    m_inv, known = 1.0 / denom, (1.0 - implicit) * W[:, 0]
-    C, N = W.shape
-    s, history = np.ones((C, N + 1)), np.zeros((C, N + 1))
-    for k in range(1, N + 1):
-        s[:, k] = m_inv * (1.0 + known * s[:, k - 1] + history[:, k])
-        _guard_overflow(k, s[:, k])
-        if k < N:
-            c = cell_values(s[:, k - 1 : k + 1].T, scheme)[0]
-            history[:, k + 1 :] += c[:, None] * W[:, 1 : N - k + 1]
-    return s.T
+    return march(W[:, :, None, None], scheme)[:, :, 0, 0]
 
 
 def _guard_overflow(k, values):
-    if not (sup := np.abs(values).max()) <= OVERFLOW_LIMIT:  # also true for nan
-        raise NumericalFailure(f"overflow at step {k}: sup entry {sup}")
+    """Raise naming the first of the nodes k, k+1, ... (axis -3 of values) past OVERFLOW_LIMIT."""
+    if not np.abs(values).max() <= OVERFLOW_LIMIT:  # also true for nan
+        sup = np.abs(np.moveaxis(values, -3, 0)).reshape(values.shape[-3], -1).max(axis=1)
+        i = int(np.argmin(sup <= OVERFLOW_LIMIT))
+        raise NumericalFailure(f"overflow at step {k + i}: sup entry {sup[i]}")
 
 
 def implicit_share(scheme):

@@ -21,12 +21,12 @@ Schemes
     satisfies the discrete Volterra identity to machine precision, which is
     what the identity verifiers exploit.
 
-Marching is `grids.march`: N^2 d^3 / 2 multiply-adds in N BLAS products, each
-node's history summed in ascending cell order.  `resolvent_residuals` sums both
-equations' histories by FFT (`grids.lag_convolve` at tile=None, O(N log N) per
-column of S), so the second residual checks the march by an independent
-summation and reads 1e-15 to 1e-14, not zero.  `spectral_resolvent` marches its
-eigenchannels in one `grids.march_channels` call.
+Tables are solved by `grids.march`, recursive halving with FFT products for the
+far history and one product with a precomputed leaf inverse per 8 nodes:
+O(N log^2 N) for a d x d table.  `resolvent_residuals` sums both equations'
+histories by FFT (`grids.lag_convolve` at tile=None), in another order than the
+solver, so the second residual reads 1e-15 to 1e-14, not zero.
+`spectral_resolvent` solves its eigenchannels in one `grids.march_channels` call.
 Operator 2-norms are exact (singular values), one batched call per stack.
 """
 
@@ -263,12 +263,9 @@ def _table(grid, S, kernel, scheme, W):
 
 
 def compute_resolvent(kernel, grid, scheme="product"):
-    """Build the resolvent table of the kernel on the grid.
+    """Build the resolvent table of the kernel on the grid by `grids.march`.
 
-    One product with the inverted step matrix per step (the step matrix is
-    constant on a uniform grid) and one BLAS product pushing the new cell
-    value into every later node's history; see `grids.march`.  With the zero
-    kernel the table is identically the identity under either scheme.
+    With the zero kernel the table is identically the identity under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")

@@ -504,6 +504,19 @@ def test_manifest_roundtrip_reproduces_outputs(tmp_path):
     ).read_bytes()
 
 
+def test_csv_template_prints_what_format_prints(tmp_path):
+    edge = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 2.0**70]
+    rows = [np.array(edge[:7]), tuple(np.float64(x) for x in edge[:6]) + (2**70,)]
+    rows.append((1.5, None, 7, 0.0, -0.0, np.float64(0.1), 2**70))
+    path = tmp_path / "edge.csv"
+    cli._write_csv(path, [f"c{i}" for i in range(7)], rows)
+    cells = [[format(float(x), ".17g") for x in row] for row in rows[:2]]
+    cells.append(["1.5", "", "7", "0", "-0", "0.10000000000000001", "1.1805916207174113e+21"])
+    lines = [",".join(f"c{i}" for i in range(7))] + [",".join(row) for row in cells]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert cells[0][:5] == ["-0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+
+
 # --- remaining experiments, smoke level --------------------------------------------
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochvolterra import DimensionMismatch, NumericalFailure
+from stochvolterra import DimensionMismatch, ExponentialKernel, FractionalKernel, NumericalFailure
 from stochvolterra import grids
-from stochvolterra.grids import lag_convolve, march, march_channels
+from stochvolterra.grids import OVERFLOW_LIMIT, lag_convolve, march, march_channels
 from stochvolterra.kernels import march_scalar
 
 
@@ -217,6 +217,92 @@ def test_march_channels_name_the_mu_of_a_nonpositive_diagonal():
 def test_march_refuses_singular_step_matrix(scheme, first):
     W = np.zeros((4, 2, 2))
     W[0] = first * np.eye(2)
+    with pytest.raises(NumericalFailure, match="singular step matrix"):
+        march(W, scheme)
+
+
+def node_sup(S):
+    return np.abs(S).reshape(S.shape[0], -1).max(axis=1)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("T, N", [(1.0, 512), (4.0, 1024)])
+def test_march_follows_growing_tables_node_by_node(scheme, T, N):
+    # S grows to 1e11 (T=1) and 1e43 to 1e48 (T=4) with no tilt: each node within 1e-13 of
+    # its own size (measured at most 5e-15 at T=1, 6e-14 at T=4, where the per-step
+    # marchers already differ by 6e-14 between themselves)
+    W = FractionalKernel(0.5).cell_moments(T / N, N)[:, None, None] * np.diag(np.arange(1.0, 6.0))
+    expected = einsum_march(W, scheme)
+    got = march(W, scheme)
+    assert np.max(node_sup(got - expected) / node_sup(expected)) <= 1e-13
+    assert node_sup(expected)[-1] > 1e10
+
+
+L, Z = grids._LEAF, grids._ZONE
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("N", [3, L, L + 1, 2 * L + 3, Z, Z + 1, 2 * Z + 5])
+def test_march_matches_einsum_march_at_leaf_and_zone_edges(scheme, N):
+    W = np.random.default_rng(N).normal(size=(N, 2, 2)) * (2.0 / N)
+    expected = einsum_march(W, scheme)
+    got = march(W, scheme)
+    np.testing.assert_array_equal(got[0], np.eye(2))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_march_substitutes_on_an_ill_conditioned_leaf_block():
+    # S grows 1e10-fold in three steps; a product with this leaf block's inverse was
+    # 2e-11 max|S| off, so the march takes the block a node at a time
+    W = np.random.default_rng(3).normal(size=(3, 3, 3)) * (2.75 / 3)
+    K = 0.5 * W + 0.5 * np.pad(W, ((1, 0), (0, 0), (0, 0)))[:3]
+    block = np.eye(9) - grids._toeplitz_strip(K, 3, 3)
+    assert np.linalg.cond(block, np.inf) > grids._LEAF_COND
+    expected = einsum_march(W, "product")
+    assert np.max(np.abs(march(W, "product") - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_march_keeps_stiff_product_tables_accurate():
+    # lambda h = 1667: S alternates in sign, so pushing S through K = (W[j] + W[j-1]) / 2
+    # cancels to 6e-12; cell averages through W read 1e-14 to 2e-14
+    N, lam = 600, 1e6
+    w = ExponentialKernel().cell_moments(1.0 / N, N)
+    expected = dot_march_scalar(w, lam, "product")
+    assert np.max(np.abs(march_channels(w, np.array([lam]), "product")[:, 0] - expected)) <= 1e-12
+    W = -lam * w[:, None, None] * np.diag([1.0, 0.5])
+    assert np.max(np.abs(march(W, "product") - einsum_march(W, "product"))) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_march_channels_match_single_channels_bit_for_bit_past_a_zone(scheme):
+    w = FractionalKernel(0.5).cell_moments(1.0 / 600, 600)
+    mus = np.array([0.0, 2.0, -1.5, 7.0])
+    got = march_channels(w, mus, scheme)
+    for c, mu in enumerate(mus):
+        np.testing.assert_array_equal(got[:, c], march(-mu * w[:, None, None], scheme)[:, 0, 0])
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("N", [512, 2048])
+def test_overflow_names_the_oracles_first_node_past_the_limit(scheme, N):
+    # s' = 5 s over t = 50 passes 1e100 near t = 46; at N = 512 the conv leaf block is
+    # past _LEAF_COND (a node at a time), every other case goes eight nodes per leaf
+    w = np.full(N, 5.0 * 50.0 / N)
+    W = w[:, None, None] * np.diag([1.0, -1.0])
+    first = int(np.argmax(node_sup(einsum_march(W, scheme)) > OVERFLOW_LIMIT))
+    assert 0 < first < N
+    with pytest.raises(NumericalFailure, match=f"overflow at step {first}:"):
+        march(W, scheme)
+    first = int(np.argmax(np.abs(dot_march_scalar(w, -1.0, scheme)) > OVERFLOW_LIMIT))
+    with pytest.raises(NumericalFailure, match=f"overflow at step {first}:"):
+        march_channels(w, np.array([0.5, -1.0]), scheme)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_march_refuses_a_singular_step_matrix_with_a_history(scheme):
+    # I - theta W[0] = diag(0, 1), the other lags random: the leaf block is singular too
+    W = np.random.default_rng(5).normal(size=(20, 2, 2))
+    W[0] = np.diag([1.0 / grids.implicit_share(scheme), 0.0])
     with pytest.raises(NumericalFailure, match="singular step matrix"):
         march(W, scheme)
 
