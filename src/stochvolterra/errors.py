@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "StochVolterraError",
+    "DimensionMismatch",
+    "GridMismatch",
+    "KernelDomainError",
+    "SmoothnessError",
+    "NumericalFailure",
+    "ConfigError",
+]
+
 
 class StochVolterraError(Exception):
     """Base class for all errors raised by this package."""

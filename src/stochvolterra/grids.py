@@ -18,6 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NumericalFailure
 
+__all__ = ["TimeGrid"]
+
 _LAG_BLOCK = 1 << 16  # doubles (0.5 MiB) in lag_convolve's product of one block of paths
 
 _LEAF = 8  # nodes per leaf of `march`: one product with the inverted leaf block

@@ -9,6 +9,13 @@ over grid cells; the latter are what the product-integration solver for
 consumes, so weakly singular kernels (the fractional family with exponent
 below one) need no special casing anywhere downstream.
 
+A subclass of `ScalarKernel` gives `_value` (a), `_primitive` (its integral
+from 0) and, when `differentiable` is true, `_deriv` (a'), each on a float
+array of times.  `ScalarKernel` checks the domain (KernelDomainError at
+negative times, and at t <= 0 for the value of a kernel `singular_at_zero`)
+and returns a float for a scalar time, an array otherwise; `deriv` of a kernel
+that is not `differentiable` raises SmoothnessError.
+
 Two marching schemes are provided.  ``product`` approximates the unknown on
 each cell by the average of its endpoint values against the exact kernel
 moments (empirically second order on smooth kernels); ``conv`` is the
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, march_channels
+from .grids import TimeGrid, cell_values, lag_convolve, march_channels
 
 __all__ = [
     "ScalarKernel",
@@ -33,7 +40,6 @@ __all__ = [
     "LinearKernel",
     "TabulatedKernel",
     "ScalarResolventPath",
-    "march_scalar",
     "solve_scalar_resolvent",
     "MonotonicityReport",
     "check_nonneg_nonincreasing",
@@ -58,43 +64,48 @@ class ScalarKernel(ABC):
 
     #: True when a(t) diverges as t -> 0+ (evaluation at 0 is then rejected).
     singular_at_zero = False
+    #: True when `deriv` gives a'(t); otherwise it raises SmoothnessError.
+    differentiable = False
 
-    @abstractmethod
     def __call__(self, t):
-        """Pointwise values a(t); accepts scalars or arrays, t > 0 required
-        when the kernel is singular at zero."""
+        """Pointwise values a(t); t > 0 required when the kernel is singular at zero."""
+        return self._evaluate(self._value, t, self.singular_at_zero)
 
-    @abstractmethod
     def primitive(self, t):
         """The running integral of a from 0 to t."""
+        return self._evaluate(self._primitive, t)
 
-    def _times(self, t, value=False):
-        """t as a float array; KernelDomainError at negative times, and at
-        t = 0 too for the `value` of a kernel singular at zero."""
+    def deriv(self, t):
+        """Time derivative a'(t); only differentiable kernels provide one."""
+        return self._evaluate(self._deriv, t)
+
+    def _evaluate(self, rule, t, open_at_zero=False):
+        """rule(t) on t as a float array, a float for a scalar t; KernelDomainError at
+        negative times, and at t = 0 too when `open_at_zero`."""
         t = np.asarray(t, dtype=float)
-        if value and self.singular_at_zero and np.any(t <= 0.0):
+        if open_at_zero and np.any(t <= 0.0):
             raise KernelDomainError(f"{self.label()} is singular at t <= 0")
         if np.any(t < 0.0):
             raise KernelDomainError(f"{self.label()} evaluated at negative time")
-        return t
+        out = rule(t)
+        return out if out.ndim else float(out)
+
+    @abstractmethod
+    def _value(self, t):
+        """a(t) on a float array."""
+
+    @abstractmethod
+    def _primitive(self, t):
+        """The integral of a from 0 to t on a float array."""
+
+    def _deriv(self, t):
+        """a'(t) on a float array, for a `differentiable` kernel."""
+        raise SmoothnessError(f"{self.label()} has no usable time derivative")
 
     def cell_moments(self, h, n):
         """Exact integrals of a over the n cells [ih, (i+1)h], i = 0..n-1."""
         t = np.arange(n + 1) * h
         return np.diff(self.primitive(t))
-
-    def deriv(self, t):
-        """Time derivative a'(t); only smooth kernels provide one."""
-        self._times(t)
-        raise SmoothnessError(f"{self.label()} has no usable time derivative")
-
-    @property
-    def differentiable(self):
-        try:
-            self.deriv(1.0)
-        except SmoothnessError:
-            return False
-        return True
 
     def label(self):
         return type(self).__name__
@@ -113,23 +124,19 @@ class FractionalKernel(ScalarKernel):
             raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
         self.alpha = alpha
         self.singular_at_zero = alpha < 1.0
+        self.differentiable = alpha == 1.0
         self._gamma = math.gamma(alpha)
         self._gamma1 = math.gamma(alpha + 1.0)
 
-    def __call__(self, t):
-        t = self._times(t, value=True)
-        out = np.power(t, self.alpha - 1.0) / self._gamma
-        return out if out.ndim else float(out)
+    def _value(self, t):
+        return np.power(t, self.alpha - 1.0) / self._gamma
 
-    def primitive(self, t):
-        t = self._times(t)
-        out = np.power(t, self.alpha) / self._gamma1
-        return out if out.ndim else float(out)
+    def _primitive(self, t):
+        return np.power(t, self.alpha) / self._gamma1
 
-    def deriv(self, t):
-        t = self._times(t)
-        if self.alpha == 1.0:
-            return np.zeros_like(t) + 0.0
+    def _deriv(self, t):
+        if self.differentiable:
+            return np.zeros_like(t)
         raise SmoothnessError(
             "fractional kernel derivative is unbounded near t = 0; "
             "no W^{1,1} evaluation is provided"
@@ -142,6 +149,8 @@ class FractionalKernel(ScalarKernel):
 class ExponentialKernel(ScalarKernel):
     """a(t) = c * exp(-b t), c > 0, b >= 0."""
 
+    differentiable = True
+
     def __init__(self, c=1.0, b=1.0):
         c, b = float(c), float(b)
         if c <= 0.0:
@@ -150,23 +159,16 @@ class ExponentialKernel(ScalarKernel):
             raise ValueError(f"b must be >= 0, got {b}")
         self.c, self.b = c, b
 
-    def __call__(self, t):
-        t = self._times(t, value=True)
-        out = self.c * np.exp(-self.b * t)
-        return out if out.ndim else float(out)
+    def _value(self, t):
+        return self.c * np.exp(-self.b * t)
 
-    def primitive(self, t):
-        t = self._times(t)
+    def _primitive(self, t):
         if self.b == 0.0:
-            out = self.c * t
-        else:
-            out = (self.c / self.b) * (1.0 - np.exp(-self.b * t))
-        return out if out.ndim else float(out)
+            return self.c * t
+        return (self.c / self.b) * (1.0 - np.exp(-self.b * t))
 
-    def deriv(self, t):
-        t = self._times(t)
-        out = -self.b * self.c * np.exp(-self.b * t)
-        return out if out.ndim else float(out)
+    def _deriv(self, t):
+        return -self.b * self.c * np.exp(-self.b * t)
 
     def label(self):
         return f"exponential(c={self.c}, b={self.b})"
@@ -175,26 +177,22 @@ class ExponentialKernel(ScalarKernel):
 class ConstantKernel(ScalarKernel):
     """a(t) = c >= 0."""
 
+    differentiable = True
+
     def __init__(self, c=1.0):
         c = float(c)
         if c < 0.0:
             raise ValueError(f"c must be >= 0, got {c}")
         self.c = c
 
-    def __call__(self, t):
-        t = self._times(t, value=True)
-        out = np.full_like(t, self.c)
-        return out if out.ndim else float(out)
+    def _value(self, t):
+        return np.full_like(t, self.c)
 
-    def primitive(self, t):
-        t = self._times(t)
-        out = self.c * t
-        return out if out.ndim else float(out)
+    def _primitive(self, t):
+        return self.c * t
 
-    def deriv(self, t):
-        t = self._times(t)
-        out = np.zeros_like(t)
-        return out if out.ndim else float(out)
+    def _deriv(self, t):
+        return np.zeros_like(t)
 
     def label(self):
         return f"constant({self.c})"
@@ -203,19 +201,16 @@ class ConstantKernel(ScalarKernel):
 class LinearKernel(ScalarKernel):
     """a(t) = t."""
 
-    def __call__(self, t):
-        t = self._times(t, value=True)
-        return t if t.ndim else float(t)
+    differentiable = True
 
-    def primitive(self, t):
-        t = self._times(t)
-        out = 0.5 * t * t
-        return out if out.ndim else float(out)
+    def _value(self, t):
+        return t
 
-    def deriv(self, t):
-        t = self._times(t)
-        out = np.ones_like(t)
-        return out if out.ndim else float(out)
+    def _primitive(self, t):
+        return 0.5 * t * t
+
+    def _deriv(self, t):
+        return np.ones_like(t)
 
     def label(self):
         return "linear"
@@ -241,25 +236,19 @@ class TabulatedKernel(ScalarKernel):
         values.setflags(write=False)
         self.times, self.values = times, values
 
-    def __call__(self, t):
-        t = self._times(t, value=True)
-        out = np.interp(t, self.times, self.values)
-        return out if out.ndim else float(out)
+    def _value(self, t):
+        return np.interp(t, self.times, self.values)
 
-    def primitive(self, t):
+    def _primitive(self, t):
         # exact integral of the interpolant: accumulate full table cells, then
         # the partial cell that t lands in (past the table, the last cell,
         # where np.interp holds the last value)
-        t_arr = np.atleast_1d(self._times(t))
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * np.diff(self.times) * (self.values[1:] + self.values[:-1]))]
         )
-        idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, self.times.size - 1)
-        base = cum[idx]
-        t0 = self.times[idx]
-        head = 0.5 * (self.values[idx] + np.interp(t_arr, self.times, self.values)) * (t_arr - t0)
-        out = base + head
-        return out if np.asarray(t).ndim else float(out[0])
+        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 1)
+        head = 0.5 * (self.values[idx] + np.interp(t, self.times, self.values))
+        return cum[idx] + head * (t - self.times[idx])
 
     def label(self):
         return f"tabulated({self.times.size} points)"
@@ -268,17 +257,6 @@ class TabulatedKernel(ScalarKernel):
 # ---------------------------------------------------------------------------
 # scalar relaxation equation
 # ---------------------------------------------------------------------------
-
-
-def march_scalar(weights, mu, scheme="product"):
-    """March the discrete equation s + mu * (a convolved with s) = 1.
-
-    `grids.march_channels` with one channel on the exact kernel cell integrals
-    `weights`; returns the N+1 node values, s[0] = 1.  Any real mu is accepted;
-    the guarded failure is a nonpositive diagonal coefficient, which cannot
-    occur for mu >= 0 and a nonnegative kernel.
-    """
-    return march_channels(np.asarray(weights, dtype=float), np.array([float(mu)]), scheme)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,8 +277,15 @@ class ScalarResolventPath:
     def residual(self):
         """Max node residual of the discrete equation (machine level by construction)."""
         w = self.kernel.cell_moments(self.grid.h, self.grid.N)
-        conv = np.convolve(w, cell_values(self.s, self.scheme))[: self.grid.N]
-        return float(np.max(np.abs(self.s[1:] + self.mu * conv - 1.0)))
+        return float(_residuals(w, np.array([self.mu]), self.s[:, None], self.scheme)[0])
+
+
+def _residuals(w, mu, s, scheme):
+    """Max node residual of s + mu[c] (w convolved with s) = 1 for each channel c of the
+    (N+1, C) table s, the lag sums of every channel by one FFT `lag_convolve`."""
+    conv = np.zeros((s.shape[1], w.size, 1))
+    lag_convolve(w[:, None, None], cell_values(s, scheme).T[:, :, None], conv, tile=None)
+    return np.max(np.abs(s[1:] + mu * conv[:, :, 0].T - 1.0), axis=0)
 
 
 def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
@@ -317,14 +302,15 @@ def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
 
 
 def _relaxation_paths(kernel, mus, grid, scheme):
-    """One ScalarResolventPath per mu, all marched as channels, each residual checked."""
-    w, mus = kernel.cell_moments(grid.h, grid.N), [float(mu) for mu in mus]
-    s = march_channels(w, np.array(mus), scheme)
-    paths = [ScalarResolventPath(grid, mu, s[:, c], kernel, scheme) for c, mu in enumerate(mus)]
-    for path in paths:
-        if not (res := path.residual()) <= 1e-12 * (1.0 + abs(path.mu)):  # also true for nan
-            raise NumericalFailure(f"residual {res} at mu={path.mu} exceeds construction tolerance")
-    return paths
+    """One ScalarResolventPath per mu, all marched as channels, all residuals checked at once."""
+    w, mus = kernel.cell_moments(grid.h, grid.N), np.array(mus, dtype=float)
+    s = march_channels(w, mus, scheme)
+    for mu, res in zip(mus, _residuals(w, mus, s, scheme)):
+        if not res <= 1e-12 * (1.0 + abs(mu)):  # also true for nan
+            raise NumericalFailure(f"residual {res} at mu={mu} exceeds construction tolerance")
+    return [
+        ScalarResolventPath(grid, mu, s[:, c], kernel, scheme) for c, mu in enumerate(mus.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,19 @@ def test_step_psi_accepted(tmp_path):
     assert float(rows[0][1]) == 1.0
 
 
+def test_verify_ito_exp_profile_on_a_long_horizon_exits_0(tmp_path):
+    # exp(t) reaches 2981 by T = 8, where a forward difference errs by about 1.5e-3
+    cfg = write_config(tmp_path, dict(SMALL["verify_ito"], grid={"T": 8.0, "N": 64}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochvolterra", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, OU_SCALAR)
     out = tmp_path / "proc"

@@ -476,6 +476,16 @@ def test_ito_test_function_consistency_guard():
         bad.check_consistency(1.0)
 
 
+def test_ito_test_function_consistency_is_relative_for_large_derivatives():
+    # a forward difference of exp errs by about exp(t) delta / 2: 2e-4 at t = 6
+    exact = ItoTestFunction(np.ones(1), phi=math.exp, phi_dot=math.exp)
+    exact.check_consistency(8.0)
+    # off by a relative 1e-3 from t = 5 on: an error of 0.4 at the probe t = 6
+    off = ItoTestFunction(np.ones(1), math.exp, lambda t: math.exp(t) * (1.0 + 1e-3 * (t > 5.0)))
+    with pytest.raises(ValueError, match="inconsistent with phi at t=6"):
+        off.check_consistency(8.0)
+
+
 def test_ito_identity_deterministic_second_order():
     # B = 0 removes the noise; the residual is pure trapezoid error, order 2
     a = ExponentialKernel()

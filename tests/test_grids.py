@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from stochvolterra import DimensionMismatch, ExponentialKernel, FractionalKernel, NumericalFailure
 from stochvolterra import grids
 from stochvolterra.grids import OVERFLOW_LIMIT, lag_convolve, march, march_channels
-from stochvolterra.kernels import march_scalar
 
 
 def double_loop(w, x, out):
@@ -186,7 +185,7 @@ def test_march_scalar_matches_dot_march(N, scheme, mu, seed):
     # w0 <= 1/2 keeps the diagonal coefficient 1 + mu w0 at least 1/4
     w = np.random.default_rng(seed).uniform(0.0, 1.0 / N, size=N)
     expected = dot_march_scalar(w, mu, scheme)
-    got = march_scalar(w, mu, scheme=scheme)
+    got = march_channels(w, np.array([mu]), scheme)[:, 0]
     assert got[0] == 1.0
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -204,7 +203,7 @@ def test_march_channels_match_single_channels_bit_for_bit(N, scheme, mus, seed):
     got = march_channels(w, np.array(mus), scheme)
     assert got.shape == (N + 1, len(mus))
     for c, mu in enumerate(mus):
-        np.testing.assert_array_equal(got[:, c], march_scalar(w, mu, scheme=scheme))
+        np.testing.assert_array_equal(got[:, c], march_channels(w, np.array([mu]), scheme)[:, 0])
         np.testing.assert_array_equal(got[:, c], march(-mu * w[:, None, None], scheme)[:, 0, 0])
 
 
@@ -316,7 +315,7 @@ def test_march_refuses_overflow(scheme):
     with pytest.raises(NumericalFailure, match="overflow"):
         march_channels(w, np.array([0.5, -1.0]), scheme)
     with pytest.raises(NumericalFailure, match="overflow"):
-        march_scalar(w, -1.0, scheme=scheme)
+        march_channels(w, np.array([-1.0]), scheme)
 
 
 def test_march_rejects_unknown_scheme():
@@ -326,5 +325,5 @@ def test_march_rejects_unknown_scheme():
         with pytest.raises(ValueError, match="unknown scheme"):
             march(W, scheme)
     with pytest.raises(ValueError, match="unknown scheme"):
-        march_scalar(W[:, 0, 0], 1.0, scheme="simpson")
+        march_channels(W[:, 0, 0], np.array([1.0]), "simpson")
     assert grids.SCHEMES == ("product", "conv")

@@ -18,7 +18,7 @@ from stochvolterra import (
     mittag_leffler,
     solve_scalar_resolvent,
 )
-from stochvolterra.kernels import march_scalar
+from stochvolterra.grids import march_channels
 
 
 # --- pointwise evaluation -------------------------------------------------
@@ -194,11 +194,11 @@ def test_negative_mu_accepted():
 def test_march_guard_on_vanishing_diagonal():
     w = np.full(4, 0.25)
     with pytest.raises(NumericalFailure):
-        march_scalar(w, -8.5, scheme="product")  # 1 + mu w0/2 <= 0
+        march_channels(w, np.array([-8.5]), "product")  # 1 + mu w0/2 <= 0
     with pytest.raises(NumericalFailure, match="nonpositive diagonal"):
-        march_scalar(w, -4.0, scheme="conv")  # 1 + mu w0 = 0
+        march_channels(w, np.array([-4.0]), "conv")  # 1 + mu w0 = 0
     with pytest.raises(ValueError):
-        march_scalar(w, 1.0, scheme="simpson")
+        march_channels(w, np.array([1.0]), "simpson")
 
 
 # --- kernel classification ---------------------------------------------------
