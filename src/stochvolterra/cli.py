@@ -14,7 +14,7 @@ configuration fault is reported before any computation starts.
 
 Exit codes: 0 success, 2 configuration parse error or output fault (an output
 location that cannot be a directory, checked before any computation, or a
-failed write), 3 validation error, 4 numerical failure.
+failed write), 3 validation error, 4 numerical failure or exhausted memory.
 """
 
 import argparse
@@ -541,7 +541,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: output: {exc}", file=sys.stderr)
         return 2
-    except (StochVolterraError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (StochVolterraError, np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4
     for path in written:

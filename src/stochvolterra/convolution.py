@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
 from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch, stochastic_integral
-from .spaces import as_matrix
+from .spaces import _readonly_fields, as_matrix
 
 __all__ = [
     "ConvolutionPath",
@@ -114,10 +114,8 @@ class ConvolutionPath:
     mean_square_at_T: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
+        _readonly_fields(self, "values")
+        if not np.all(np.isfinite(self.values)):
             raise NumericalFailure("convolution path contains nonfinite values")
         if not np.isfinite(self.mean_square_at_T):
             raise NumericalFailure("mean-square finiteness condition failed")
@@ -136,10 +134,7 @@ class MildSolutionPath:
     X0: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "X0"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _readonly_fields(self, "values", "X0")
 
 
 def _isometry_sum(table, psi, cov, K, n):
@@ -339,13 +334,11 @@ class ItoTestFunction:
     phi_dot: callable
 
     def __post_init__(self):
-        a = np.asarray(self.xi0, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "xi0", a)
+        _readonly_fields(self, "xi0")
 
     @classmethod
     def constant(cls, xi0):
-        return cls(xi0=np.asarray(xi0, dtype=float), phi=lambda t: 1.0, phi_dot=lambda t: 0.0)
+        return cls(xi0=xi0, phi=lambda t: 1.0, phi_dot=lambda t: 0.0)
 
     def check_consistency(self, T, tol=1e-4):
         """Compare phi_dot with a forward difference of phi at five times in [0, T); the

@@ -2,12 +2,12 @@
 
 Both share one block-Toeplitz strip of the lag weights (`_toeplitz_strip`), so a
 product with it applies every lag to a tile of nodes.  `lag_convolve` adds the
-lag sum of known inputs, a tile per BLAS product (ascending order at tile 1), or
-whole by FFT in O(N log N) a path.  `march` solves the discrete resolvent
-equation by recursive halving, pushing cell values through the lag weights: FFT
-products for the far history, strip products inside zones of _ZONE nodes and one
-product with a precomputed inverse per leaf of _LEAF nodes.  An FFT product's
-error scales with the norm of the block it comes from, not with each entry.
+lag sum of known inputs, a tile per BLAS product (ascending order at tile 1);
+`_add_lag_sum_fft` adds it whole by FFT, O(N log N) a column.  `march` solves
+the discrete resolvent equation by recursive halving, pushing cell values through
+the lag weights: FFT products for the far history, strip products inside zones of
+_ZONE nodes and one product with a precomputed inverse per leaf of _LEAF nodes.
+An FFT product's error scales with its block's norm, not with each entry.
 """
 
 import math
@@ -62,8 +62,7 @@ def lag_convolve(w, x, out, tile=1):
     At tile 1 each out[:, n] gains its terms in ascending m, so identity weights
     reproduce np.cumsum bit for bit.  Cost: about P min(M, n_out) (n_out + tile)
     a b / 2 multiply-adds; temporaries hold about (1 + b / a) max(2**16, n_out a)
-    doubles and the strip.  tile=None takes the whole product, path by path, by
-    `_add_lag_sum_fft`: O(n log n a b) a path, n >= n_out + M - 1.
+    doubles and the strip.  `_add_lag_sum_fft` takes the whole sum by FFT instead.
     """
     L, a, b = w.shape
     P, n_out, _ = out.shape
@@ -71,9 +70,6 @@ def lag_convolve(w, x, out, tile=1):
         raise DimensionMismatch("lag weights, input and output", w.shape, x.shape, out.shape)
     M = min(n_out, x.shape[1])
     if not M:
-        return
-    if tile is None:  # each path is one column
-        _add_lag_sum_fft(w[:n_out], x[:, :M].transpose(1, 2, 0), out.transpose(1, 2, 0), 0)
         return
     tile = max(1, min(tile, n_out))
     # row t b + k, column j a + i: entry (i, k) of w[j - t], the lag columns shifted by t nodes

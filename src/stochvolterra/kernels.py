@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, lag_convolve, march_channels
+from .grids import TimeGrid, _add_lag_sum_fft, cell_values, march_channels
+from .spaces import _readonly, _readonly_fields
 
 __all__ = [
     "ScalarKernel",
@@ -224,16 +225,13 @@ class TabulatedKernel(ScalarKernel):
     """
 
     def __init__(self, times, values):
-        times = np.array(times, dtype=float)
-        values = np.array(values, dtype=float)
+        times, values = _readonly(times), _readonly(values)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("need matching 1-d tables with at least two entries")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise ValueError("abscissae must start at 0 and increase strictly")
         if not np.all(np.isfinite(values)):
             raise ValueError("tabulated values must be finite")
-        times.setflags(write=False)
-        values.setflags(write=False)
         self.times, self.values = times, values
 
     def _value(self, t):
@@ -270,9 +268,7 @@ class ScalarResolventPath:
     scheme: str = "product"
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
+        _readonly_fields(self, "s")
 
     def residual(self):
         """Max node residual of the discrete equation (machine level by construction)."""
@@ -282,10 +278,10 @@ class ScalarResolventPath:
 
 def _residuals(w, mu, s, scheme):
     """Max node residual of s + mu[c] (w convolved with s) = 1 for each channel c of the
-    (N+1, C) table s, the lag sums of every channel by one FFT `lag_convolve`."""
-    conv = np.zeros((s.shape[1], w.size, 1))
-    lag_convolve(w[:, None, None], cell_values(s, scheme).T[:, :, None], conv, tile=None)
-    return np.max(np.abs(s[1:] + mu * conv[:, :, 0].T - 1.0), axis=0)
+    (N+1, C) table s, the lag sums of every channel by one FFT sum (`_add_lag_sum_fft`)."""
+    conv = np.zeros((w.size, 1, s.shape[1]))
+    _add_lag_sum_fft(w[:, None, None], cell_values(s, scheme)[:, None, :], conv, 0)
+    return np.max(np.abs(s[1:] + mu * conv[:, 0] - 1.0), axis=0)
 
 
 def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
@@ -302,11 +298,13 @@ def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
 
 
 def _relaxation_paths(kernel, mus, grid, scheme):
-    """One ScalarResolventPath per mu, all marched as channels, all residuals checked at once."""
+    """One ScalarResolventPath per mu, all marched as channels, all residuals checked at
+    once against 1e-12 (1 + |mu|) max|s|: a growing path's roundoff scales with max|s|."""
     w, mus = kernel.cell_moments(grid.h, grid.N), np.array(mus, dtype=float)
     s = march_channels(w, mus, scheme)
-    for mu, res in zip(mus, _residuals(w, mus, s, scheme)):
-        if not res <= 1e-12 * (1.0 + abs(mu)):  # also true for nan
+    tols = 1e-12 * (1.0 + np.abs(mus)) * np.max(np.abs(s), axis=0)
+    for mu, res, tol in zip(mus, _residuals(w, mus, s, scheme), tols):
+        if not res <= tol:  # also true for nan
             raise NumericalFailure(f"residual {res} at mu={mu} exceeds construction tolerance")
     return [
         ScalarResolventPath(grid, mu, s[:, c], kernel, scheme) for c, mu in enumerate(mus.tolist())

@@ -9,6 +9,7 @@ instead of building a new generator.  Each worker fills its own contiguous
 range of paths, so a batch is the same bit for bit on any number of threads.
 """
 
+import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .grids import TimeGrid
-from .spaces import CovOperator, as_matrix
+from .spaces import CovOperator, _readonly, _readonly_fields, as_matrix
 
 __all__ = [
     "NoiseSpec",
@@ -67,9 +68,7 @@ class WienerIncrements:
     spec: NoiseSpec
 
     def __post_init__(self):
-        a = np.asarray(self.dW, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "dW", a)
+        _readonly_fields(self, "dW")
 
     @property
     def modes(self):
@@ -112,9 +111,9 @@ def sample_wiener(spec, grid, path_id=0):
 def sample_wiener_batch(spec, grid, path_ids, threads=1):
     """Increments for many paths as a (P, K, N) array.
 
-    Path i is the stream of path_ids[i], written into its own slot; with
-    threads > 1 each worker fills one contiguous range of slots, so the result
-    is the same bit for bit for any thread count.
+    Path i is the stream of path_ids[i], written into its own slot; each of
+    min(threads, os.cpu_count()) workers fills one contiguous range of slots,
+    so the result is the same bit for bit for any thread count.
     """
     path_ids = list(path_ids)
     if path_ids and not 0 <= min(path_ids) <= max(path_ids) < 2**64:
@@ -122,7 +121,7 @@ def sample_wiener_batch(spec, grid, path_ids, threads=1):
             f"path ids must lie in [0, 2**64), got {min(path_ids)} to {max(path_ids)}"
         )
     out = np.empty((len(path_ids), spec.truncation, grid.N))
-    workers = max(1, min(threads, len(path_ids)))
+    workers = max(1, min(threads, len(path_ids), os.cpu_count() or 1))
     if workers > 1:
         cuts = [len(path_ids) * w // workers for w in range(workers + 1)]
         jobs = [(out[a:b], spec.seed, path_ids[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -177,7 +176,7 @@ class ConstantDiffusion(DiffusionProcess):
     """Constant integrand."""
 
     def __init__(self, B):
-        self.B = as_matrix(B)
+        self.B = _readonly(as_matrix(B))
 
     def value(self, t):
         return self.B
@@ -202,15 +201,14 @@ class StepDiffusion(DiffusionProcess):
     """
 
     def __init__(self, breakpoints, values):
-        bp = np.array([float(b) for b in breakpoints])
+        bp = _readonly([float(b) for b in breakpoints])
         if bp.size == 0 or bp[0] != 0.0 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must start at 0 and increase strictly")
-        mats = [as_matrix(v) for v in values]
+        mats = [_readonly(as_matrix(v)) for v in values]
         if len(mats) != bp.size:
             raise ValueError("need one value per breakpoint")
         if any(m.shape != mats[0].shape for m in mats):
             raise DimensionMismatch("step values", *(m.shape for m in mats))
-        bp.setflags(write=False)
         self.breakpoints = bp
         self.values = tuple(mats)
 

@@ -24,7 +24,7 @@ Schemes
 Tables are solved by `grids.march`, recursive halving with FFT products for the
 far history and one product with a precomputed leaf inverse per 8 nodes:
 O(N log^2 N) for a d x d table.  `resolvent_residuals` sums both equations'
-histories by FFT (`grids.lag_convolve` at tile=None), in another order than the
+histories by FFT (`grids._add_lag_sum_fft`, node-first), in another order than the
 solver, so the second residual reads 1e-15 to 1e-14, not zero.
 `spectral_resolvent` solves its eigenchannels in one `grids.march_channels` call.
 Operator 2-norms are exact (singular values), one batched call per stack.
@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, SmoothnessError
-from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, cell_values, lag_convolve
+from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
 from .grids import march, march_channels
 from .kernels import ScalarKernel
+from .spaces import _readonly, _readonly_fields
 
 __all__ = [
     "OperatorKernel",
@@ -101,12 +102,11 @@ class ScalarTypeKernel(OperatorKernel):
     """A(t) = a(t) * A for a scalar kernel a and a fixed matrix A."""
 
     def __init__(self, a: ScalarKernel, A):
-        A = np.array(A, dtype=float)
+        A = _readonly(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):
             raise ValueError("A must have finite entries")
-        A.setflags(write=False)
         self.a = a
         self.A = A
 
@@ -153,9 +153,7 @@ class NonscalarKernel(OperatorKernel):
     def __init__(self, A_of_t, A_dot=None, A_at_zero=None):
         self.A_of_t = A_of_t
         self.A_dot = A_dot
-        A0 = np.asarray(A_of_t(0.0), dtype=float) if A_at_zero is None else np.asarray(
-            A_at_zero, dtype=float
-        )
+        A0 = _readonly(A_of_t(0.0) if A_at_zero is None else A_at_zero)
         if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
             raise ValueError(f"kernel values must be square matrices, got shape {A0.shape}")
         self._A0 = A0
@@ -228,10 +226,7 @@ class ResolventTable:
     cell_weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("S", "U", "cell_weights"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _readonly_fields(self, "S", "U", "cell_weights")
         d = self.dim
         if not np.array_equal(self.S[0], np.eye(d)):
             raise NumericalFailure("table does not start at the identity")
@@ -296,13 +291,13 @@ def resolvent_residuals(table):
     N, d = grid.N, table.dim
     # lag k of the first equation's sum is A(t_{k+1}) h
     A_vals = table.kernel.values(grid.nodes()[1:])
-    # the columns of S are the lag sums' paths; conv[c, n-1] is column c at node n
-    conv1, conv2 = np.zeros((2, d, N, d))
-    lag_convolve(W, cell_values(S, table.scheme).transpose(2, 0, 1), conv2, tile=None)
-    lag_convolve(A_vals, S[:N].transpose(2, 0, 1), conv1, tile=None)
+    # each column of S is one sum's input; conv[n-1] is the sum at node n
+    conv1, conv2 = np.zeros((2, N, d, d))
+    _add_lag_sum_fft(W, cell_values(S, table.scheme), conv2, 0)
+    _add_lag_sum_fft(A_vals, S[:N], conv1, 0)
     gap = S[1:] - np.eye(d)
-    res2 = np.max(np.abs(gap - conv2.transpose(1, 2, 0)))
-    res1 = np.max(np.abs(gap - grid.h * conv1.transpose(1, 2, 0)))
+    res2 = np.max(np.abs(gap - conv2))
+    res1 = np.max(np.abs(gap - grid.h * conv1))
     return ResolventResiduals(res_first=float(res1), res_second=float(res2))
 
 
@@ -348,7 +343,7 @@ def operator_2norm(M):
 
 @dataclass(frozen=True)
 class ExponentialBound:
-    """Constants of a verified bound |S(t_n)| <= M exp(w t_n) on the grid."""
+    """Constants of a bound |S(t_n)| <= M exp(w t_n) verified, as evaluated, at every node."""
 
     M: float
     w: float
@@ -359,8 +354,9 @@ def exponential_bound_fit(table):
 
     Least squares of log |S(t_n)| against t_n over the tail half of the grid
     gives the rate; the prefactor is then inflated minimally so the bound
-    holds at every node (and never drops below one, which S(0) = I forces
-    anyway).
+    holds at every node as evaluated, eta_n <= M * exp(w t_n) in floating point
+    (and never below one, which S(0) = I forces anyway); NumericalFailure when
+    a few ulps of M do not suffice (exp(w t) underflowing).
     """
     if table.grid.N < MIN_BOUND_FIT_CELLS:
         raise ValueError(f"need at least {MIN_BOUND_FIT_CELLS} cells for a meaningful fit")
@@ -371,4 +367,8 @@ def exponential_bound_fit(table):
     design = np.vstack([t[half:], np.ones(t.size - half)]).T
     (w, log_M), *_ = np.linalg.lstsq(design, log_eta[half:], rcond=None)
     M = float(max(np.exp(log_M), np.max(eta * np.exp(-w * t)), 1.0))
-    return ExponentialBound(M=M, w=float(w))
+    for _ in range(8):  # eta exp(-w t) exp(w t) may round an ulp or two below eta
+        if np.all(eta <= M * np.exp(w * t)):
+            return ExponentialBound(M=M, w=float(w))
+        M = float(np.nextafter(M, np.inf))
+    raise NumericalFailure(f"no M near {M:g} bounds the table at rate w={float(w):g}")

@@ -21,9 +21,16 @@ __all__ = [
 
 
 def _readonly(a):
+    """A read-only float copy of a, the one way a value object holds an array."""
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _readonly_fields(obj, *names):
+    """Replace each named field of the frozen dataclass obj by its `_readonly` copy."""
+    for name in names:
+        object.__setattr__(obj, name, _readonly(getattr(obj, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +46,11 @@ class CovOperator:
     cylindrical: bool = False
 
     def __post_init__(self):
-        q = _readonly(self.q)
-        if q.ndim != 1 or q.size < 1:
+        _readonly_fields(self, "q")
+        if self.q.ndim != 1 or self.q.size < 1:
             raise ValueError("q must be a nonempty vector of eigenvalues")
-        if not np.all(np.isfinite(q)) or np.any(q < 0):
+        if not np.all(np.isfinite(self.q)) or np.any(self.q < 0):
             raise ValueError("covariance eigenvalues must be finite and >= 0")
-        object.__setattr__(self, "q", q)
 
     @property
     def dim(self):
@@ -67,12 +73,11 @@ class HSOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _readonly(self.matrix)
-        if m.ndim != 2:
-            raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-        if not np.all(np.isfinite(m)):
+        _readonly_fields(self, "matrix")
+        if self.matrix.ndim != 2:
+            raise ValueError(f"expected a matrix, got array of ndim {self.matrix.ndim}")
+        if not np.all(np.isfinite(self.matrix)):
             raise ValueError("operator entries must be finite")
-        object.__setattr__(self, "matrix", m)
 
     @property
     def dim_H(self):

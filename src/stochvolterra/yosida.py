@@ -24,6 +24,7 @@ from .errors import NumericalFailure
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
 from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit, operator_2norm
+from .spaces import _readonly_fields
 
 __all__ = [
     "AccretivityReport",
@@ -65,10 +66,7 @@ class YosidaFamily:
     A_lam: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "lambdas", "J", "A_lam"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _readonly_fields(self, "A", "lambdas", "J", "A_lam")
 
     def identity_defect(self):
         """max over lam of |A_lam - (J_lam - I)/lam|, an exact identity."""

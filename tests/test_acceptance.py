@@ -7,6 +7,7 @@ deterministic.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -311,7 +312,8 @@ def test_criterion_11_gaussian_statistics():
         assert abs(observed - predicted) / predicted < 0.05
 
 
-def test_criterion_12_cli_determinism(tmp_path, capsys):
+def test_criterion_12_cli_determinism(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # three workers on any machine
     ou = {"benchmark": "ou1"}
     noise = {"q": [1.0], "seed": 7}
     psi = {"variant": "constant", "matrix": [[1.0]]}

@@ -424,6 +424,34 @@ def test_fuzzed_config_exits_cleanly(data):
             assert not out.exists()
 
 
+def test_memory_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    # an array too large for the machine: numpy raises MemoryError (_ArrayMemoryError)
+    def exhausted(self, h, n):
+        raise MemoryError(f"Unable to allocate array for {n} cells")
+
+    monkeypatch.setattr(stochvolterra.kernels.ScalarKernel, "cell_moments", exhausted)
+    code, out = run(tmp_path, SMALL["resolvent"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == [err.strip()] and err.startswith("error: numerical: Unable")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_growing_scalar_path_exits_0(tmp_path):
+    # mu < 0: s grows to 1.6e4 and carries roundoff of that size; the construction
+    # tolerance is relative to max|s|
+    config = {
+        "experiment": "scalar_resolvent",
+        "kernel": {"variant": "fractional", "alpha": 0.5},
+        "mu": -3.0,
+        "grid": {"T": 1.0, "N": 1024},
+    }
+    code, out = run(tmp_path, config)
+    assert code == 0
+    _, rows = read_csv(out / "scalar_resolvent.csv")
+    assert 1.5e4 < max(float(r[1]) for r in rows) < 1.7e4
+
+
 def test_numerical_failure_exits_4(tmp_path):
     config = {
         "experiment": "resolvent",
@@ -449,7 +477,8 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
 
-def test_threads_do_not_change_bytes(tmp_path):
+def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the threads asked for, on any machine
     config = {
         "experiment": "covariance",
         "kernel": {"variant": "constant", "c": 1.0},

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,7 @@ def test_covariance_monte_carlo_matches_einsum_pipeline(monkeypatch, paths_per_b
     n_paths = 103  # not a multiple of the block
     monkeypatch.setattr(convolution, "_MC_BLOCK", paths_per_block * 2 * 16)
     C, se = einsum_sample_covariance(table, B, spec, n_paths, t_index)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
     for threads in (1, 2):
         est = covariance_monte_carlo(table, HSOperator(B), Q, spec, n_paths, t_index, threads)
         scale = max(np.max(np.abs(C)), 1e-300)
@@ -630,6 +632,7 @@ def test_ito_statistics_blocks_match_one_block(monkeypatch, paths_per_block, blo
     table, B, xi, X0, spec = ito_problem()
     whole = ito_identity_statistics(table, B, xi, X0, spec, 50)
     calls = count_blocks(monkeypatch, paths_per_block, 2, 32)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
     for threads in (1, 2):
         part = ito_identity_statistics(table, B, xi, X0, spec, 50, threads=threads)
         assert close(part.final_residuals, whole.final_residuals)

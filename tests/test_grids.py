@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from stochvolterra import DimensionMismatch, ExponentialKernel, FractionalKernel, NumericalFailure
 from stochvolterra import grids
-from stochvolterra.grids import OVERFLOW_LIMIT, lag_convolve, march, march_channels
+from stochvolterra.grids import OVERFLOW_LIMIT, _add_lag_sum_fft, lag_convolve, march
+from stochvolterra.grids import march_channels
 
 
 def double_loop(w, x, out):
@@ -16,6 +17,16 @@ def double_loop(w, x, out):
             for m in range(min(n + 1, x.shape[1])):
                 expected[p, n] += w[n - m] @ x[p, m]
     return expected
+
+
+def lag_sum(w, x, out, tile):
+    """lag_convolve at `tile`, or at tile None the whole sum by `_add_lag_sum_fft`, each
+    path a column of the node-first layout."""
+    M = min(out.shape[1], x.shape[1])
+    if tile is not None:
+        lag_convolve(w, x, out, tile=tile)
+    elif M:
+        _add_lag_sum_fft(w[: out.shape[1]], x[:, :M].transpose(1, 2, 0), out.transpose(1, 2, 0), 0)
 
 
 def with_block(block, fn):
@@ -56,7 +67,7 @@ def test_lag_convolve_matches_double_loop(
     x = rng.normal(size=(P, max(n_out - short, 0), b))
     out = rng.normal(size=(P, n_out, a))
     expected = double_loop(w, x, out)
-    with_block(block, lambda: lag_convolve(w, x, out, tile=tile))
+    with_block(block, lambda: lag_sum(w, x, out, tile))
     # at most 12 * 3 products of unit normals per entry: a few hundred eps
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -69,7 +80,7 @@ def test_lag_convolve_fft_matches_tile_one(a, b, n_out, M, L):
     w, x = rng.normal(size=(L, a, b)), rng.normal(size=(3, M, b))
     direct, fft = np.zeros((3, n_out, a)), np.zeros((3, n_out, a))
     lag_convolve(w, x, direct, tile=1)
-    lag_convolve(w, x, fft, tile=None)
+    _add_lag_sum_fft(w, x.transpose(1, 2, 0), fft.transpose(1, 2, 0), 0)  # each path a column
     np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
 
 
@@ -88,7 +99,7 @@ def test_lag_convolve_zero_input_gives_exact_zeros(P, n_out, a, b, block, tile, 
     w = np.random.default_rng(seed).normal(size=(n_out, a, b))
     out = np.zeros((P, n_out, a))
     x = np.zeros((P, max(n_out - short, 0), b))
-    with_block(block, lambda: lag_convolve(w, x, out, tile=tile))
+    with_block(block, lambda: lag_sum(w, x, out, tile))
     assert np.all(out == 0.0)
 
 

@@ -18,6 +18,7 @@ from stochvolterra import (
     mittag_leffler,
     solve_scalar_resolvent,
 )
+from stochvolterra import kernels
 from stochvolterra.grids import march_channels
 
 
@@ -183,6 +184,29 @@ def test_fractional_half_relaxation_against_series_and_erfc():
 def test_path_residual_is_machine_level():
     path = solve_scalar_resolvent(ExponentialKernel(), 2.0, TimeGrid(1.0, 128))
     assert path.residual() <= 1e-12 * 3.0
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_growing_path_meets_relative_construction_tolerance(scheme):
+    # mu = -3: s grows to about 1.6e4 and its residual (5e-12 for conv) is roundoff of
+    # that size, below the tolerance 1e-12 (1 + |mu|) max|s|
+    path = solve_scalar_resolvent(FractionalKernel(0.5), -3.0, TimeGrid(1.0, 1024), scheme)
+    assert np.max(path.s) > 1e4
+    assert path.residual() <= 1e-12 * 4.0 * np.max(np.abs(path.s))
+
+
+@pytest.mark.parametrize("mu", [-3.0, 2.0])
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_perturbed_path_fails_construction(monkeypatch, scheme, mu):
+    # one node off by 1e-9 max|s|: far past roundoff, so the relative tolerance rejects it
+    def perturbed(w, mus, scheme):
+        s = march_channels(w, mus, scheme)
+        s[w.size // 2] += 1e-9 * np.max(np.abs(s), axis=0)
+        return s
+
+    monkeypatch.setattr(kernels, "march_channels", perturbed)
+    with pytest.raises(NumericalFailure, match="construction tolerance"):
+        solve_scalar_resolvent(FractionalKernel(0.5), mu, TimeGrid(1.0, 1024), scheme)
 
 
 def test_negative_mu_accepted():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from stochvolterra import (
     sample_wiener_batch,
     stochastic_integral,
 )
+from stochvolterra import noise
 
 
 def spec_with(q, seed=42, truncation=None):
@@ -36,7 +39,8 @@ def test_determinism_contract():
     assert not np.array_equal(a.dW, c.dW)
 
 
-def test_batch_matches_single_paths_any_thread_count():
+def test_batch_matches_single_paths_any_thread_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # four workers on any machine
     grid = TimeGrid(1.0, 32)
     spec = spec_with([1.0, 0.5, 2.0], seed=9)
     batch1 = sample_wiener_batch(spec, grid, range(20), threads=1)
@@ -73,7 +77,9 @@ def test_batch_is_bit_identical_to_fresh_generators(seed, path_ids, threads, K, 
     # unsorted, repeated and near-2**64 path ids; any thread count
     grid = TimeGrid(1.0, N)
     spec = spec_with([1.0, 0.5, 3.0][:K], seed=seed)
-    batch = sample_wiener_batch(spec, grid, path_ids, threads=threads)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 8)  # as many workers as threads on any machine
+        batch = sample_wiener_batch(spec, grid, path_ids, threads=threads)
     expected = fresh_generator_batch(spec, grid, path_ids)
     assert batch.shape == expected.shape
     assert batch.tobytes() == expected.tobytes()
@@ -90,6 +96,34 @@ def test_path_ids_outside_64_bits_rejected(bad):
     for threads in (1, 2):
         with pytest.raises(ValueError):
             sample_wiener_batch(spec, grid, [0, 3, bad, 1], threads=threads)
+
+
+def test_workers_never_exceed_cpu_count(monkeypatch):
+    # a fake pool records the worker count asked for and runs the jobs in this thread
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(noise, "ThreadPoolExecutor", FakePool)
+    spec, grid = spec_with([1.0, 2.0]), TimeGrid(1.0, 8)
+    serial = sample_wiener_batch(spec, grid, range(4096))
+    for cpus, workers in ((3, [3]), (None, []), (1, [])):
+        asked.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        batch = sample_wiener_batch(spec, grid, range(4096), threads=100000)
+        assert asked == workers
+        assert batch.tobytes() == serial.tobytes()
 
 
 def test_zero_covariance_gives_zero_increments():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,8 @@ def test_study_warns_on_hypothesis_violation():
         )
 
 
-def test_study_threads_do_not_change_results():
+def test_study_threads_do_not_change_results(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # four workers on any machine
     A = -np.diag(np.arange(1.0, 6.0))
     psi = ConstantDiffusion(np.eye(5))
     spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
