@@ -62,7 +62,7 @@ from .resolvent import (
     exponential_bound_fit,
     resolvent_residuals,
 )
-from .spaces import CovOperator
+from .spaces import CovOperator, _integer_in
 from .yosida import yosida_convergence_study
 
 BENCHMARK_OPERATORS = {
@@ -83,15 +83,14 @@ _PHI_FORMS = {
 
 
 def _integer(value, name, least=-math.inf, most=math.inf):
-    """A JSON integer (or integral float) in [least, most] as an int; anything
-    else is a ConfigError."""
+    """A JSON integer (or integral float) in [least, most] as an int, checked by
+    `spaces._integer_in`; anything else is a ConfigError."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not least <= value <= most:
-        raise ConfigError(f"{name} must lie in [{least}, {most}], got {value}")
-    return value
+    try:
+        return _integer_in(value, name, least, most)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _number(value, name):

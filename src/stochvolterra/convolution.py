@@ -15,7 +15,7 @@ is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A single
 path is summed in ascending source node, so node 0 is exactly zero and the
 identity table reduces to the elementary Ito sum bit for bit.  The Monte Carlo
 consumers fold `_path_blocks` of about 2^20 increments into running results one
-block at a time, and push _MC_TILE nodes per product (roundoff-level reordering).
+block at a time, `grids._TILE` nodes per product (roundoff-level reordering).
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
 from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch, stochastic_integral
-from .spaces import _readonly_fields, as_matrix
+from .spaces import _integer_in, _readonly_fields, as_matrix
 
 __all__ = [
     "ConvolutionPath",
@@ -48,7 +48,6 @@ __all__ = [
 
 
 _MC_BLOCK = 1 << 20  # doubles of increments sampled per block of Monte Carlo paths
-_MC_TILE = 16  # input nodes per lag_convolve product on batches of paths
 
 MIN_COVARIANCE_PATHS = 100
 MIN_ITO_PATHS = 2  # a standard error needs two residuals
@@ -70,11 +69,11 @@ def _path_blocks(spec, grid, n_paths, threads):
         yield sample_wiener_batch(spec, grid, range(p, min(p + block, n_paths)), threads=threads)
 
 
-def _convolve_paths(S, c_batch, tile=1):
-    """Running convolution sum_{m<n} S[n-m] c[m] for each path, `tile` nodes per product."""
+def _convolve_paths(S, c_batch):
+    """Running convolution sum_{m<n} S[n-m] c[m] for each path of the batch."""
     P, N, d = c_batch.shape
     out = np.zeros((P, N + 1, d))
-    lag_convolve(S[1:], c_batch, out[:, 1:], tile=tile)
+    lag_convolve(S[1:], c_batch, out[:, 1:])
     return out
 
 
@@ -194,8 +193,7 @@ def covariance_quadrature(table, B, Q, t_index):
     symmetrized exactly.  With the identity table the rule is exact and gives
     t * B Q B'.
     """
-    if not (0 <= t_index <= table.grid.N):
-        raise ValueError(f"t_index must lie in [0, {table.grid.N}], got {t_index}")
+    t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
     Bm = as_matrix(B)
     if Bm.shape[0] != table.dim:
         raise DimensionMismatch("operator rows vs state dimension", Bm.shape, (table.dim,))
@@ -234,12 +232,12 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     Scratch is about 2^20 doubles (twice that when n < N) whatever P is, plus X
     itself, P d.
     """
+    n_paths = _integer_in(n_paths, "n_paths", 0)
     if n_paths < MIN_COVARIANCE_PATHS:
         raise ValueError(f"need at least {MIN_COVARIANCE_PATHS} paths, got {n_paths}")
     if not np.array_equal(Q.q, spec.cov.q):
         raise ValueError("Q disagrees with the covariance in the noise spec")
-    if not (0 <= t_index <= table.grid.N):
-        raise ValueError(f"t_index must lie in [0, {table.grid.N}], got {t_index}")
+    t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
     G = _node_weights(table.S, as_matrix(B)[:, : spec.truncation], t_index)
     blocks = _path_blocks(spec, table.grid, n_paths, threads)
     X = np.concatenate(list(map(partial(_convolve_at, G, n=t_index), blocks)))
@@ -340,13 +338,13 @@ class ItoTestFunction:
     def constant(cls, xi0):
         return cls(xi0=xi0, phi=lambda t: 1.0, phi_dot=lambda t: 0.0)
 
-    def check_consistency(self, T, tol=1e-4):
-        """Compare phi_dot with a forward difference of phi at five times in [0, T); the
-        difference errs by about |phi''| delta / 2, so tol is relative past |phi_dot| = 1."""
+    def check_consistency(self, T):
+        """Compare phi_dot with a forward difference of phi at five times in [0, T) to 1e-4;
+        the difference errs by about |phi''| delta / 2, so 1e-4 is relative past |phi_dot| = 1."""
         delta = 1e-6
         for t in np.linspace(0.0, T - delta, 5):
             fd, dot = (self.phi(t + delta) - self.phi(t)) / delta, self.phi_dot(t)
-            if abs(fd - dot) > tol * max(1.0, abs(dot)):
+            if abs(fd - dot) > 1e-4 * max(1.0, abs(dot)):
                 raise ValueError(
                     f"phi_dot is inconsistent with phi at t={t:g}: "
                     f"finite difference {fd:g} vs {dot:g}"
@@ -370,9 +368,8 @@ def _require_w11(kernel):
         )
 
 
-def _ito_residual_batch(kernel, xi, grid, X, bdw, tile=1):
-    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d); the drift
-    history sum pushes `tile` nodes per product."""
+def _ito_residual_batch(kernel, xi, grid, X, bdw):
+    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d)."""
     t = grid.nodes()
     h = grid.h
     A0 = kernel.value_at_zero()
@@ -386,7 +383,7 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw, tile=1):
     u[0] *= 0.5
     rate = np.zeros((X.shape[0], grid.N + 1))
     rate[:, 1:] = X[:, 0] @ (0.5 * u[1:, 0].T)
-    lag_convolve(u, X[:, 1:], rate[:, 1:, None], tile=tile)
+    lag_convolve(u, X[:, 1:], rate[:, 1:, None])
     rate += X @ (A0.T @ xi.xi0)
 
     # deterministic rate of <X, xi>: drift * phi + <X, xi0> * phi_dot, updated
@@ -444,6 +441,7 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     per-block copies would sit between blocks on the heap and keep it from
     shrinking).
     """
+    n_paths = _integer_in(n_paths, "n_paths", 0)
     if n_paths < MIN_ITO_PATHS:
         raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
     _require_w11(table.kernel)
@@ -454,9 +452,9 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     final, p = np.empty(n_paths), 0
     blocks = _path_blocks(spec, grid, n_paths, threads)
     for c in map(partial(_left_point_products, psi, grid), blocks):
-        X = _convolve_paths(table.S, c, tile=_MC_TILE)
+        X = _convolve_paths(table.S, c)
         X += start[None]
-        final[p : p + len(c)] = _ito_residual_batch(table.kernel, xi, grid, X, c, _MC_TILE)[:, -1]
+        final[p : p + len(c)] = _ito_residual_batch(table.kernel, xi, grid, X, c)[:, -1]
         p += len(c)
     mean = float(np.mean(final))
     se = float(np.std(final, ddof=1) / np.sqrt(n_paths))

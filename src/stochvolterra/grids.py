@@ -1,10 +1,10 @@
 """Uniform time grids, the causal lag sum evaluated on them, and the resolvent solver.
 
 Both share one block-Toeplitz strip of the lag weights (`_toeplitz_strip`), so a
-product with it applies every lag to a tile of nodes.  `lag_convolve` adds the
-lag sum of known inputs, a tile per BLAS product (ascending order at tile 1);
-`_add_lag_sum_fft` adds it whole by FFT, O(N log N) a column.  `march` solves
-the discrete resolvent equation by recursive halving, pushing cell values through
+product with it applies every lag to a tile of nodes.  `lag_convolve` adds the lag
+sum of known inputs, _TILE nodes per BLAS product for a batch of paths and one node
+(ascending order) for a single path; `_add_lag_sum_fft` adds it whole by FFT.  `march`
+solves the discrete resolvent equation by recursive halving, pushing cell values through
 the lag weights: FFT products for the far history, strip products inside zones of
 _ZONE nodes and one product with a precomputed inverse per leaf of _LEAF nodes.
 An FFT product's error scales with its block's norm, not with each entry.
@@ -17,10 +17,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NumericalFailure
+from .spaces import _integer_in
 
 __all__ = ["TimeGrid"]
 
 _LAG_BLOCK = 1 << 16  # doubles (0.5 MiB) in lag_convolve's product of one block of paths
+_TILE = 16  # input nodes per lag_convolve product on a batch of paths (a single path: 1)
 
 _LEAF = 8  # nodes per leaf of `march`: one product with the inverted leaf block
 _ZONE = 256  # nodes per block that `march` sums leaf by leaf; longer blocks halve by FFT
@@ -39,8 +41,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
+        object.__setattr__(self, "N", _integer_in(self.N, "N", 1))
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and positive, got {self.T!r}")
 
@@ -53,14 +54,14 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
-def lag_convolve(w, x, out, tile=1):
+def lag_convolve(w, x, out):
     """Add the causal lag sum  sum_{m<=n} w[n-m] @ x[:, m]  into out[:, n] for every n.
 
     w is (L, a, b) (scalar weights enter as 1x1 matrices), x is (P, M, b) and
-    out is (P, n_out, a) with n_out <= L; x may be shorter than out.  Each block
-    of paths pushes `tile` input nodes per product through the transposed strip.
-    At tile 1 each out[:, n] gains its terms in ascending m, so identity weights
-    reproduce np.cumsum bit for bit.  Cost: about P min(M, n_out) (n_out + tile)
+    out is (P, n_out, a) with n_out <= L; x may be shorter than out.  Each block of paths
+    pushes `tile` input nodes per product through the transposed strip: _TILE for a batch,
+    1 for a single path, whose out[0, n] then gains its terms in ascending m, so identity
+    weights reproduce np.cumsum bit for bit.  Cost: about P min(M, n_out) (n_out + tile)
     a b / 2 multiply-adds; temporaries hold about (1 + b / a) max(2**16, n_out a)
     doubles and the strip.  `_add_lag_sum_fft` takes the whole sum by FFT instead.
     """
@@ -71,7 +72,7 @@ def lag_convolve(w, x, out, tile=1):
     M = min(n_out, x.shape[1])
     if not M:
         return
-    tile = max(1, min(tile, n_out))
+    tile = min(1 if P == 1 else _TILE, n_out)
     # row t b + k, column j a + i: entry (i, k) of w[j - t], the lag columns shifted by t nodes
     flat = np.ascontiguousarray(_toeplitz_strip(w, n_out, tile).swapaxes(-1, -2))
     block = max(1, _LAG_BLOCK // max(1, n_out * a))

@@ -154,9 +154,9 @@ class ExponentialKernel(ScalarKernel):
 
     def __init__(self, c=1.0, b=1.0):
         c, b = float(c), float(b)
-        if c <= 0.0:
+        if not c > 0.0:  # also true for nan
             raise ValueError(f"c must be positive, got {c}")
-        if b < 0.0:
+        if not b >= 0.0:
             raise ValueError(f"b must be >= 0, got {b}")
         self.c, self.b = c, b
 
@@ -182,7 +182,7 @@ class ConstantKernel(ScalarKernel):
 
     def __init__(self, c=1.0):
         c = float(c)
-        if c < 0.0:
+        if not c >= 0.0:
             raise ValueError(f"c must be >= 0, got {c}")
         self.c = c
 
@@ -228,7 +228,7 @@ class TabulatedKernel(ScalarKernel):
         times, values = _readonly(times), _readonly(values)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("need matching 1-d tables with at least two entries")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        if times[0] != 0.0 or not np.all(np.diff(times) > 0.0):  # false for nan
             raise ValueError("abscissae must start at 0 and increase strictly")
         if not np.all(np.isfinite(values)):
             raise ValueError("tabulated values must be finite")
@@ -327,8 +327,8 @@ class MonotonicityReport:
         return self.nonnegative and self.nonincreasing
 
 
-def check_nonneg_nonincreasing(kernel, grid, tol=1e-12):
-    """Sampled check that the kernel is nonnegative and nonincreasing.
+def check_nonneg_nonincreasing(kernel, grid):
+    """Sampled check that the kernel is nonnegative and nonincreasing, to within 1e-12.
 
     Samples on (0, T] (the origin is skipped, where singular kernels have no
     value); the sufficient criterion for complete positivity.  Reports the
@@ -336,8 +336,8 @@ def check_nonneg_nonincreasing(kernel, grid, tol=1e-12):
     """
     t = grid.nodes()[1:]
     vals = np.asarray(kernel(t), dtype=float)
-    neg = vals < -tol
-    inc = np.diff(vals) > tol
+    neg = vals < -1e-12
+    inc = np.diff(vals) > 1e-12
     nonnegative = not bool(np.any(neg))
     nonincreasing = not bool(np.any(inc))
     first = None
@@ -401,7 +401,7 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
         raise ValueError("mu_list must be nonempty")
     if any(m < 0 for m in mu_list):
         raise ValueError("complete positivity is defined over mu >= 0")
-    grid = TimeGrid(float(T), int(N))
+    grid = TimeGrid(float(T), N)
     tol = default_cp_tolerance(grid.h) if tol is None else tol
     probes = []
     t_nodes = grid.nodes()
@@ -417,26 +417,26 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
 # ---------------------------------------------------------------------------
 
 
-def mittag_leffler(alpha, z, max_terms=200):
+def mittag_leffler(alpha, z):
     """One-parameter Mittag-Leffler function by its Taylor series.
 
     Restricted to |z| <= 2; larger arguments would need asymptotic branches
     that are deliberately not implemented.  Raises NumericalFailure when the
-    terms have not become negligible within `max_terms` (small alpha: the
+    terms have not become negligible within 200 terms (small alpha: the
     terms grow like |z|^k / Gamma(alpha k + 1) for many k, and cancellation
     leaves nothing of the sum) or when the sum is not finite.
     """
     if abs(z) > 2.0:
         raise ValueError("series evaluation is restricted to |z| <= 2")
     total = 0.0
-    for k in range(max_terms):
+    for k in range(200):
         term = z**k / math.gamma(alpha * k + 1.0)
         total += term
         if k > 10 and abs(term) < 1e-18 * max(1.0, abs(total)):
             break
     else:
         raise NumericalFailure(
-            f"Mittag-Leffler series E_{alpha:g}({z:g}) did not converge in {max_terms} terms"
+            f"Mittag-Leffler series E_{alpha:g}({z:g}) did not converge in 200 terms"
         )
     if not math.isfinite(total):
         raise NumericalFailure(f"Mittag-Leffler series E_{alpha:g}({z:g}) is not finite")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .grids import TimeGrid
-from .spaces import CovOperator, _readonly, _readonly_fields, as_matrix
+from .spaces import CovOperator, _integer_in, _readonly, _readonly_fields, as_matrix
 
 __all__ = [
     "NoiseSpec",
@@ -46,12 +46,9 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.truncation, int) and 1 <= self.truncation <= self.cov.dim):
-            raise ValueError(
-                f"truncation must lie in [1, {self.cov.dim}], got {self.truncation!r}"
-            )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        truncation = _integer_in(self.truncation, "truncation", 1, self.cov.dim)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "seed", _integer_in(self.seed, "seed", 0, 2**64 - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +110,12 @@ def sample_wiener_batch(spec, grid, path_ids, threads=1):
 
     Path i is the stream of path_ids[i], written into its own slot; each of
     min(threads, os.cpu_count()) workers fills one contiguous range of slots,
-    so the result is the same bit for bit for any thread count.
+    so the result is the same bit for bit for any thread count.  Ids are Python or
+    numpy integers (not bools), checked in bulk.
     """
     path_ids = list(path_ids)
+    if not all(type(p) is int or isinstance(p, np.integer) for p in path_ids):
+        raise ValueError("path ids must be Python or numpy integers")
     if path_ids and not 0 <= min(path_ids) <= max(path_ids) < 2**64:
         raise ValueError(
             f"path ids must lie in [0, 2**64), got {min(path_ids)} to {max(path_ids)}"
@@ -176,7 +176,7 @@ class ConstantDiffusion(DiffusionProcess):
     """Constant integrand."""
 
     def __init__(self, B):
-        self.B = _readonly(as_matrix(B))
+        self.B = as_matrix(B)
 
     def value(self, t):
         return self.B
@@ -202,9 +202,9 @@ class StepDiffusion(DiffusionProcess):
 
     def __init__(self, breakpoints, values):
         bp = _readonly([float(b) for b in breakpoints])
-        if bp.size == 0 or bp[0] != 0.0 or np.any(np.diff(bp) <= 0):
+        if bp.size == 0 or bp[0] != 0.0 or not np.all(np.diff(bp) > 0):  # false for nan
             raise ValueError("breakpoints must start at 0 and increase strictly")
-        mats = [_readonly(as_matrix(v)) for v in values]
+        mats = [as_matrix(v) for v in values]
         if len(mats) != bp.size:
             raise ValueError("need one value per breakpoint")
         if any(m.shape != mats[0].shape for m in mats):
@@ -229,13 +229,14 @@ class RuleDiffusion(DiffusionProcess):
 
     def __init__(self, fn, shape):
         self.fn = fn
-        self._shape = (int(shape[0]), int(shape[1]))
+        rows, cols = shape
+        self._shape = (_integer_in(rows, "rows", 1), _integer_in(cols, "columns", 1))
 
     def value(self, t):
         v = np.asarray(self.fn(t), dtype=float)
         if v.shape != self._shape:
             raise DimensionMismatch("rule value shape", v.shape, self._shape)
-        return v
+        return as_matrix(v)
 
     @property
     def shape(self):

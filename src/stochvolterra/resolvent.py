@@ -190,11 +190,11 @@ class NonscalarKernel(OperatorKernel):
     def value_at_zero(self):
         return self._A0
 
-    def w11_residual(self, T, n=64):
-        """max_t |A(t) - A(0) - integral of the derivative| over n checkpoints."""
+    def w11_residual(self, T):
+        """max_t |A(t) - A(0) - integral of the derivative| over 64 checkpoints in (0, T]."""
         if self.A_dot is None:
             raise SmoothnessError("no derivative rule was supplied")
-        grid = TimeGrid(float(T), int(n))
+        grid = TimeGrid(float(T), 64)
         dot_cells = NonscalarKernel(self.A_dot).cell_weights(grid)
         values = self.values(grid.nodes()[1:])
         return float(np.max(np.abs(values - self._A0 - np.cumsum(dot_cells, axis=0))))

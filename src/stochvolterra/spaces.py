@@ -20,6 +20,15 @@ __all__ = [
 ]
 
 
+def _integer_in(value, name, least, most=np.inf):
+    """value as an int if it is a Python or numpy integer, not a bool, in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= int(value) <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}], got {value}")
+    return int(value)
+
+
 def _readonly(a):
     """A read-only float copy of a, the one way a value object holds an array."""
     a = np.array(a, dtype=float)
@@ -89,13 +98,9 @@ class HSOperator:
 
 
 def as_matrix(B):
-    """Accept an HSOperator or a plain array and return the underlying matrix."""
-    if isinstance(B, HSOperator):
-        return B.matrix
-    m = np.asarray(B, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    return m
+    """The matrix of an HSOperator, or of a plain array made one: a read-only float copy,
+    finite and two-dimensional (ValueError otherwise)."""
+    return B.matrix if isinstance(B, HSOperator) else HSOperator(B).matrix
 
 
 def hs_norm(B, Q):

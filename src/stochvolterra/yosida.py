@@ -19,12 +19,12 @@ from functools import partial
 
 import numpy as np
 
-from .convolution import _MC_TILE, _convolve_paths, _path_blocks
+from .convolution import _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
 from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit, operator_2norm
-from .spaces import _readonly_fields
+from .spaces import _integer_in, _readonly_fields
 
 __all__ = [
     "AccretivityReport",
@@ -48,12 +48,13 @@ class AccretivityReport:
     max_symmetric_eigenvalue: float
 
 
-def accretivity_check(A, tol=1e-12):
+def accretivity_check(A):
+    """Report whether A is dissipative: its symmetric part's top eigenvalue is <= 1e-12."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
     top = float(np.max(np.linalg.eigvalsh(0.5 * (A + A.T))))
-    return AccretivityReport(dissipative=top <= tol, max_symmetric_eigenvalue=top)
+    return AccretivityReport(dissipative=top <= 1e-12, max_symmetric_eigenvalue=top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +88,7 @@ def make_yosida(A, lambdas, force=False):
     """
     A = np.asarray(A, dtype=float)
     lambdas = np.asarray([float(l) for l in lambdas])
-    if lambdas.size == 0 or np.any(lambdas <= 0) or np.any(np.diff(lambdas) >= 0):
+    if lambdas.size == 0 or not (np.all(lambdas > 0) and np.all(np.diff(lambdas) < 0)):
         raise ValueError("lambdas must be positive and strictly decreasing")
     report = accretivity_check(A)
     if not report.dissipative and not force:
@@ -109,7 +110,7 @@ def make_yosida(A, lambdas, force=False):
     # (J - I)/lam loses lam^{-1} * eps to cancellation, so the check scales
     defect = family.identity_defect()
     tol = (1.0 + float(np.max(np.abs(A)))) * (1e-12 + 16 * np.finfo(float).eps / lambdas[-1])
-    if defect > tol:
+    if not defect <= tol:  # also true for nan
         raise NumericalFailure(f"resolvent identity defect {defect} out of tolerance")
     return family
 
@@ -157,6 +158,7 @@ def yosida_convergence_study(
     over nodes of sum / P; only one block is alive, so memory does not grow with P.
     """
     A = np.asarray(A, dtype=float)
+    n_paths = _integer_in(n_paths, "n_paths", 1)
     cp = check_complete_positivity(a, T=grid.T, N=max(grid.N, 256))
     if not cp.consistent:
         warnings.warn(f"kernel hypothesis violated: {cp.verdict}", stacklevel=2)
@@ -180,10 +182,10 @@ def yosida_convergence_study(
     sums = np.zeros((2, family.lambdas.size, grid.N + 1))
     blocks = _path_blocks(spec, grid, n_paths, threads)
     for c in map(partial(_left_point_products, psi, grid), blocks):
-        W_base = _convolve_paths(base.S, c, tile=_MC_TILE)
+        W_base = _convolve_paths(base.S, c)
         AW_base = W_base @ A.T
         for i, tb in enumerate(tables):
-            W_lam = _convolve_paths(tb.S, c, tile=_MC_TILE)
+            W_lam = _convolve_paths(tb.S, c)
             sums[1, i] += _node_sums(W_lam @ family.A_lam[i].T - AW_base)
             W_lam -= W_base
             sums[0, i] += _node_sums(W_lam)
@@ -198,6 +200,6 @@ def yosida_convergence_study(
         e_AW=e_AW,
         bound_M=max(f.M for f in fits),
         bound_w=max(f.w for f in fits),
-        n_paths=int(n_paths),
+        n_paths=n_paths,
         cp_consistent=cp.consistent,
     )

@@ -98,7 +98,7 @@ def test_convolution_starts_at_zero_and_is_deterministic():
 
 
 def test_tiled_batch_convolution_matches_single_paths():
-    # Monte Carlo batches push 16 nodes per product; every row must equal the
+    # a batch pushes grids._TILE = 16 nodes per product; every row must equal the
     # single-path convolution, summed node by node, up to roundoff
     rng = np.random.default_rng(4)
     kern = ScalarTypeKernel(ExponentialKernel(), -np.eye(3) - 0.3 * rng.standard_normal((3, 3)))
@@ -106,7 +106,7 @@ def test_tiled_batch_convolution_matches_single_paths():
     spec = unit_spec(2, seed=17)
     psi = ConstantDiffusion(rng.standard_normal((3, 2)))
     c = _left_point_products(psi, table.grid, sample_wiener_batch(spec, table.grid, range(7)))
-    paths = convolution._convolve_paths(table.S, c, tile=16)
+    paths = convolution._convolve_paths(table.S, c)
     for p in range(7):
         single = stochastic_convolution(table, psi, sample_wiener(spec, table.grid, p)).values
         assert np.max(np.abs(paths[p] - single)) <= 1e-13 * np.max(np.abs(single))

@@ -20,11 +20,11 @@ def double_loop(w, x, out):
 
 
 def lag_sum(w, x, out, tile):
-    """lag_convolve at `tile`, or at tile None the whole sum by `_add_lag_sum_fft`, each
-    path a column of the node-first layout."""
+    """lag_convolve with a batch tile of `tile` nodes, or at tile None the whole sum by
+    `_add_lag_sum_fft`, each path a column of the node-first layout."""
     M = min(out.shape[1], x.shape[1])
     if tile is not None:
-        lag_convolve(w, x, out, tile=tile)
+        with_tile(tile, lambda: lag_convolve(w, x, out))
     elif M:
         _add_lag_sum_fft(w[: out.shape[1]], x[:, :M].transpose(1, 2, 0), out.transpose(1, 2, 0), 0)
 
@@ -37,6 +37,16 @@ def with_block(block, fn):
         fn()
     finally:
         grids._LAG_BLOCK = saved
+
+
+def with_tile(tile, fn):
+    """Run fn with lag_convolve's batch tile set to `tile` input nodes a product."""
+    saved = grids._TILE
+    grids._TILE = tile
+    try:
+        fn()
+    finally:
+        grids._TILE = saved
 
 
 blocks = st.sampled_from([1, 7, 1 << 16])
@@ -79,7 +89,7 @@ def test_lag_convolve_fft_matches_tile_one(a, b, n_out, M, L):
     rng = np.random.default_rng(a * 1000 + b * 100 + n_out)
     w, x = rng.normal(size=(L, a, b)), rng.normal(size=(3, M, b))
     direct, fft = np.zeros((3, n_out, a)), np.zeros((3, n_out, a))
-    lag_convolve(w, x, direct, tile=1)
+    with_tile(1, lambda: lag_convolve(w, x, direct))
     _add_lag_sum_fft(w, x.transpose(1, 2, 0), fft.transpose(1, 2, 0), 0)  # each path a column
     np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
 
@@ -115,8 +125,12 @@ def test_lag_convolve_identity_weights_reproduce_cumsum_bit_for_bit(P, n_out, d,
     x = np.random.default_rng(seed).normal(size=(P, n_out, d))
     w = np.broadcast_to(np.eye(d), (n_out, d, d))
     out = np.zeros((P, n_out, d))
-    with_block(block, lambda: lag_convolve(w, x, out))
+    with_block(block, lambda: with_tile(1, lambda: lag_convolve(w, x, out)))
     np.testing.assert_array_equal(out, np.cumsum(x, axis=1))
+    # a single path takes one node a product at the default tile: the order callers rely on
+    single = np.zeros((1, n_out, d))
+    with_block(block, lambda: lag_convolve(w, x[:1], single))
+    np.testing.assert_array_equal(single, np.cumsum(x[:1], axis=1))
 
 
 def test_lag_convolve_rejects_too_few_lags():

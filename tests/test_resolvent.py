@@ -18,6 +18,7 @@ from stochvolterra import (
     resolvent_residuals,
     spectral_resolvent,
 )
+from stochvolterra import grids
 from stochvolterra.grids import _add_lag_sum_fft, cell_values, lag_convolve
 
 
@@ -139,15 +140,16 @@ def test_second_equation_residual_scales_with_a_growing_table(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["product", "conv"])
-def test_fft_history_sums_match_direct_sums(scheme):
+def test_fft_history_sums_match_direct_sums(scheme, monkeypatch):
     # the residuals' two sums by FFT against the per-node sums in ascending order
     grid = TimeGrid(1.0, 1024)
     table = compute_resolvent(diag5_fractional_kernel(), grid, scheme=scheme)
     S, N = table.S, grid.N
+    monkeypatch.setattr(grids, "_TILE", 1)  # the direct sums one node at a time
     A_vals = table.kernel.values(grid.nodes()[1:]) * grid.h
     for w, x in ((table.cell_weights, cell_values(S, scheme)), (A_vals, S[:N])):
         direct, fft = np.zeros((5, N, 5)), np.zeros((N, 5, 5))
-        lag_convolve(w, x.transpose(2, 0, 1), direct, tile=1)
+        lag_convolve(w, x.transpose(2, 0, 1), direct)
         _add_lag_sum_fft(w, x, fft, 0)  # node-first: each column of S a path
         fft = fft.transpose(2, 0, 1)
         # sums of O(1) size; measured differences 2.4e-15
