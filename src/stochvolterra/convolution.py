@@ -8,9 +8,10 @@ which is adapted by construction.  On tables built with the ``conv`` scheme
 the discrete Dirichlet/Fubini rearrangement is exact for finite sums, so the
 Volterra and weak-form identities hold per path to machine precision; on
 ``product`` tables the same verifiers report a residual that decreases at
-first order in the step.
+first order in the step.  Both read one node defect, `_volterra_defect`: the
+Volterra check its norm, the weak form its pairing with the functional.
 
-Every history sum (path convolution, verifiers' kernel convolutions, Ito drift)
+Every history sum (path convolution, the defect's kernel convolution, Ito drift)
 is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A single
 path is summed in ascending source node, so node 0 is exactly zero and the
 identity table reduces to the elementary Ito sum bit for bit.  The Monte Carlo
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
 from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch, stochastic_integral
-from .spaces import _integer_in, _readonly_fields, as_matrix
+from .resolvent import ScalarTypeKernel
+from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
 
 __all__ = [
     "ConvolutionPath",
@@ -53,11 +55,13 @@ MIN_COVARIANCE_PATHS = 100
 MIN_ITO_PATHS = 2  # a standard error needs two residuals
 
 
-def _check_grids(*grids):
-    first = grids[0]
-    for g in grids[1:]:
-        if g != first:
-            raise GridMismatch(f"incompatible grids: {first} vs {g}")
+def _check_integrand(psi, d, cov, *grids):
+    """psi (integrand or matrix) if the grids agree and its shape is (d, cov.dim); else raise."""
+    if any(g != grids[0] for g in grids):
+        raise GridMismatch(f"incompatible grids: {' vs '.join(map(str, grids))}")
+    if tuple(psi.shape) != (d, cov.dim):
+        raise DimensionMismatch("integrand vs (state, noise) dimensions", psi.shape, (d, cov.dim))
+    return psi
 
 
 def _path_blocks(spec, grid, n_paths, threads):
@@ -148,13 +152,7 @@ def stochastic_convolution(table, psi, inc):
     With the identity table (zero kernel) this reduces exactly to the
     elementary Ito integral of the integrand.
     """
-    _check_grids(table.grid, inc.grid)
-    if psi.shape[0] != table.dim:
-        raise DimensionMismatch("integrand rows vs state dimension", psi.shape, (table.dim,))
-    if psi.shape[1] != inc.spec.cov.dim:
-        raise DimensionMismatch(
-            "integrand columns vs noise dimension", psi.shape, (inc.spec.cov.dim,)
-        )
+    _check_integrand(psi, table.dim, inc.spec.cov, table.grid, inc.grid)
     c = _left_point_products(psi, table.grid, inc.dW[None])
     values = _convolve_paths(table.S, c)[0]
     ms = _isometry_sum(table, psi, inc.spec.cov, inc.modes, table.grid.N)
@@ -173,9 +171,7 @@ def stochastic_convolution(table, psi, inc):
 
 def mild_solution(table, X0, psi, inc):
     """Mild solution path: the resolvent applied to the start plus the convolution."""
-    X0 = np.asarray(X0, dtype=float)
-    if X0.shape != (table.dim,):
-        raise DimensionMismatch("initial value shape", X0.shape, (table.dim,))
+    X0 = _vector(X0, "X0", table.dim)
     conv = stochastic_convolution(table, psi, inc)
     values = np.einsum("nij,j->ni", table.S, X0) + conv.values
     return MildSolutionPath(grid=table.grid, values=values, X0=X0)
@@ -194,11 +190,7 @@ def covariance_quadrature(table, B, Q, t_index):
     t * B Q B'.
     """
     t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
-    Bm = as_matrix(B)
-    if Bm.shape[0] != table.dim:
-        raise DimensionMismatch("operator rows vs state dimension", Bm.shape, (table.dim,))
-    if Bm.shape[1] != Q.dim:
-        raise DimensionMismatch("operator columns vs covariance modes", Bm.shape, (Q.dim,))
+    Bm = _check_integrand(as_matrix(B), table.dim, Q)
     BQBt = (Bm * Q.q) @ Bm.T
     if t_index == 0:
         return np.zeros((table.dim, table.dim))
@@ -238,7 +230,8 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     if not np.array_equal(Q.q, spec.cov.q):
         raise ValueError("Q disagrees with the covariance in the noise spec")
     t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
-    G = _node_weights(table.S, as_matrix(B)[:, : spec.truncation], t_index)
+    Bm = _check_integrand(as_matrix(B), table.dim, spec.cov)
+    G = _node_weights(table.S, Bm[:, : spec.truncation], t_index)
     blocks = _path_blocks(spec, table.grid, n_paths, threads)
     X = np.concatenate(list(map(partial(_convolve_at, G, n=t_index), blocks)))
     mean = X.mean(axis=0)
@@ -273,44 +266,38 @@ class IdentityReport:
         return cls(residuals=res, sup_residual=float(np.max(res)), exact_regime=scheme == "conv")
 
 
+def _volterra_defect(path, W, psi, inc):
+    """(N+1, d) defect X_n - sum_{m<n} W[n-1-m] c_m - I_n of the path X at every node,
+    c its cell values under its scheme and I the Ito integral of psi against inc."""
+    _check_integrand(psi, path.values.shape[1], inc.spec.cov, path.grid, inc.grid)
+    conv = np.zeros_like(path.values)
+    lag_convolve(W, cell_values(path.values, path.scheme)[None], conv[None, 1:])
+    return path.values - conv - stochastic_integral(psi, inc)
+
+
 def verify_volterra_identity(path, kernel, psi, inc):
-    """Residual of the convolution identity: path minus kernel-convolution
-    minus the plain Ito integral, node by node.
+    """Norm of the Volterra defect at every node: path minus kernel-convolution
+    minus the plain Ito integral.
 
     The kernel's cell weights are recomputed here; when they coincide with
     the ones the path's table used and the table scheme is ``conv``, the
     residual is machine zero.  Mismatched weights downgrade the check to a
     first-order-convergent one.
     """
-    _check_grids(path.grid, inc.grid)
-    grid = path.grid
-    W = kernel.cell_weights(grid)
-    conv = np.zeros((grid.N, path.values.shape[1]))
-    lag_convolve(W, cell_values(path.values, path.scheme)[None], conv[None])
-    res = np.linalg.norm(path.values[1:] - conv - stochastic_integral(psi, inc)[1:], axis=1)
-    return IdentityReport.of(np.concatenate([[0.0], res]), path.scheme)
+    defect = _volterra_defect(path, kernel.cell_weights(path.grid), psi, inc)
+    return IdentityReport.of(np.linalg.norm(defect, axis=1), path.scheme)
 
 
 def verify_weak_solution(path, a, A, xi, psi, inc):
-    """Residual of the weak-form identity for scalar-type kernels.
+    """Residual of the weak-form identity for the scalar-type kernel a(t) A.
 
-    Tests the path against a functional: the pairing with xi must equal the
-    scalar-kernel convolution paired with A' xi plus the Ito integral paired
-    with xi.  Any state vector is admissible in finite dimensions.
+    Tests the path against a functional: |<defect, xi>| at every node, the
+    Volterra defect paired with xi (A' xi paired with the kernel convolution).
+    Any state vector is admissible in finite dimensions.
     """
-    _check_grids(path.grid, inc.grid)
-    grid = path.grid
-    A = np.asarray(A, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (path.values.shape[1],):
-        raise DimensionMismatch("functional shape", xi.shape, (path.values.shape[1],))
-    w = a.cell_moments(grid.h, grid.N)
-    c = _left_point_products(psi, grid, inc.dW[None])[0]
-    proj = path.values @ (A.T @ xi)
-    conv = np.zeros((1, grid.N, 1))
-    lag_convolve(w[:, None, None], cell_values(proj, path.scheme)[None, :, None], conv)
-    res = np.abs(path.values[1:] @ xi - conv[0, :, 0] - np.cumsum(c @ xi))
-    return IdentityReport.of(np.concatenate([[0.0], res]), path.scheme)
+    W = ScalarTypeKernel(a, A).cell_weights(path.grid)
+    xi = _vector(xi, "xi", path.values.shape[1])
+    return IdentityReport.of(np.abs(_volterra_defect(path, W, psi, inc) @ xi), path.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +319,7 @@ class ItoTestFunction:
     phi_dot: callable
 
     def __post_init__(self):
-        _readonly_fields(self, "xi0")
+        object.__setattr__(self, "xi0", _vector(self.xi0, "xi0"))
 
     @classmethod
     def constant(cls, xi0):
@@ -373,7 +360,7 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     t = grid.nodes()
     h = grid.h
     A0 = kernel.value_at_zero()
-    Adot = np.array([kernel.derivative(s) for s in t])
+    Adot = kernel.derivative(t)
     phi = np.array([float(xi.phi(s)) for s in t])
     phi_dot = np.array([float(xi.phi_dot(s)) for s in t])
 
@@ -407,9 +394,8 @@ def verify_ito_identity(x_path, kernel, B, xi, inc):
     and the stochastic one the left-point sum.
     """
     _require_w11(kernel)
-    _check_grids(x_path.grid, inc.grid)
+    Bm = _check_integrand(as_matrix(B), x_path.values.shape[1], inc.spec.cov, x_path.grid, inc.grid)
     xi.check_consistency(x_path.grid.T)
-    Bm = as_matrix(B)
     bdw = _left_point_products(ConstantDiffusion(Bm), x_path.grid, inc.dW[None])
     res = _ito_residual_batch(kernel, xi, x_path.grid, x_path.values[None], bdw)[0]
     return ItoIdentityReport(
@@ -445,10 +431,10 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     if n_paths < MIN_ITO_PATHS:
         raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
     _require_w11(table.kernel)
+    psi = _check_integrand(ConstantDiffusion(B), table.dim, spec.cov)
     xi.check_consistency(table.grid.T)
     grid = table.grid
-    psi = ConstantDiffusion(as_matrix(B))
-    start = np.einsum("nij,j->ni", table.S, np.asarray(X0, dtype=float))
+    start = np.einsum("nij,j->ni", table.S, _vector(X0, "X0", table.dim))
     final, p = np.empty(n_paths), 0
     blocks = _path_blocks(spec, grid, n_paths, threads)
     for c in map(partial(_left_point_products, psi, grid), blocks):

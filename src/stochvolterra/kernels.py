@@ -301,6 +301,8 @@ def _relaxation_paths(kernel, mus, grid, scheme):
     """One ScalarResolventPath per mu, all marched as channels, all residuals checked at
     once against 1e-12 (1 + |mu|) max|s|: a growing path's roundoff scales with max|s|."""
     w, mus = kernel.cell_moments(grid.h, grid.N), np.array(mus, dtype=float)
+    if not np.all(np.isfinite(mus)):
+        raise ValueError(f"mu must be finite, got {mus[~np.isfinite(mus)][0]}")
     s = march_channels(w, mus, scheme)
     tols = 1e-12 * (1.0 + np.abs(mus)) * np.max(np.abs(s), axis=0)
     for mu, res, tol in zip(mus, _residuals(w, mus, s, scheme), tols):
@@ -399,10 +401,12 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
     mu_list = [float(m) for m in (DEFAULT_MU_GRID if mu_list is None else mu_list)]
     if not mu_list:
         raise ValueError("mu_list must be nonempty")
-    if any(m < 0 for m in mu_list):
-        raise ValueError("complete positivity is defined over mu >= 0")
+    if not all(0.0 <= m < np.inf for m in mu_list):  # false for nan
+        raise ValueError(f"complete positivity is defined over finite mu >= 0, got {mu_list}")
     grid = TimeGrid(float(T), N)
-    tol = default_cp_tolerance(grid.h) if tol is None else tol
+    tol = default_cp_tolerance(grid.h) if tol is None else float(tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     probes = []
     t_nodes = grid.nodes()
     for path in _relaxation_paths(kernel, mu_list, grid, "product"):

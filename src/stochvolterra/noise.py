@@ -110,8 +110,8 @@ def sample_wiener_batch(spec, grid, path_ids, threads=1):
 
     Path i is the stream of path_ids[i], written into its own slot; each of
     min(threads, os.cpu_count()) workers fills one contiguous range of slots,
-    so the result is the same bit for bit for any thread count.  Ids are Python or
-    numpy integers (not bools), checked in bulk.
+    so the result is the same bit for bit for any thread count.  Ids and the positive
+    thread count are Python or numpy integers (not bools); the ids are checked in bulk.
     """
     path_ids = list(path_ids)
     if not all(type(p) is int or isinstance(p, np.integer) for p in path_ids):
@@ -121,7 +121,7 @@ def sample_wiener_batch(spec, grid, path_ids, threads=1):
             f"path ids must lie in [0, 2**64), got {min(path_ids)} to {max(path_ids)}"
         )
     out = np.empty((len(path_ids), spec.truncation, grid.N))
-    workers = max(1, min(threads, len(path_ids), os.cpu_count() or 1))
+    workers = max(1, min(_integer_in(threads, "threads", 1), len(path_ids), os.cpu_count() or 1))
     if workers > 1:
         cuts = [len(path_ids) * w // workers for w in range(workers + 1)]
         jobs = [(out[a:b], spec.seed, path_ids[a:b]) for a, b in zip(cuts, cuts[1:])]

@@ -8,7 +8,8 @@ resolvent equation
 together with its running integral U(t_n).  Tables are built by marching a
 discrete convolution; the kernel enters through one weight matrix per grid
 cell, which is exact for scalar-type kernels (cell moments of a times the
-operator) and Gauss-quadrature-exact for smooth nonscalar kernels.
+operator) and Gauss-quadrature-exact for smooth nonscalar kernels (one `value`
+call on all 6N Gauss nodes: kernels answer for arrays of times, t.shape + (d, d)).
 
 Schemes
 -------
@@ -36,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, SmoothnessError
+from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
 from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
 from .grids import march, march_channels
 from .kernels import ScalarKernel
-from .spaces import _readonly, _readonly_fields
+from .spaces import _readonly_fields, _square
 
 __all__ = [
     "OperatorKernel",
@@ -77,11 +78,7 @@ class OperatorKernel(ABC):
 
     @abstractmethod
     def value(self, t):
-        """A(t) as a matrix, t > 0 (t = 0 only when the kernel is regular there)."""
-
-    def values(self, t):
-        """(len(t), d, d) stack of A at the times t, one `value` call per time."""
-        return np.array([self.value(s) for s in t])
+        """A(t) as a t.shape + (d, d) array, as is `derivative`; t = 0 only where A is regular."""
 
     @property
     def smoothness(self):
@@ -102,13 +99,8 @@ class ScalarTypeKernel(OperatorKernel):
     """A(t) = a(t) * A for a scalar kernel a and a fixed matrix A."""
 
     def __init__(self, a: ScalarKernel, A):
-        A = _readonly(A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("A must have finite entries")
         self.a = a
-        self.A = A
+        self.A = _square(A, "A")
 
     @property
     def dim(self):
@@ -119,17 +111,14 @@ class ScalarTypeKernel(OperatorKernel):
         return w[:, None, None] * self.A
 
     def value(self, t):
-        return float(self.a(t)) * self.A
-
-    def values(self, t):
-        return np.asarray(self.a(t), dtype=float)[:, None, None] * self.A
+        return np.multiply.outer(self.a(t), self.A)
 
     @property
     def smoothness(self):
         return "W11" if self.a.differentiable else "L1loc"
 
     def derivative(self, t):
-        return float(self.a.deriv(t)) * self.A
+        return np.multiply.outer(self.a.deriv(t), self.A)
 
     def value_at_zero(self):
         if self.a.singular_at_zero:
@@ -153,30 +142,26 @@ class NonscalarKernel(OperatorKernel):
     def __init__(self, A_of_t, A_dot=None, A_at_zero=None):
         self.A_of_t = A_of_t
         self.A_dot = A_dot
-        A0 = _readonly(A_of_t(0.0) if A_at_zero is None else A_at_zero)
-        if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
-            raise ValueError(f"kernel values must be square matrices, got shape {A0.shape}")
-        self._A0 = A0
-        self._dim = A0.shape[0]
+        self._A0 = _square(A_of_t(0.0) if A_at_zero is None else A_at_zero, "A(0)")
         self._explicit_zero = A_at_zero is not None
 
     @property
     def dim(self):
-        return self._dim
+        return self._A0.shape[0]
+
+    def _at(self, rule, t):
+        """The user rule at each time of t, one call a time: a t.shape + (d, d) array."""
+        t, shape = np.asarray(t, dtype=float), self._A0.shape
+        values = [np.asarray(rule(s), dtype=float) for s in t.flat]
+        if any(v.shape != shape for v in values):
+            raise DimensionMismatch("kernel values vs A(0)", {v.shape for v in values}, shape)
+        return np.array(values).reshape(t.shape + shape)
 
     def cell_weights(self, grid):
-        h = grid.h
-        d = self._dim
-        W = np.zeros((grid.N, d, d))
-        half = 0.5 * h
-        for j in range(grid.N):
-            mid = (j + 0.5) * h
-            for x, wt in zip(_GL_NODES, _GL_WEIGHTS):
-                W[j] += (half * wt) * np.asarray(self.A_of_t(mid + half * x), dtype=float)
-        return W
+        return _gauss_cells(self.value, grid)
 
     def value(self, t):
-        return np.asarray(self.A_of_t(t), dtype=float)
+        return self._at(self.A_of_t, t)
 
     @property
     def smoothness(self):
@@ -185,22 +170,27 @@ class NonscalarKernel(OperatorKernel):
     def derivative(self, t):
         if self.A_dot is None:
             raise SmoothnessError("no derivative rule was supplied")
-        return np.asarray(self.A_dot(t), dtype=float)
+        return self._at(self.A_dot, t)
 
     def value_at_zero(self):
         return self._A0
 
     def w11_residual(self, T):
         """max_t |A(t) - A(0) - integral of the derivative| over 64 checkpoints in (0, T]."""
-        if self.A_dot is None:
-            raise SmoothnessError("no derivative rule was supplied")
         grid = TimeGrid(float(T), 64)
-        dot_cells = NonscalarKernel(self.A_dot).cell_weights(grid)
-        values = self.values(grid.nodes()[1:])
+        dot_cells = _gauss_cells(self.derivative, grid)  # SmoothnessError without A_dot
+        values = self.value(grid.nodes()[1:])
         return float(np.max(np.abs(values - self._A0 - np.cumsum(dot_cells, axis=0))))
 
     def label(self):
         return f"nonscalar[{self.dim}x{self.dim}]"
+
+
+def _gauss_cells(f, grid):
+    """(N, d, d) 6-point Gauss cell integrals of f, one call on all 6N times; terms in order."""
+    half = 0.5 * grid.h
+    t = ((np.arange(grid.N) + 0.5) * grid.h)[:, None] + half * _GL_NODES
+    return sum(np.moveaxis((half * _GL_WEIGHTS)[:, None, None] * f(t), 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +280,7 @@ def resolvent_residuals(table):
     grid, S, W = table.grid, table.S, table.cell_weights
     N, d = grid.N, table.dim
     # lag k of the first equation's sum is A(t_{k+1}) h
-    A_vals = table.kernel.values(grid.nodes()[1:])
+    A_vals = table.kernel.value(grid.nodes()[1:])
     # each column of S is one sum's input; conv[n-1] is the sum at node n
     conv1, conv2 = np.zeros((2, N, d, d))
     _add_lag_sum_fft(W, cell_values(S, table.scheme), conv2, 0)
@@ -310,9 +300,7 @@ def spectral_resolvent(a, A, grid, scheme="product"):
     Positive eigenvalues are accepted but flagged: the corresponding channel
     coefficients fall outside the complete-positivity regime.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
+    A = _square(A, "A")
     if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(A)))):
         raise ValueError("A must be symmetric for the spectral construction")
     lam, V = np.linalg.eigh(0.5 * (A + A.T))

@@ -103,6 +103,24 @@ def as_matrix(B):
     return B.matrix if isinstance(B, HSOperator) else HSOperator(B).matrix
 
 
+def _square(A, name):
+    """`as_matrix(A)`, which must be square (ValueError naming it otherwise)."""
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def _vector(x, name, d=None):
+    """A read-only float copy of the vector x, finite and of length d when d is given."""
+    x = _readonly(x)
+    if x.ndim != 1 or d not in (None, x.size):
+        raise DimensionMismatch(f"{name} shape", x.shape, (d,))
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must have finite entries")
+    return x
+
+
 def hs_norm(B, Q):
     """Hilbert-Schmidt norm of B with respect to the covariance Q.
 

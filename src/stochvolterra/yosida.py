@@ -19,12 +19,12 @@ from functools import partial
 
 import numpy as np
 
-from .convolution import _convolve_paths, _path_blocks
+from .convolution import _check_integrand, _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
 from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit, operator_2norm
-from .spaces import _integer_in, _readonly_fields
+from .spaces import _integer_in, _readonly_fields, _square
 
 __all__ = [
     "AccretivityReport",
@@ -50,9 +50,7 @@ class AccretivityReport:
 
 def accretivity_check(A):
     """Report whether A is dissipative: its symmetric part's top eigenvalue is <= 1e-12."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
+    A = _square(A, "A")
     top = float(np.max(np.linalg.eigvalsh(0.5 * (A + A.T))))
     return AccretivityReport(dissipative=top <= 1e-12, max_symmetric_eigenvalue=top)
 
@@ -86,7 +84,7 @@ def make_yosida(A, lambdas, force=False):
     positive and strictly decreasing.  Fails naming the offending lam if a
     regularized matrix is singular (impossible in the dissipative case).
     """
-    A = np.asarray(A, dtype=float)
+    A = _square(A, "A")
     lambdas = np.asarray([float(l) for l in lambdas])
     if lambdas.size == 0 or not (np.all(lambdas > 0) and np.all(np.diff(lambdas) < 0)):
         raise ValueError("lambdas must be positive and strictly decreasing")
@@ -157,7 +155,8 @@ def yosida_convergence_study(
     |W_lam - W_base|^2 and |A_lam W_lam - A W_base|^2 over paths, and e = max
     over nodes of sum / P; only one block is alive, so memory does not grow with P.
     """
-    A = np.asarray(A, dtype=float)
+    A = _square(A, "A")
+    _check_integrand(psi, A.shape[0], spec.cov)
     n_paths = _integer_in(n_paths, "n_paths", 1)
     cp = check_complete_positivity(a, T=grid.T, N=max(grid.N, 256))
     if not cp.consistent:

@@ -444,6 +444,27 @@ def test_weak_solution_zero_integrand():
     assert verify_weak_solution(path, a, np.array([[-1.0]]), np.ones(1), psi, inc).sup_residual == 0.0
 
 
+def test_weak_and_volterra_residuals_come_from_one_defect():
+    # the weak residual is |<defect, xi>| and the Volterra one |defect|, node by
+    # node, with the defect of the scalar-type kernel's cell weights
+    rng = np.random.default_rng(5)
+    A = np.array([[-1.0, 0.3], [0.2, -2.0]])
+    a = FractionalKernel(0.5)
+    kernel = ScalarTypeKernel(a, A)
+    for scheme in ("product", "conv"):
+        table = compute_resolvent(kernel, TimeGrid(1.0, 32), scheme=scheme)
+        psi = ConstantDiffusion(rng.standard_normal((2, 2)))
+        inc = sample_wiener(unit_spec(2, seed=9), table.grid, path_id=4)
+        path = stochastic_convolution(table, psi, inc)
+        xi = rng.standard_normal(2)
+        defect = convolution._volterra_defect(path, kernel.cell_weights(table.grid), psi, inc)
+        weak = verify_weak_solution(path, a, A, xi, psi, inc)
+        volterra = verify_volterra_identity(path, kernel, psi, inc)
+        assert weak.residuals.tobytes() == np.abs(defect @ xi).tobytes()
+        assert volterra.residuals.tobytes() == np.linalg.norm(defect, axis=1).tobytes()
+        assert weak.residuals[0] == volterra.residuals[0] == 0.0
+
+
 # --- the integration-by-parts identity ---------------------------------------------
 
 
@@ -529,6 +550,22 @@ def test_ito_statistics_needs_two_paths(n_paths):
     xi = ItoTestFunction.constant(np.ones(1))
     with pytest.raises(ValueError, match="at least 2 paths"):
         ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=1), n_paths)
+
+
+def test_ito_statistics_take_the_derivative_in_one_call_per_block(monkeypatch):
+    calls = []
+    original = ScalarTypeKernel.derivative
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return original(self, t)
+
+    monkeypatch.setattr(ScalarTypeKernel, "derivative", counted)
+    kern = ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0]]))
+    table = compute_resolvent(kern, TimeGrid(1.0, 16))
+    xi = ItoTestFunction.constant(np.ones(1))
+    ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=1), 8)
+    assert calls == [(17,)]
 
 
 def ito_residual_per_node(kernel, xi, grid, X, bdw):

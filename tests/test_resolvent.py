@@ -3,6 +3,7 @@ import pytest
 
 from stochvolterra import (
     ConstantKernel,
+    DimensionMismatch,
     ExponentialKernel,
     FractionalKernel,
     LinearKernel,
@@ -146,7 +147,7 @@ def test_fft_history_sums_match_direct_sums(scheme, monkeypatch):
     table = compute_resolvent(diag5_fractional_kernel(), grid, scheme=scheme)
     S, N = table.S, grid.N
     monkeypatch.setattr(grids, "_TILE", 1)  # the direct sums one node at a time
-    A_vals = table.kernel.values(grid.nodes()[1:]) * grid.h
+    A_vals = table.kernel.value(grid.nodes()[1:]) * grid.h
     for w, x in ((table.cell_weights, cell_values(S, scheme)), (A_vals, S[:N])):
         direct, fft = np.zeros((5, N, 5)), np.zeros((N, 5, 5))
         lag_convolve(w, x.transpose(2, 0, 1), direct)
@@ -181,9 +182,64 @@ def test_kernel_values_match_per_node_values(a):
     t = TimeGrid(1.3, 50).nodes()[1:]
     kern = ScalarTypeKernel(a, A)
     per_node = np.array([kern.value(s) for s in t])
-    np.testing.assert_allclose(kern.values(t), per_node, rtol=4e-16, atol=0.0)
+    np.testing.assert_allclose(kern.value(t), per_node, rtol=4e-16, atol=0.0)
     nonscalar = NonscalarKernel(lambda s: a(s) * A, A_at_zero=A)
-    np.testing.assert_array_equal(nonscalar.values(t), per_node)
+    np.testing.assert_array_equal(nonscalar.value(t), per_node)
+
+
+def test_kernels_answer_for_arrays_of_times():
+    # value and derivative on any array of times: t.shape + (d, d), equal to the
+    # matrices of one time at a time
+    A = np.array([[-1.0, 0.4], [0.2, -3.0]])
+    M = np.array([[0.0, 1.0], [-1.0, 0.5]])
+    t = TimeGrid(2.0, 12).nodes()[1:].reshape(3, 4)
+    kernels = [
+        ScalarTypeKernel(ExponentialKernel(2.0, 0.5), A),
+        NonscalarKernel(lambda s: A + np.sin(s) * M, lambda s: np.cos(s) * M, A),
+    ]
+    for kern in kernels:
+        for f in (kern.value, kern.derivative):
+            stack = f(t)
+            assert stack.shape == (3, 4, 2, 2)
+            assert f(0.5).shape == (2, 2)
+            np.testing.assert_array_equal(stack, [[f(s) for s in row] for row in t])
+
+
+@pytest.mark.parametrize("bad", [np.ones(4), np.ones((1, 4)), np.ones((1, 1))])
+def test_nonscalar_rule_values_must_have_the_shape_of_a_at_zero(bad):
+    # a flat or 1x1 value would otherwise be reshaped or broadcast into a matrix
+    kern = NonscalarKernel(lambda t: -np.eye(2) if t == 0.0 else bad)
+    with pytest.raises(DimensionMismatch):
+        kern.cell_weights(TimeGrid(1.0, 4))
+    with pytest.raises(DimensionMismatch):
+        kern.value(np.array([0.5, 1.0]))
+    assert kern.value(np.empty((0, 3))).shape == (0, 3, 2, 2)
+
+
+def test_nonscalar_cell_weights_are_the_gauss_sums_cell_by_cell():
+    A0 = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    kern = NonscalarKernel(lambda s: A0 * np.exp(-s) + s * s * np.eye(2))
+    grid = TimeGrid(1.5, 7)
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    half = 0.5 * grid.h
+    expected = np.zeros((grid.N, 2, 2))
+    for j in range(grid.N):
+        for x, wt in zip(nodes, weights):
+            expected[j] += (half * wt) * kern.A_of_t((j + 0.5) * grid.h + half * x)
+    np.testing.assert_array_equal(kern.cell_weights(grid), expected)
+
+
+def test_w11_residual_evaluates_the_derivative_inside_the_cells_only():
+    # the derivative rule is never called at t = 0, where this one is undefined
+    M = np.array([[-1.0, 0.0], [0.5, -2.0]])
+
+    def rule(t):
+        if t <= 0.0:
+            raise ZeroDivisionError("derivative undefined at 0")
+        return 1.5 * np.sqrt(t) * M
+
+    kern = NonscalarKernel(lambda t: t**1.5 * M, A_dot=rule, A_at_zero=np.zeros((2, 2)))
+    assert kern.w11_residual(1.0) < 1e-4
 
 
 @pytest.mark.parametrize("make", [ou_kernel, diag5_kernel])
