@@ -331,7 +331,7 @@ class ItoTestFunction:
         delta = 1e-6
         for t in np.linspace(0.0, T - delta, 5):
             fd, dot = (self.phi(t + delta) - self.phi(t)) / delta, self.phi_dot(t)
-            if abs(fd - dot) > 1e-4 * max(1.0, abs(dot)):
+            if not abs(fd - dot) <= 1e-4 * max(1.0, abs(dot)):  # also true for nan
                 raise ValueError(
                     f"phi_dot is inconsistent with phi at t={t:g}: "
                     f"finite difference {fd:g} vs {dot:g}"
@@ -347,12 +347,16 @@ class ItoIdentityReport:
     sup_abs_residual: float
 
 
-def _require_w11(kernel):
+def _check_ito_inputs(kernel, xi, d):
+    """Raise unless the kernel is W11 and both it and xi.xi0 have the state dimension d."""
     if kernel.smoothness != "W11":
         raise SmoothnessError(
             "the Ito identity needs the kernel's time derivative; construct the "
             "kernel with a derivative rule and a value at zero (W11 smoothness)"
         )
+    if kernel.dim != d:
+        raise DimensionMismatch("kernel vs state dimension", kernel.dim, d)
+    _vector(xi.xi0, "xi0", d)
 
 
 def _ito_residual_batch(kernel, xi, grid, X, bdw):
@@ -363,6 +367,8 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     Adot = kernel.derivative(t)
     phi = np.array([float(xi.phi(s)) for s in t])
     phi_dot = np.array([float(xi.phi_dot(s)) for s in t])
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(phi_dot))):
+        raise ValueError("phi and phi_dot must be finite on the grid")
 
     # inner convolution (dA/dt * X) by the trapezoid rule at every node, paired
     # with xi0 first: lag weights h * dA/dt' xi0, halved at lag 0 and on X[:, 0]
@@ -393,8 +399,9 @@ def verify_ito_identity(x_path, kernel, B, xi, inc):
     identity's hypothesis); deterministic integrals use the trapezoid rule
     and the stochastic one the left-point sum.
     """
-    _require_w11(kernel)
-    Bm = _check_integrand(as_matrix(B), x_path.values.shape[1], inc.spec.cov, x_path.grid, inc.grid)
+    d = x_path.values.shape[1]
+    _check_ito_inputs(kernel, xi, d)
+    Bm = _check_integrand(as_matrix(B), d, inc.spec.cov, x_path.grid, inc.grid)
     xi.check_consistency(x_path.grid.T)
     bdw = _left_point_products(ConstantDiffusion(Bm), x_path.grid, inc.dW[None])
     res = _ito_residual_batch(kernel, xi, x_path.grid, x_path.values[None], bdw)[0]
@@ -430,7 +437,7 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     n_paths = _integer_in(n_paths, "n_paths", 0)
     if n_paths < MIN_ITO_PATHS:
         raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
-    _require_w11(table.kernel)
+    _check_ito_inputs(table.kernel, xi, table.dim)
     psi = _check_integrand(ConstantDiffusion(B), table.dim, spec.cov)
     xi.check_consistency(table.grid.T)
     grid = table.grid

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
 from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
-from .grids import march, march_channels
+from .grids import implicit_share, march, march_channels
 from .kernels import ScalarKernel
 from .spaces import _readonly_fields, _square
 
@@ -251,10 +251,17 @@ def compute_resolvent(kernel, grid, scheme="product"):
     """Build the resolvent table of the kernel on the grid by `grids.march`.
 
     With the zero kernel the table is identically the identity under either scheme.
+    For a scalar-type kernel with exactly symmetric A, NumericalFailure when the step
+    matrix I - theta W[0] has an eigenvalue <= 0 (the rule `march_channels` applies):
+    its steps would alternate in sign instead of growing.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
     W = kernel.cell_weights(grid)
+    if isinstance(kernel, ScalarTypeKernel) and np.array_equal(kernel.A, kernel.A.T):
+        least = np.linalg.eigvalsh(np.eye(kernel.dim) - implicit_share(scheme) * W[0])[0]
+        if not least > 0.0:  # also true for nan
+            raise NumericalFailure(f"step matrix has the nonpositive eigenvalue {least}")
     return _table(grid, march(W, scheme), kernel, scheme, W)
 
 
@@ -346,12 +353,15 @@ def exponential_bound_fit(table):
     (and never below one, which S(0) = I forces anyway); NumericalFailure when
     a few ulps of M do not suffice (exp(w t) underflowing).
     """
-    if table.grid.N < MIN_BOUND_FIT_CELLS:
+    return _bound_fit(table.grid.nodes(), operator_2norm(table.S))
+
+
+def _bound_fit(t, eta):
+    """`exponential_bound_fit` of the norms eta at the grid nodes t."""
+    if t.size - 1 < MIN_BOUND_FIT_CELLS:
         raise ValueError(f"need at least {MIN_BOUND_FIT_CELLS} cells for a meaningful fit")
-    t = table.grid.nodes()
-    eta = operator_2norm(table.S)
     log_eta = np.log(np.maximum(eta, 1e-300))
-    half = table.grid.N // 2
+    half = (t.size - 1) // 2
     design = np.vstack([t[half:], np.ones(t.size - half)]).T
     (w, log_M), *_ = np.linalg.lstsq(design, log_eta[half:], rcond=None)
     M = float(max(np.exp(log_M), np.max(eta * np.exp(-w * t)), 1.0))

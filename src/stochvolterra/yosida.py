@@ -11,6 +11,15 @@ A_lam on the same grid and weights as the base family, so the reported gaps
 isolate the regularization error, and couples all stochastic columns through
 common noise per path (independent noise would swamp the signal and must not
 be used).
+
+The study takes one of two routes, with the same checks and the same results up to
+roundoff.  An exactly symmetric A (`np.array_equal(A, A.T)`, no tolerance) runs in its
+eigenchannels: A and every A_lam share A's eigenvectors, so one `march_channels` call
+solves every table, norms are the channels' own, and per channel one product with a
+block-Toeplitz strip of its gap tables takes every lam's path gaps, about 2 d P N^2
+multiply-adds per lam (the strip's zero triangle included).  Any other A convolves each
+block with L + 1 full d x d tables, about P N^2 d^2 / 2 multiply-adds per table, then
+applies A and A_lam and subtracts.
 """
 
 import warnings
@@ -21,9 +30,11 @@ import numpy as np
 
 from .convolution import _check_integrand, _convolve_paths, _path_blocks
 from .errors import NumericalFailure
+from .grids import _toeplitz_strip, march_channels
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
-from .resolvent import ScalarTypeKernel, compute_resolvent, exponential_bound_fit, operator_2norm
+from .resolvent import ScalarTypeKernel, _bound_fit, compute_resolvent, exponential_bound_fit
+from .resolvent import operator_2norm
 from .spaces import _integer_in, _readonly_fields, _square
 
 __all__ = [
@@ -154,6 +165,7 @@ def yosida_convergence_study(
     the same block (common noise).  Per lam and node the study sums
     |W_lam - W_base|^2 and |A_lam W_lam - A W_base|^2 over paths, and e = max
     over nodes of sum / P; only one block is alive, so memory does not grow with P.
+    An exactly symmetric A takes the channel route, any other A the matrix route.
     """
     A = _square(A, "A")
     _check_integrand(psi, A.shape[0], spec.cov)
@@ -169,29 +181,11 @@ def yosida_convergence_study(
             stacklevel=2,
         )
     family = make_yosida(A, lambdas, force=True)
-    base = compute_resolvent(ScalarTypeKernel(a, A), grid, scheme=scheme)
-    tables = [
-        compute_resolvent(ScalarTypeKernel(a, Al), grid, scheme=scheme)
-        for Al in family.A_lam
-    ]
-
-    e_S = np.array([np.max(operator_2norm(tb.S - base.S)) for tb in tables])
-
-    # common noise: each block of increments is reused for the base and every lam
-    sums = np.zeros((2, family.lambdas.size, grid.N + 1))
     blocks = _path_blocks(spec, grid, n_paths, threads)
-    for c in map(partial(_left_point_products, psi, grid), blocks):
-        W_base = _convolve_paths(base.S, c)
-        AW_base = W_base @ A.T
-        for i, tb in enumerate(tables):
-            W_lam = _convolve_paths(tb.S, c)
-            sums[1, i] += _node_sums(W_lam @ family.A_lam[i].T - AW_base)
-            W_lam -= W_base
-            sums[0, i] += _node_sums(W_lam)
-            del W_lam  # free before the next table's convolution allocates its own
+    products = map(partial(_left_point_products, psi, grid), blocks)
+    route = _channel_route if np.array_equal(A, A.T) else _matrix_route
+    e_S, sums, fits = route(a, family, grid, scheme, products)
     e_W, e_AW = np.max(sums / n_paths, axis=2)
-
-    fits = [exponential_bound_fit(tb) for tb in tables + [base]]
     return YosidaStudy(
         lambdas=family.lambdas,
         e_S=e_S,
@@ -202,3 +196,57 @@ def yosida_convergence_study(
         n_paths=n_paths,
         cp_consistent=cp.consistent,
     )
+
+
+def _matrix_route(a, family, grid, scheme, products):
+    """e_S, the (2, L, N+1) path sums of |W_lam - W|^2 and |A_lam W_lam - A W|^2, and
+    the bound fits of the L + 1 tables, each a d x d `compute_resolvent` table
+    convolved with every block: about P N^2 d^2 / 2 multiply-adds a table."""
+    base = compute_resolvent(ScalarTypeKernel(a, family.A), grid, scheme=scheme)
+    tables = [
+        compute_resolvent(ScalarTypeKernel(a, Al), grid, scheme=scheme)
+        for Al in family.A_lam
+    ]
+    e_S = np.array([np.max(operator_2norm(tb.S - base.S)) for tb in tables])
+    sums = np.zeros((2, family.lambdas.size, grid.N + 1))
+    for c in products:
+        W_base = _convolve_paths(base.S, c)
+        AW_base = W_base @ family.A.T
+        for i, tb in enumerate(tables):
+            W_lam = _convolve_paths(tb.S, c)
+            sums[1, i] += _node_sums(W_lam @ family.A_lam[i].T - AW_base)
+            W_lam -= W_base
+            sums[0, i] += _node_sums(W_lam)
+            del W_lam  # free before the next table's convolution allocates its own
+    return e_S, sums, [exponential_bound_fit(tb) for tb in tables + [base]]
+
+
+def _channel_route(a, family, grid, scheme, products):
+    """`_matrix_route` for a symmetric A = V diag(mu) V', in A's eigenchannels.
+
+    Every A_lam is V diag(mu / (1 - lam mu)) V', so every table is V diag(s) V' and one
+    `march_channels` call gives all channels s on the cell moments the tables use.  V
+    is orthogonal, so the norms are the channels' own: |S_lam - S| = max_k |s_lam,k -
+    s_k|, and per path and node |W_lam - W|^2 sums over k the squared lag sums of the
+    gap s_lam,k - s_k against channel k of the rotated block c V (|A_lam W_lam - A W|^2
+    likewise, with the gap mu_lam s_lam - mu s).  Each channel takes two products of
+    its (P, N) increments with the block-Toeplitz strip of its L gaps, one for e_W and
+    one for e_AW: about 2 d P N^2 L multiply-adds in all, against P N^2 d^2 / 2 a table.
+    """
+    mu, V = np.linalg.eigh(family.A)
+    mus = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])  # (L + 1, d)
+    w = a.cell_moments(grid.h, grid.N)
+    s = march_channels(w, -mus.ravel(), scheme).reshape((grid.N + 1,) + mus.shape)
+    gaps = np.stack([s[:, 1:] - s[:, :1], mus[1:] * s[:, 1:] - mus[0] * s[:, :1]])
+    e_S = np.max(np.abs(gaps[0]), axis=(0, 2))
+    # strips[j, k] is (N L, N): row block n - 1 holds lag n - m of gap j, channel k, at column m
+    strips = _toeplitz_strip(np.moveaxis(gaps[:, 1:], -1, 1)[..., None], grid.N, grid.N)
+    sums = np.zeros((2, grid.N, family.lambdas.size))
+    for c in products:
+        y = np.ascontiguousarray(np.moveaxis(c @ V, -1, 0))  # (d, P, N)
+        for j, k in np.ndindex(strips.shape[:2]):
+            out = y[k] @ strips[j, k].T
+            out **= 2
+            sums[j] += out.sum(axis=0).reshape(grid.N, -1)
+    t, eta = grid.nodes(), np.max(np.abs(s), axis=2)
+    return e_S, sums.swapaxes(1, 2), [_bound_fit(t, eta[:, i]) for i in range(mus.shape[0])]

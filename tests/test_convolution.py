@@ -499,6 +499,32 @@ def test_ito_test_function_consistency_guard():
         bad.check_consistency(1.0)
 
 
+@pytest.mark.parametrize("which", ["phi", "phi_dot"])
+def test_ito_test_function_must_be_finite(which):
+    # a nan profile once passed the check and gave mean = nan
+    rules = {"phi": math.exp, "phi_dot": math.exp, which: lambda t: math.nan}
+    xi = ItoTestFunction(np.ones(1), **rules)
+    with pytest.raises(ValueError, match="inconsistent"):
+        xi.check_consistency(1.0)
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), [[-1.0]]), TimeGrid(1.0, 16))
+    with pytest.raises(ValueError):
+        ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=2), 4)
+
+
+@pytest.mark.parametrize("which", ["phi", "phi_dot"])
+def test_ito_identity_needs_a_finite_profile_on_the_grid(which):
+    # nan at the node t = 1/2 only, which the five consistency probes miss
+    grid = TimeGrid(1.0, 16)
+    rules = {"phi": lambda t: 1.0, "phi_dot": lambda t: 0.0}
+    finite = rules[which]
+    rules[which] = lambda t: math.nan if t == 0.5 else finite(t)
+    xi = ItoTestFunction(np.ones(1), **rules)
+    xi.check_consistency(1.0)
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), [[-1.0]]), grid)
+    with pytest.raises(ValueError, match="finite on the grid"):
+        ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=2), 4)
+
+
 def test_ito_test_function_consistency_is_relative_for_large_derivatives():
     # a forward difference of exp errs by about exp(t) delta / 2: 2e-4 at t = 6
     exact = ItoTestFunction(np.ones(1), phi=math.exp, phi_dot=math.exp)

@@ -101,6 +101,14 @@ def test_singular_step_matrix():
         compute_resolvent(kern, grid, scheme="conv")
 
 
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_symmetric_step_matrix_with_a_nonpositive_eigenvalue_is_refused(scheme):
+    # e^(50 t) once came back as 1, -1.94, 3.77, ...: a step factor (1 + 25 h)/(1 - 25 h) < 0
+    kern = ScalarTypeKernel(ConstantKernel(1.0), [[50.0]])
+    with pytest.raises(NumericalFailure, match="nonpositive eigenvalue"):
+        compute_resolvent(kern, TimeGrid(1.0, 8), scheme=scheme)
+
+
 def test_rejects_unknown_scheme_and_tiny_grid():
     with pytest.raises(ValueError):
         compute_resolvent(ou_kernel(), TimeGrid(1.0, 16), scheme="magic")

@@ -8,6 +8,7 @@ state vectors of the wrong shape raise DimensionMismatch or ValueError.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,6 +302,26 @@ def test_ito_identity_rejects_an_integrand_of_the_wrong_shape():
     for shape in ((2, 3), (2, 1)):
         with pytest.raises(DimensionMismatch):
             verify_ito_identity(x_path, table.kernel, np.ones(shape), xi, inc)
+
+
+def test_ito_entries_reject_a_test_vector_or_kernel_of_another_dimension():
+    # a 1-d xi0 against a 2-d state once reached numpy's matmul and its raw ValueError
+    table, spec = table_2d("product"), spec_with(2)
+    inc = sample_wiener(spec, table.grid)
+    x_path = mild_solution(table, [1.0, 0.0], ConstantDiffusion(np.eye(2)), inc)
+    short = ItoTestFunction.constant([1.0])
+    with pytest.raises(DimensionMismatch, match="xi0"):
+        ito_identity_statistics(table, np.eye(2), short, [0.0, 0.0], spec, 4)
+    with pytest.raises(DimensionMismatch, match="xi0"):
+        verify_ito_identity(x_path, table.kernel, np.eye(2), short, inc)
+    xi = ItoTestFunction.constant([1.0, 0.5])
+    kernel_1d = ScalarTypeKernel(ExponentialKernel(), [[-1.0]])
+    with pytest.raises(DimensionMismatch, match="kernel"):
+        ito_identity_statistics(
+            replace(table, kernel=kernel_1d), np.eye(2), xi, [0.0, 0.0], spec, 4
+        )
+    with pytest.raises(DimensionMismatch, match="kernel"):
+        verify_ito_identity(x_path, kernel_1d, np.eye(2), xi, inc)
 
 
 def test_volterra_identity_rejects_an_integrand_of_the_wrong_shape():

@@ -7,15 +7,22 @@ from stochvolterra import (
     ConstantDiffusion,
     CovOperator,
     ExponentialKernel,
+    FractionalKernel,
     LinearKernel,
     NoiseSpec,
     NumericalFailure,
+    ScalarTypeKernel,
     TimeGrid,
     accretivity_check,
+    compute_resolvent,
+    exponential_bound_fit,
     make_yosida,
     operator_2norm,
+    sample_wiener_batch,
     yosida_convergence_study,
 )
+from stochvolterra.convolution import _convolve_paths
+from stochvolterra.noise import _left_point_products
 
 
 def test_accretivity_simple_cases():
@@ -142,3 +149,73 @@ def test_study_threads_do_not_change_results(monkeypatch):
     np.testing.assert_array_equal(a.e_W, b.e_W)
     np.testing.assert_array_equal(a.e_AW, b.e_AW)
     np.testing.assert_array_equal(a.e_S, b.e_S)
+
+
+# --- the channel route (exactly symmetric A) against the matrix route --------------
+
+
+def rotated_diag5(seed=7):
+    """-diag(1..5) in a random orthonormal basis, exactly symmetric."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))
+    A = Q @ np.diag(-np.arange(1.0, 6.0)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def matrix_route_reference(a, A, psi, spec, lambdas, grid, n_paths, scheme):
+    """e_S, e_W, e_AW, bound_M and bound_w from d x d tables, path by path."""
+    family = make_yosida(A, lambdas)
+    base = compute_resolvent(ScalarTypeKernel(a, A), grid, scheme=scheme)
+    tables = [
+        compute_resolvent(ScalarTypeKernel(a, Al), grid, scheme=scheme) for Al in family.A_lam
+    ]
+    c = _left_point_products(psi, grid, sample_wiener_batch(spec, grid, range(n_paths)))
+    W = _convolve_paths(base.S, c)
+    e_S, e_W, e_AW = [], [], []
+    for Al, tb in zip(family.A_lam, tables):
+        e_S.append(np.max(operator_2norm(tb.S - base.S)))
+        W_lam = _convolve_paths(tb.S, c)
+        e_W.append(np.max(np.sum((W_lam - W) ** 2, axis=(0, 2)) / n_paths))
+        e_AW.append(np.max(np.sum((W_lam @ Al.T - W @ A.T) ** 2, axis=(0, 2)) / n_paths))
+    fits = [exponential_bound_fit(tb) for tb in tables + [base]]
+    bound = (max(f.M for f in fits), max(f.w for f in fits))
+    return np.array(e_S), np.array(e_W), np.array(e_AW), bound
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("a", [ExponentialKernel(), FractionalKernel(0.5)], ids=["exp", "frac"])
+def test_channel_route_matches_the_matrix_route(a, scheme):
+    A = rotated_diag5()
+    psi = ConstantDiffusion(np.random.default_rng(3).standard_normal((5, 5)))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    args = (a, A, psi, spec, [0.2, 0.1, 0.05], TimeGrid(1.0, 64), 100)
+    study = yosida_convergence_study(*args, scheme=scheme)
+    e_S, e_W, e_AW, (M, w) = matrix_route_reference(*args, scheme)
+    np.testing.assert_allclose(study.e_S, e_S, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(study.e_W, e_W, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(study.e_AW, e_AW, rtol=1e-12, atol=0)
+    assert study.bound_M == pytest.approx(M, rel=1e-12, abs=0)
+    assert study.bound_w == pytest.approx(w, rel=1e-12, abs=0)
+
+
+def test_nonsymmetric_dissipative_operator_columns_decrease():
+    A = -np.diag(np.arange(1.0, 6.0)) + np.diag([0.5, 0.4, 0.3, 0.2], 1)
+    assert not np.array_equal(A, A.T) and accretivity_check(A).dissipative
+    psi = ConstantDiffusion(np.eye(5))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    study = yosida_convergence_study(
+        ExponentialKernel(), A, psi, spec, [0.2, 0.1, 0.05], TimeGrid(1.0, 64), 300
+    )
+    assert np.all(np.diff(study.e_S) < 0)
+    assert np.all(np.diff(study.e_W) < 0)
+    assert np.all(np.diff(study.e_AW) < 0)
+
+
+def test_channel_route_threads_do_not_change_results(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # four workers on any machine
+    psi = ConstantDiffusion(np.eye(5))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    args = (ExponentialKernel(), rotated_diag5(), psi, spec, [0.2, 0.1], TimeGrid(1.0, 64), 64)
+    a = yosida_convergence_study(*args, threads=1)
+    b = yosida_convergence_study(*args, threads=4)
+    for name in ("e_S", "e_W", "e_AW", "bound_M", "bound_w"):
+        assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
