@@ -232,6 +232,7 @@ def _channel_route(a, family, grid, scheme, products):
     likewise, with the gap mu_lam s_lam - mu s).  Each channel takes two products of
     its (P, N) increments with the block-Toeplitz strip of its L gaps, one for e_W and
     one for e_AW: about 2 d P N^2 L multiply-adds in all, against P N^2 d^2 / 2 a table.
+    A strip holds L N^2 doubles (32 MiB at N = 1024, L = 4), built per block.
     """
     mu, V = np.linalg.eigh(family.A)
     mus = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])  # (L + 1, d)
@@ -239,14 +240,15 @@ def _channel_route(a, family, grid, scheme, products):
     s = march_channels(w, -mus.ravel(), scheme).reshape((grid.N + 1,) + mus.shape)
     gaps = np.stack([s[:, 1:] - s[:, :1], mus[1:] * s[:, 1:] - mus[0] * s[:, :1]])
     e_S = np.max(np.abs(gaps[0]), axis=(0, 2))
-    # strips[j, k] is (N L, N): row block n - 1 holds lag n - m of gap j, channel k, at column m
-    strips = _toeplitz_strip(np.moveaxis(gaps[:, 1:], -1, 1)[..., None], grid.N, grid.N)
+    lags = np.moveaxis(gaps[:, 1:], -1, 1)[..., None]  # (2, d, N, L, 1): lags 1..N
     sums = np.zeros((2, grid.N, family.lambdas.size))
     for c in products:
         y = np.ascontiguousarray(np.moveaxis(c @ V, -1, 0))  # (d, P, N)
-        for j, k in np.ndindex(strips.shape[:2]):
-            out = y[k] @ strips[j, k].T
+        for j, k in np.ndindex(lags.shape[:2]):
+            # (N L, N), one strip alive at a time: row block n - 1 holds lag n - m at column m
+            out = y[k] @ _toeplitz_strip(lags[j, k], grid.N, grid.N).T
             out **= 2
             sums[j] += out.sum(axis=0).reshape(grid.N, -1)
+        del y, out  # free before the next block is sampled
     t, eta = grid.nodes(), np.max(np.abs(s), axis=2)
     return e_S, sums.swapaxes(1, 2), [_bound_fit(t, eta[:, i]) for i in range(mus.shape[0])]
