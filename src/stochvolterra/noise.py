@@ -11,7 +11,6 @@ range of paths, so a batch is the same bit for bit on any number of threads.
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +102,14 @@ def sample_wiener(spec, grid, path_id=0):
     """
     dW = sample_wiener_batch(spec, grid, [path_id])[0]
     return WienerIncrements(grid=grid, dW=dW, path_id=path_id, spec=spec)
+
+
+def ThreadPoolExecutor(max_workers):
+    """`concurrent.futures.ThreadPoolExecutor`, imported on the first threaded batch: the
+    import costs about 6 ms that a run on one thread never needs."""
+    from concurrent.futures import ThreadPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def sample_wiener_batch(spec, grid, path_ids, threads=1):

@@ -34,6 +34,7 @@ Operator 2-norms are exact (singular values), one batched call per stack.
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,8 +61,6 @@ __all__ = [
 
 MIN_RESOLVENT_CELLS = 2  # fewest grid cells compute_resolvent accepts
 MIN_BOUND_FIT_CELLS = 8  # fewest grid cells exponential_bound_fit accepts
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 class OperatorKernel(ABC):
@@ -188,9 +187,17 @@ class NonscalarKernel(OperatorKernel):
 
 def _gauss_cells(f, grid):
     """(N, d, d) 6-point Gauss cell integrals of f, one call on all 6N times; terms in order."""
+    nodes, weights = _gauss_rule()
     half = 0.5 * grid.h
-    t = ((np.arange(grid.N) + 0.5) * grid.h)[:, None] + half * _GL_NODES
-    return sum(np.moveaxis((half * _GL_WEIGHTS)[:, None, None] * f(t), 1, 0))
+    t = ((np.arange(grid.N) + 0.5) * grid.h)[:, None] + half * nodes
+    return sum(np.moveaxis((half * weights)[:, None, None] * f(t), 1, 0))
+
+
+@cache
+def _gauss_rule():
+    """6-point Gauss-Legendre nodes and weights on [-1, 1], built on first use: importing
+    `numpy.polynomial` costs about 5 ms that only nonscalar kernels need."""
+    return np.polynomial.legendre.leggauss(6)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +363,15 @@ def exponential_bound_fit(table):
     return _bound_fit(table.grid.nodes(), operator_2norm(table.S))
 
 
+def _check_fit_cells(cells):
+    """Raise ValueError unless a growth-bound fit gets at least MIN_BOUND_FIT_CELLS cells."""
+    if cells < MIN_BOUND_FIT_CELLS:
+        raise ValueError(f"need at least {MIN_BOUND_FIT_CELLS} cells for a meaningful fit")
+
+
 def _bound_fit(t, eta):
     """`exponential_bound_fit` of the norms eta at the grid nodes t."""
-    if t.size - 1 < MIN_BOUND_FIT_CELLS:
-        raise ValueError(f"need at least {MIN_BOUND_FIT_CELLS} cells for a meaningful fit")
+    _check_fit_cells(t.size - 1)
     log_eta = np.log(np.maximum(eta, 1e-300))
     half = (t.size - 1) // 2
     design = np.vstack([t[half:], np.ones(t.size - half)]).T

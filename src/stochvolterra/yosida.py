@@ -15,11 +15,17 @@ be used).
 The study takes one of two routes, with the same checks and the same results up to
 roundoff.  An exactly symmetric A (`np.array_equal(A, A.T)`, no tolerance) runs in its
 eigenchannels: A and every A_lam share A's eigenvectors, so one `march_channels` call
-solves every table, norms are the channels' own, and per channel one product with a
-block-Toeplitz strip of its gap tables takes every lam's path gaps, about 2 d P N^2
-multiply-adds per lam (the strip's zero triangle included).  Any other A convolves each
-block with L + 1 full d x d tables, about P N^2 d^2 / 2 multiply-adds per table, then
-applies A and A_lam and subtracts.
+solves every table and norms are the channels' own.  A path gap is a linear map of the
+path's increments, so its square summed over paths is a quadratic form in their Gram
+matrix (the sample Ito isometry): each block adds about d P N^2 / 2 multiply-adds into
+one N x N Gram matrix per channel, shared by every lam and both gaps, and one end step
+of about 2 d L N^3 multiply-adds, whatever P is, reads every lam's sums.  Live memory
+is d N^2 doubles.  Strip products per block would take 2 d L P N^2, so the Gram pays
+once P exceeds about N, as in every study the package runs (1000 paths on 128 cells in
+the benchmark); with fewer paths the end step dominates (N / P times the strip products'
+work, ten at N = 1024, P = 100).  Any other A convolves each block with
+L + 1 full d x d tables, about P N^2 d^2 / 2 multiply-adds per table, then applies A
+and A_lam and subtracts.
 """
 
 import warnings
@@ -33,8 +39,8 @@ from .errors import NumericalFailure
 from .grids import _toeplitz_strip, march_channels
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
-from .resolvent import ScalarTypeKernel, _bound_fit, compute_resolvent, exponential_bound_fit
-from .resolvent import operator_2norm
+from .resolvent import ScalarTypeKernel, _bound_fit, _check_fit_cells, compute_resolvent
+from .resolvent import exponential_bound_fit, operator_2norm
 from .spaces import _integer_in, _readonly_fields, _square
 
 __all__ = [
@@ -170,6 +176,7 @@ def yosida_convergence_study(
     A = _square(A, "A")
     _check_integrand(psi, A.shape[0], spec.cov)
     n_paths = _integer_in(n_paths, "n_paths", 1)
+    _check_fit_cells(grid.N)  # the growth fit's ValueError, before any path is sampled
     cp = check_complete_positivity(a, T=grid.T, N=max(grid.N, 256))
     if not cp.consistent:
         warnings.warn(f"kernel hypothesis violated: {cp.verdict}", stacklevel=2)
@@ -229,10 +236,12 @@ def _channel_route(a, family, grid, scheme, products):
     is orthogonal, so the norms are the channels' own: |S_lam - S| = max_k |s_lam,k -
     s_k|, and per path and node |W_lam - W|^2 sums over k the squared lag sums of the
     gap s_lam,k - s_k against channel k of the rotated block c V (|A_lam W_lam - A W|^2
-    likewise, with the gap mu_lam s_lam - mu s).  Each channel takes two products of
-    its (P, N) increments with the block-Toeplitz strip of its L gaps, one for e_W and
-    one for e_AW: about 2 d P N^2 L multiply-adds in all, against P N^2 d^2 / 2 a table.
-    A strip holds L N^2 doubles (32 MiB at N = 1024, L = 4), built per block.
+    likewise, with the gap mu_lam s_lam - mu s).  With G the (N L, N) block-Toeplitz
+    strip of a channel's L gaps and y_p its increments, sum_p (G y_p)^2 is the rowwise
+    dot of G Y'Y and G: the blocks add into the channel's Gram matrix Y'Y (a symmetric
+    product, about P N^2 / 2 multiply-adds), and after the last block each channel
+    multiplies its Gram by two strips, one for e_W and one for e_AW: about 2 d L N^3
+    multiply-adds in all, whatever P is.  The d Gram matrices and one strip are alive.
     """
     mu, V = np.linalg.eigh(family.A)
     mus = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])  # (L + 1, d)
@@ -241,14 +250,16 @@ def _channel_route(a, family, grid, scheme, products):
     gaps = np.stack([s[:, 1:] - s[:, :1], mus[1:] * s[:, 1:] - mus[0] * s[:, :1]])
     e_S = np.max(np.abs(gaps[0]), axis=(0, 2))
     lags = np.moveaxis(gaps[:, 1:], -1, 1)[..., None]  # (2, d, N, L, 1): lags 1..N
-    sums = np.zeros((2, grid.N, family.lambdas.size))
+    gram = np.zeros((len(mu), grid.N, grid.N))
     for c in products:
         y = np.ascontiguousarray(np.moveaxis(c @ V, -1, 0))  # (d, P, N)
-        for j, k in np.ndindex(lags.shape[:2]):
-            # (N L, N), one strip alive at a time: row block n - 1 holds lag n - m at column m
-            out = y[k] @ _toeplitz_strip(lags[j, k], grid.N, grid.N).T
-            out **= 2
-            sums[j] += out.sum(axis=0).reshape(grid.N, -1)
-        del y, out  # free before the next block is sampled
+        for k in range(len(mu)):
+            gram[k] += y[k].T @ y[k]
+        del y  # free before the next block is sampled
+    sums = np.zeros((2, grid.N, family.lambdas.size))
+    for j, k in np.ndindex(lags.shape[:2]):
+        # (N L, N), one strip alive at a time: row block n - 1 holds lag n - m at column m
+        G = _toeplitz_strip(lags[j, k], grid.N, grid.N)
+        sums[j] += np.einsum("ij,ij->i", G @ gram[k], G).reshape(grid.N, -1)
     t, eta = grid.nodes(), np.max(np.abs(s), axis=2)
     return e_S, sums.swapaxes(1, 2), [_bound_fit(t, eta[:, i]) for i in range(mus.shape[0])]

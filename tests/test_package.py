@@ -24,3 +24,15 @@ def test_import_does_not_load_the_fft():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_thread_pools_or_polynomials():
+    # concurrent.futures serves threaded sampling only, numpy.polynomial the Gauss rule
+    code = (
+        "import sys, stochvolterra.cli; "
+        "print(sorted({'concurrent.futures', 'numpy.polynomial'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stochvolterra.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -21,6 +21,7 @@ from stochvolterra import (
     sample_wiener_batch,
     yosida_convergence_study,
 )
+from stochvolterra import convolution
 from stochvolterra.convolution import _convolve_paths
 from stochvolterra.noise import _left_point_products
 
@@ -181,13 +182,8 @@ def matrix_route_reference(a, A, psi, spec, lambdas, grid, n_paths, scheme):
     return np.array(e_S), np.array(e_W), np.array(e_AW), bound
 
 
-@pytest.mark.parametrize("scheme", ["product", "conv"])
-@pytest.mark.parametrize("a", [ExponentialKernel(), FractionalKernel(0.5)], ids=["exp", "frac"])
-def test_channel_route_matches_the_matrix_route(a, scheme):
-    A = rotated_diag5()
-    psi = ConstantDiffusion(np.random.default_rng(3).standard_normal((5, 5)))
-    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
-    args = (a, A, psi, spec, [0.2, 0.1, 0.05], TimeGrid(1.0, 64), 100)
+def assert_matches_matrix_route(args, scheme):
+    """The study's columns and bound against `matrix_route_reference`, to 1e-12 relative."""
     study = yosida_convergence_study(*args, scheme=scheme)
     e_S, e_W, e_AW, (M, w) = matrix_route_reference(*args, scheme)
     np.testing.assert_allclose(study.e_S, e_S, rtol=1e-12, atol=0)
@@ -195,6 +191,49 @@ def test_channel_route_matches_the_matrix_route(a, scheme):
     np.testing.assert_allclose(study.e_AW, e_AW, rtol=1e-12, atol=0)
     assert study.bound_M == pytest.approx(M, rel=1e-12, abs=0)
     assert study.bound_w == pytest.approx(w, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("a", [ExponentialKernel(), FractionalKernel(0.5)], ids=["exp", "frac"])
+def test_channel_route_matches_the_matrix_route(a, scheme):
+    A = rotated_diag5()
+    psi = ConstantDiffusion(np.random.default_rng(3).standard_normal((5, 5)))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    args = (a, A, psi, spec, [0.2, 0.1, 0.05], TimeGrid(1.0, 64), 100)
+    assert_matches_matrix_route(args, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_channel_route_with_fewer_paths_than_cells(scheme):
+    # 8 paths on 64 cells: each channel's increment Gram matrix has rank 8 of 64
+    psi = ConstantDiffusion(np.random.default_rng(3).standard_normal((5, 5)))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    args = (ExponentialKernel(), rotated_diag5(), psi, spec, [0.2, 0.1, 0.05], TimeGrid(1.0, 64), 8)
+    assert_matches_matrix_route(args, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_channel_route_over_ragged_blocks(monkeypatch, scheme):
+    monkeypatch.setattr(convolution, "_MC_BLOCK", 5 * 64 * 7)  # 7 paths a block: 14 + 2
+    psi = ConstantDiffusion(np.random.default_rng(3).standard_normal((5, 5)))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    args = (FractionalKernel(0.5), rotated_diag5(), psi, spec, [0.2, 0.1], TimeGrid(1.0, 64), 100)
+    assert_matches_matrix_route(args, scheme)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["channel", "matrix"])
+def test_too_few_cells_raise_before_sampling(monkeypatch, symmetric):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths sampled before the grid was checked")
+
+    monkeypatch.setattr(convolution, "sample_wiener_batch", no_sampling)
+    A = rotated_diag5() if symmetric else -np.diag(np.arange(1.0, 6.0)) + np.diag([0.5] * 4, 1)
+    psi = ConstantDiffusion(np.eye(5))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    with pytest.raises(ValueError, match="at least 8 cells"):
+        yosida_convergence_study(
+            ExponentialKernel(), A, psi, spec, [0.2, 0.1], TimeGrid(1.0, 4), 20000
+        )
 
 
 def test_nonsymmetric_dissipative_operator_columns_decrease():
