@@ -11,12 +11,16 @@ Volterra and weak-form identities hold per path to machine precision; on
 first order in the step.  Both read one node defect, `_volterra_defect`: the
 Volterra check its norm, the weak form its pairing with the functional.
 
-Every history sum (path convolution, the defect's kernel convolution, Ito drift)
-is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A single
-path is summed in ascending source node, so node 0 is exactly zero and the
+Every history sum of P paths (path convolution, the defect's kernel convolution,
+Ito drift) is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A
+single path is summed in ascending source node, so node 0 is exactly zero and the
 identity table reduces to the elementary Ito sum bit for bit.  The Monte Carlo
 consumers fold `_path_blocks` of about 2^20 increments into running results one
-block at a time, `grids._TILE` nodes per product (roundoff-level reordering).
+block at a time.  The covariance and the Ito statistics read one linear functional
+of each path's increments, built once per call (node weights; the final residual's
+adjoint, two lag sums of one path), so a block costs one product, P K N d or P K N
+multiply-adds; the Yosida study convolves each block, `grids._TILE` nodes per
+product (roundoff-level reordering).
 """
 
 from dataclasses import dataclass
@@ -89,7 +93,8 @@ def _node_weights(S, B, n):
 
 def _convolve_at(G, dw_batch, n):
     """sum_{m<n} S[n-m] B dW_m for each path of a (P, K, N) batch, as one product
-    with the weights G = _node_weights(S, B, n) (zero at node 0)."""
+    with the weights G = _node_weights(S, B, n) (zero at node 0); a (K n,) G, in
+    the same layout, gives one linear functional of each path's increments."""
     P, K, _ = dw_batch.shape
     return dw_batch[:, :, :n].reshape(P, K * n) @ G
 
@@ -359,25 +364,31 @@ def _check_ito_inputs(kernel, xi, d):
     _vector(xi.xi0, "xi0", d)
 
 
-def _ito_residual_batch(kernel, xi, grid, X, bdw):
-    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d)."""
+def _ito_profile(kernel, xi, grid):
+    """Drift lag weights u[l] = h dA/dt(t_l)' xi0 (halved at lag 0) and the profile
+    phi, phi_dot on the grid's nodes; raise unless phi and phi_dot are finite there."""
     t = grid.nodes()
-    h = grid.h
-    A0 = kernel.value_at_zero()
-    Adot = kernel.derivative(t)
     phi = np.array([float(xi.phi(s)) for s in t])
     phi_dot = np.array([float(xi.phi_dot(s)) for s in t])
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(phi_dot))):
         raise ValueError("phi and phi_dot must be finite on the grid")
+    u = grid.h * np.einsum("nab,a->nb", kernel.derivative(t), xi.xi0)
+    u[0] *= 0.5
+    return u, phi, phi_dot
+
+
+def _ito_residual_batch(kernel, xi, grid, X, bdw):
+    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d)."""
+    h = grid.h
+    u, phi, phi_dot = _ito_profile(kernel, xi, grid)
+    u = u[:, None, :]
 
     # inner convolution (dA/dt * X) by the trapezoid rule at every node, paired
-    # with xi0 first: lag weights h * dA/dt' xi0, halved at lag 0 and on X[:, 0]
-    u = h * np.einsum("nab,a->nb", Adot, xi.xi0)[:, None, :]
-    u[0] *= 0.5
+    # with xi0 first: lag weights u, halved on X[:, 0]
     rate = np.zeros((X.shape[0], grid.N + 1))
     rate[:, 1:] = X[:, 0] @ (0.5 * u[1:, 0].T)
     lag_convolve(u, X[:, 1:], rate[:, 1:, None])
-    rate += X @ (A0.T @ xi.xi0)
+    rate += X @ (kernel.value_at_zero().T @ xi.xi0)
 
     # deterministic rate of <X, xi>: drift * phi + <X, xi0> * phi_dot, updated
     # in place so that only a few (P, N+1) arrays are alive at once
@@ -390,6 +401,37 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     res[:, 1:] -= np.cumsum(rate, axis=1)
     res[:, 1:] -= np.cumsum((bdw @ xi.xi0) * phi[:-1], axis=1)
     return res
+
+
+def _ito_final_weights(table, B, xi, X0):
+    """(K N,) weights g, in `_convolve_at`'s layout, and a scalar c0 with which the
+    final residual of `_ito_residual_batch` on the mild solution X = S X0 + sum_{m<n}
+    S[n-m] B dW_m is c0 + <g, dW> for every path: the residual's adjoint.
+
+    r[n] is the coefficient vector of X_n in the final residual and y[m] =
+    sum_{n>m} S[n-m]' r[n] that of B dW_m through X; both anti-causal lag sums
+    are `lag_convolve` calls on time-reversed arrays.  About N^2 d^2 / 2
+    multiply-adds, once per call, whatever the number of paths.
+    """
+    grid, S, xi0 = table.grid, table.S, xi.xi0
+    N, d = grid.N, table.dim
+    u, phi, phi_dot = _ito_profile(table.kernel, xi, grid)
+    w = np.full(N + 1, grid.h)  # trapezoid weights
+    w[[0, -1]] *= 0.5
+    wphi = w * phi
+    r = -np.outer(wphi, table.kernel.value_at_zero().T @ xi0) - np.outer(w * phi_dot, xi0)
+    r[-1] += phi[-1] * xi0
+    r[0] -= phi[0] * xi0
+    # the drift's inner convolution: X_n (n >= 1) meets lag j - n of every node j >= n,
+    # X_0 half of lag j >= 1
+    drift = np.zeros((1, N, d))
+    lag_convolve(u[:, :, None], wphi[:0:-1, None][None], drift)
+    r[:0:-1] -= drift[0]
+    r[0] -= 0.5 * (wphi[1:] @ u[1:])
+    y = np.zeros((1, N, d))
+    lag_convolve(S[1:].swapaxes(1, 2), r[:0:-1][None], y)
+    g = (y[0, ::-1] - np.outer(phi[:-1], xi0)) @ B
+    return g.T.ravel(), float(np.vdot(r, S @ X0))
 
 
 def verify_ito_identity(x_path, kernel, B, xi, inc):
@@ -428,27 +470,31 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
 
     All paths share the table; the reported mean should be statistically
     indistinguishable from zero and the root mean square shrinks with the
-    grid step.  Paths stream through `_path_blocks`: one block of paths and
-    residuals is alive at a time, and each block's final residuals go into one
-    array of P doubles, so memory grows with P by 8 bytes a path (small
-    per-block copies would sit between blocks on the heap and keep it from
-    shrinking).
+    grid step.
+
+    The final residual of the path driven by increments dW is c0 + <g, dW>, g and
+    c0 taken once by `_ito_final_weights` (about N^2 d^2 / 2 multiply-adds, none
+    per path).  Paths stream through `_path_blocks`, and each block is one product
+    with g, P K N multiply-adds in all.  Scratch is one block of about 2^20
+    increments whatever P is, and the final residuals go into one array of P
+    doubles, 8 bytes a path (small per-block copies would sit between blocks on
+    the heap and keep it from shrinking).  Every input check raises before the
+    first path is drawn.
     """
     n_paths = _integer_in(n_paths, "n_paths", 0)
     if n_paths < MIN_ITO_PATHS:
         raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
     _check_ito_inputs(table.kernel, xi, table.dim)
-    psi = _check_integrand(ConstantDiffusion(B), table.dim, spec.cov)
+    Bm = _check_integrand(as_matrix(B), table.dim, spec.cov)
     xi.check_consistency(table.grid.T)
-    grid = table.grid
-    start = np.einsum("nij,j->ni", table.S, _vector(X0, "X0", table.dim))
+    X0 = _vector(X0, "X0", table.dim)
+    g, c0 = _ito_final_weights(table, Bm[:, : spec.truncation], xi, X0)
     final, p = np.empty(n_paths), 0
-    blocks = _path_blocks(spec, grid, n_paths, threads)
-    for c in map(partial(_left_point_products, psi, grid), blocks):
-        X = _convolve_paths(table.S, c)
-        X += start[None]
-        final[p : p + len(c)] = _ito_residual_batch(table.kernel, xi, grid, X, c)[:, -1]
-        p += len(c)
+    blocks = _path_blocks(spec, table.grid, n_paths, threads)
+    for res in map(partial(_convolve_at, g, n=table.grid.N), blocks):
+        final[p : p + len(res)] = res
+        p += len(res)
+    final += c0
     mean = float(np.mean(final))
     se = float(np.std(final, ddof=1) / np.sqrt(n_paths))
     rms = float(np.sqrt(np.mean(final**2)))

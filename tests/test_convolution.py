@@ -512,7 +512,7 @@ def test_ito_test_function_must_be_finite(which):
 
 
 @pytest.mark.parametrize("which", ["phi", "phi_dot"])
-def test_ito_identity_needs_a_finite_profile_on_the_grid(which):
+def test_ito_identity_needs_a_finite_profile_on_the_grid(monkeypatch, which):
     # nan at the node t = 1/2 only, which the five consistency probes miss
     grid = TimeGrid(1.0, 16)
     rules = {"phi": lambda t: 1.0, "phi_dot": lambda t: 0.0}
@@ -521,8 +521,10 @@ def test_ito_identity_needs_a_finite_profile_on_the_grid(which):
     xi = ItoTestFunction(np.ones(1), **rules)
     xi.check_consistency(1.0)
     table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), [[-1.0]]), grid)
+    sampled = count_blocks(monkeypatch, 4, 1, 16)
     with pytest.raises(ValueError, match="finite on the grid"):
         ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=2), 4)
+    assert sampled == []  # raised before any path was drawn
 
 
 def test_ito_test_function_consistency_is_relative_for_large_derivatives():
@@ -620,15 +622,19 @@ def ito_residual_per_node(kernel, xi, grid, X, bdw):
     return res
 
 
-def test_ito_identity_general_matrix_kernel_matches_per_node_sum():
-    # non-commuting parts: A(t) is not a scalar function times one matrix
+def nonscalar_w11_kernel():
+    """A(t) = e^-t M1 + cos(t) M2 with non-commuting parts: not a scalar times one matrix."""
     M1 = np.array([[-1.0, 0.5], [0.2, -2.0]])
     M2 = np.array([[0.0, -0.3], [0.4, 0.1]])
-    kern = NonscalarKernel(
+    return NonscalarKernel(
         lambda t: math.exp(-t) * M1 + math.cos(t) * M2,
         A_dot=lambda t: -math.exp(-t) * M1 - math.sin(t) * M2,
         A_at_zero=M1 + M2,
     )
+
+
+def test_ito_identity_general_matrix_kernel_matches_per_node_sum():
+    kern = nonscalar_w11_kernel()
     assert kern.smoothness == "W11"
     grid = TimeGrid(1.0, 64)
     table = compute_resolvent(kern, grid)
@@ -643,6 +649,36 @@ def test_ito_identity_general_matrix_kernel_matches_per_node_sum():
     oracle = ito_residual_per_node(kern, xi, grid, x_path.values, bdw)
     assert np.max(np.abs(oracle)) > 1e-6
     assert np.max(np.abs(report.residuals - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def ito_final_per_path(table, B, xi, X0, spec, n_paths):
+    """Final residuals of paths 0..n_paths-1, each path convolved against the table
+    and its residual taken at every node."""
+    dw = sample_wiener_batch(spec, table.grid, range(n_paths))
+    c = _left_point_products(ConstantDiffusion(B), table.grid, dw)
+    X = convolution._convolve_paths(table.S, c) + np.einsum("nij,j->ni", table.S, X0)
+    return convolution._ito_residual_batch(table.kernel, xi, table.grid, X, c)[:, -1]
+
+
+@pytest.mark.parametrize("truncation", [3, 2])
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("kernel", ["scalar-type", "nonscalar"])
+def test_ito_statistics_match_the_per_path_residuals(kernel, scheme, truncation):
+    kern = {
+        "scalar-type": ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0, 0.4], [0.0, -2.0]])),
+        "nonscalar": nonscalar_w11_kernel(),
+    }[kernel]
+    table = compute_resolvent(kern, TimeGrid(1.0, 40), scheme=scheme)
+    spec = NoiseSpec(cov=CovOperator(np.array([1.0, 0.5, 0.25])), truncation=truncation, seed=9)
+    B = np.array([[0.8, 0.1, -0.4], [0.3, 0.5, 0.2]])  # truncation 2 cuts its last column
+    xi = ItoTestFunction(
+        np.array([1.0, 0.5]), lambda t: math.cos(3.0 * t), lambda t: -3.0 * math.sin(3.0 * t)
+    )
+    X0 = np.array([2.0, -1.5])
+    stats = ito_identity_statistics(table, B, xi, X0, spec, 30)
+    oracle = ito_final_per_path(table, B, xi, X0, spec, 30)
+    assert np.max(np.abs(oracle)) > 1e-6
+    assert close(stats.final_residuals, oracle)
 
 
 # --- the Monte Carlo path-block loop ------------------------------------------------
@@ -703,6 +739,27 @@ def test_ito_statistics_blocks_match_one_block(monkeypatch, paths_per_block, blo
         for name in ("mean", "std_error", "rms"):
             assert abs(getattr(part, name) - getattr(whole, name)) <= 1e-12 * scale
     assert len(calls) == 2 * blocks  # the last block is ragged: 50 % 23 = 4, 50 % 7 = 1
+
+
+def test_ito_statistics_lag_sums_do_not_grow_with_paths(monkeypatch):
+    # the residual's adjoint is summed once; each block of paths costs one product
+    table, B, xi, X0, spec = ito_problem(n=16)
+    sampled = count_blocks(monkeypatch, 8, 2, 16)
+    calls = []
+    original = convolution.lag_convolve
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(convolution, "lag_convolve", counted)
+    counts = []
+    for n_paths in (8, 800):
+        calls.clear()
+        ito_identity_statistics(table, B, xi, X0, spec, n_paths)
+        counts.append(len(calls))
+    assert len(sampled) == 1 + 100
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("paths_per_block, blocks", [(23, 3), (7, 8)])
