@@ -56,10 +56,11 @@ print("\nweak-form identity (scalar type, random functional):")
 rng = np.random.default_rng(1)
 A = -(lambda Mx: Mx @ Mx.T)(rng.standard_normal((2, 2))) / 2.0
 a = ExponentialKernel()
-table = compute_resolvent(ScalarTypeKernel(a, A), grid, scheme="conv")
+weak_kernel = ScalarTypeKernel(a, A)
+table = compute_resolvent(weak_kernel, grid, scheme="conv")
 path = stochastic_convolution(table, psi, inc)
 xi = rng.standard_normal(2)
-print(f"  sup residual = {verify_weak_solution(path, a, A, xi, psi, inc).sup_residual:.2e}")
+print(f"  sup residual = {verify_weak_solution(path, weak_kernel, xi, psi, inc).sup_residual:.2e}")
 
 print("\nintegration-by-parts identity:")
 kern0 = ScalarTypeKernel(ConstantKernel(1.0), np.zeros((2, 2)))

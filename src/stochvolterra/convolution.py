@@ -31,7 +31,6 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
 from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch, stochastic_integral
-from .resolvent import ScalarTypeKernel
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
 
 __all__ = [
@@ -293,16 +292,16 @@ def verify_volterra_identity(path, kernel, psi, inc):
     return IdentityReport.of(np.linalg.norm(defect, axis=1), path.scheme)
 
 
-def verify_weak_solution(path, a, A, xi, psi, inc):
-    """Residual of the weak-form identity for the scalar-type kernel a(t) A.
+def verify_weak_solution(path, kernel, xi, psi, inc):
+    """Residual of the weak-form identity for the operator kernel.
 
     Tests the path against a functional: |<defect, xi>| at every node, the
     Volterra defect paired with xi (A' xi paired with the kernel convolution).
     Any state vector is admissible in finite dimensions.
     """
-    W = ScalarTypeKernel(a, A).cell_weights(path.grid)
     xi = _vector(xi, "xi", path.values.shape[1])
-    return IdentityReport.of(np.abs(_volterra_defect(path, W, psi, inc) @ xi), path.scheme)
+    defect = _volterra_defect(path, kernel.cell_weights(path.grid), psi, inc)
+    return IdentityReport.of(np.abs(defect @ xi), path.scheme)
 
 
 # ---------------------------------------------------------------------------

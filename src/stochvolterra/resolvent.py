@@ -27,11 +27,17 @@ far history and one product with a precomputed leaf inverse per 8 nodes:
 O(N log^2 N) for a d x d table.  `resolvent_residuals` sums both equations'
 histories by FFT (`grids._add_lag_sum_fft`, node-first), in another order than the
 solver, so the second residual reads 1e-15 to 1e-14, not zero.
-`spectral_resolvent` solves its eigenchannels in one `grids.march_channels` call.
+
+`compute_resolvent` is the one constructor.  A scalar-type kernel a(t) A with exactly
+symmetric A (`_symmetric_eigh`: `np.array_equal(A, A.T)`, no tolerance) splits along
+A's eigenvectors into d scalar channels on the same cell moments, all marched by one
+`grids.march_channels` call and rotated back in N d^3 multiply-adds (the d x d march
+spends about N 256 d^3 / 2 in its zones); the two tables agree at roundoff.  An A
+symmetric only to roundoff takes the matrix march: pass (A + A') / 2 to take the
+channels.  Any other kernel marches the full d x d table.
 Operator 2-norms are exact (singular values), one batched call per stack.
 """
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
 from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
-from .grids import implicit_share, march, march_channels
+from .grids import march, march_channels
 from .kernels import ScalarKernel
 from .spaces import _readonly_fields, _square
 
@@ -52,7 +58,6 @@ __all__ = [
     "compute_resolvent",
     "ResolventResiduals",
     "resolvent_residuals",
-    "spectral_resolvent",
     "ExponentialBound",
     "exponential_bound_fit",
     "operator_2norm",
@@ -254,22 +259,33 @@ def _table(grid, S, kernel, scheme, W):
     return ResolventTable(grid, S, U, kernel, scheme, f"{scheme}/cell-exact/v1", W)
 
 
-def compute_resolvent(kernel, grid, scheme="product"):
-    """Build the resolvent table of the kernel on the grid by `grids.march`.
+def _symmetric_eigh(A):
+    """eigh(A), ascending eigenvalues and orthonormal eigenvectors, when A is exactly
+    symmetric (no tolerance); None otherwise."""
+    return np.linalg.eigh(A) if np.array_equal(A, A.T) else None
 
-    With the zero kernel the table is identically the identity under either scheme.
-    For a scalar-type kernel with exactly symmetric A, NumericalFailure when the step
-    matrix I - theta W[0] has an eigenvalue <= 0 (the rule `march_channels` applies):
-    its steps would alternate in sign instead of growing.
+
+def compute_resolvent(kernel, grid, scheme="product"):
+    """Build the resolvent table of the kernel on the grid.
+
+    A scalar-type kernel with exactly symmetric A = V diag(lam) V' is marched in its
+    eigenchannels (`march_channels` with mu = -lam on the cell moments of a) and
+    rotated back as V diag(s_n) V'; NumericalFailure when a channel's step coefficient
+    1 - theta lam w[0] is <= 0, where its steps would alternate in sign instead of
+    growing.  Any other kernel goes through `grids.march`.  With the zero kernel the
+    table is identically the identity under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
     W = kernel.cell_weights(grid)
-    if isinstance(kernel, ScalarTypeKernel) and np.array_equal(kernel.A, kernel.A.T):
-        least = np.linalg.eigvalsh(np.eye(kernel.dim) - implicit_share(scheme) * W[0])[0]
-        if not least > 0.0:  # also true for nan
-            raise NumericalFailure(f"step matrix has the nonpositive eigenvalue {least}")
-    return _table(grid, march(W, scheme), kernel, scheme, W)
+    eig = _symmetric_eigh(kernel.A) if isinstance(kernel, ScalarTypeKernel) else None
+    if eig is None:
+        return _table(grid, march(W, scheme), kernel, scheme, W)
+    lam, V = eig
+    s = march_channels(kernel.a.cell_moments(grid.h, grid.N), -lam, scheme)
+    S = (V * s[:, None, :]) @ V.T
+    S[0] = np.eye(kernel.dim)  # V V' is I only to roundoff
+    return _table(grid, S, kernel, scheme, W)
 
 
 @dataclass(frozen=True)
@@ -303,32 +319,6 @@ def resolvent_residuals(table):
     res2 = np.max(np.abs(gap - conv2))
     res1 = np.max(np.abs(gap - grid.h * conv1))
     return ResolventResiduals(res_first=float(res1), res_second=float(res2))
-
-
-def spectral_resolvent(a, A, grid, scheme="product"):
-    """Resolvent table of a scalar-type kernel through the eigenbasis of A.
-
-    Requires symmetric A; each eigenchannel solves the scalar relaxation
-    equation with the same weights the direct marching would use, so the
-    result is algebraically the direct table conjugated into the eigenbasis.
-    Positive eigenvalues are accepted but flagged: the corresponding channel
-    coefficients fall outside the complete-positivity regime.
-    """
-    A = _square(A, "A")
-    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(A)))):
-        raise ValueError("A must be symmetric for the spectral construction")
-    lam, V = np.linalg.eigh(0.5 * (A + A.T))
-    if np.any(lam > 0.0):
-        warnings.warn(
-            "A has positive eigenvalues; channel coefficients mu = -lambda < 0 fall "
-            "outside the complete-positivity regime",
-            stacklevel=2,
-        )
-    w = a.cell_moments(grid.h, grid.N)
-    S = np.einsum("ik,nk,jk->nij", V, march_channels(w, -lam, scheme), V)
-    S[0] = np.eye(lam.size)
-    kernel = ScalarTypeKernel(a, A)
-    return _table(grid, S, kernel, scheme, w[:, None, None] * kernel.A)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ common noise per path (independent noise would swamp the signal and must not
 be used).
 
 The study takes one of two routes, with the same checks and the same results up to
-roundoff.  An exactly symmetric A (`np.array_equal(A, A.T)`, no tolerance) runs in its
+roundoff.  An exactly symmetric A (`resolvent._symmetric_eigh`, no tolerance) runs in its
 eigenchannels: A and every A_lam share A's eigenvectors, so one `march_channels` call
 solves every table and norms are the channels' own.  A path gap is a linear map of the
 path's increments, so its square summed over paths is a quadratic form in their Gram
@@ -39,8 +39,8 @@ from .errors import NumericalFailure
 from .grids import _toeplitz_strip, march_channels
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
-from .resolvent import ScalarTypeKernel, _bound_fit, _check_fit_cells, compute_resolvent
-from .resolvent import exponential_bound_fit, operator_2norm
+from .resolvent import ScalarTypeKernel, _bound_fit, _check_fit_cells, _symmetric_eigh
+from .resolvent import compute_resolvent, exponential_bound_fit, operator_2norm
 from .spaces import _integer_in, _readonly_fields, _square
 
 __all__ = [
@@ -190,7 +190,8 @@ def yosida_convergence_study(
     family = make_yosida(A, lambdas, force=True)
     blocks = _path_blocks(spec, grid, n_paths, threads)
     products = map(partial(_left_point_products, psi, grid), blocks)
-    route = _channel_route if np.array_equal(A, A.T) else _matrix_route
+    eig = _symmetric_eigh(family.A)
+    route = _matrix_route if eig is None else partial(_channel_route, eig)
     e_S, sums, fits = route(a, family, grid, scheme, products)
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(
@@ -228,8 +229,8 @@ def _matrix_route(a, family, grid, scheme, products):
     return e_S, sums, [exponential_bound_fit(tb) for tb in tables + [base]]
 
 
-def _channel_route(a, family, grid, scheme, products):
-    """`_matrix_route` for a symmetric A = V diag(mu) V', in A's eigenchannels.
+def _channel_route(eig, a, family, grid, scheme, products):
+    """`_matrix_route` for a symmetric A = V diag(mu) V', eig = (mu, V), in A's eigenchannels.
 
     Every A_lam is V diag(mu / (1 - lam mu)) V', so every table is V diag(s) V' and one
     `march_channels` call gives all channels s on the cell moments the tables use.  V
@@ -243,7 +244,7 @@ def _channel_route(a, family, grid, scheme, products):
     multiplies its Gram by two strips, one for e_W and one for e_AW: about 2 d L N^3
     multiply-adds in all, whatever P is.  The d Gram matrices and one strip are alive.
     """
-    mu, V = np.linalg.eigh(family.A)
+    mu, V = eig
     mus = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])  # (L + 1, d)
     w = a.cell_moments(grid.h, grid.N)
     s = march_channels(w, -mus.ravel(), scheme).reshape((grid.N + 1,) + mus.shape)

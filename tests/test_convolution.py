@@ -415,7 +415,7 @@ def test_weak_solution_identity_exact_per_path():
     inc = sample_wiener(spec, grid, path_id=1)
     path = stochastic_convolution(table, psi, inc)
     xi = rng.standard_normal(3)
-    report = verify_weak_solution(path, a, A, xi, psi, inc)
+    report = verify_weak_solution(path, table.kernel, xi, psi, inc)
     assert report.sup_residual < 1e-10
 
 
@@ -431,7 +431,7 @@ def test_weak_solution_eigenvector_channel():
     psi = ConstantDiffusion(np.eye(2))
     inc = sample_wiener(spec, grid)
     path = stochastic_convolution(table, psi, inc)
-    assert verify_weak_solution(path, a, A, xi, psi, inc).sup_residual < 1e-10
+    assert verify_weak_solution(path, table.kernel, xi, psi, inc).sup_residual < 1e-10
 
 
 def test_weak_solution_zero_integrand():
@@ -441,7 +441,21 @@ def test_weak_solution_zero_integrand():
     inc = sample_wiener(spec, table.grid)
     psi = ConstantDiffusion(np.zeros((1, 1)))
     path = stochastic_convolution(table, psi, inc)
-    assert verify_weak_solution(path, a, np.array([[-1.0]]), np.ones(1), psi, inc).sup_residual == 0.0
+    assert verify_weak_solution(path, table.kernel, np.ones(1), psi, inc).sup_residual == 0.0
+
+
+def test_identities_hold_to_machine_level_on_a_rotated_symmetric_table():
+    # an exactly symmetric A is marched in its eigenchannels and rotated back; the
+    # conv-scheme identities still read that table's own defining equation
+    Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+    A = Q @ np.diag(-np.arange(1.0, 6.0)) @ Q.T
+    kernel = ScalarTypeKernel(FractionalKernel(0.5), 0.5 * (A + A.T))
+    table = compute_resolvent(kernel, TimeGrid(1.0, 128), scheme="conv")
+    psi = ConstantDiffusion(np.eye(5))
+    inc = sample_wiener(unit_spec(5, seed=21), table.grid, path_id=2)
+    path = stochastic_convolution(table, psi, inc)
+    assert verify_volterra_identity(path, kernel, psi, inc).sup_residual < 1e-12
+    assert verify_weak_solution(path, kernel, np.ones(5), psi, inc).sup_residual < 1e-12
 
 
 def test_weak_and_volterra_residuals_come_from_one_defect():
@@ -458,7 +472,7 @@ def test_weak_and_volterra_residuals_come_from_one_defect():
         path = stochastic_convolution(table, psi, inc)
         xi = rng.standard_normal(2)
         defect = convolution._volterra_defect(path, kernel.cell_weights(table.grid), psi, inc)
-        weak = verify_weak_solution(path, a, A, xi, psi, inc)
+        weak = verify_weak_solution(path, kernel, xi, psi, inc)
         volterra = verify_volterra_identity(path, kernel, psi, inc)
         assert weak.residuals.tobytes() == np.abs(defect @ xi).tobytes()
         assert volterra.residuals.tobytes() == np.linalg.norm(defect, axis=1).tobytes()

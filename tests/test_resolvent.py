@@ -17,7 +17,6 @@ from stochvolterra import (
     exponential_bound_fit,
     operator_2norm,
     resolvent_residuals,
-    spectral_resolvent,
 )
 from stochvolterra import grids
 from stochvolterra.grids import _add_lag_sum_fft, cell_values, lag_convolve
@@ -105,7 +104,7 @@ def test_singular_step_matrix():
 def test_symmetric_step_matrix_with_a_nonpositive_eigenvalue_is_refused(scheme):
     # e^(50 t) once came back as 1, -1.94, 3.77, ...: a step factor (1 + 25 h)/(1 - 25 h) < 0
     kern = ScalarTypeKernel(ConstantKernel(1.0), [[50.0]])
-    with pytest.raises(NumericalFailure, match="nonpositive eigenvalue"):
+    with pytest.raises(NumericalFailure, match="nonpositive diagonal coefficient .* mu=-50"):
         compute_resolvent(kern, TimeGrid(1.0, 8), scheme=scheme)
 
 
@@ -260,12 +259,35 @@ def test_first_equation_residual_halves(make):
     assert 1.8 <= ratio <= 2.5
 
 
-# --- spectral construction ----------------------------------------------------
+# --- symmetric scalar-type kernels in eigenchannels -------------------------------
+
+
+def rotated_symmetric(d, seed=7):
+    """Q diag(-1..-d) Q' for a random orthogonal Q, symmetrised to exact symmetry."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    A = Q @ np.diag(-np.arange(1.0, d + 1.0)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("a", [FractionalKernel(0.5), ExponentialKernel()], ids=["frac", "exp"])
+@pytest.mark.parametrize("d", [1, 5, 16])
+def test_channel_route_matches_the_matrix_march(d, a, scheme):
+    kernel = ScalarTypeKernel(a, rotated_symmetric(d))
+    grid = TimeGrid(1.0, 256)
+    table = compute_resolvent(kernel, grid, scheme=scheme)
+    direct = grids.march(kernel.cell_weights(grid), scheme)
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(table.S - direct)) <= 1e-14 * scale
+    assert table.S[0].tobytes() == np.eye(d).tobytes()
+    assert table.cell_weights.tobytes() == kernel.cell_weights(grid).tobytes()
+    assert resolvent_residuals(table).res_second < 1e-12
 
 
 def test_spectral_diagonal_closed_form():
     grid = TimeGrid(1.0, 512)
-    table = spectral_resolvent(ConstantKernel(1.0), np.diag([-1.0, -2.0]), grid)
+    kern = ScalarTypeKernel(ConstantKernel(1.0), np.diag([-1.0, -2.0]))
+    table = compute_resolvent(kern, grid)
     t = grid.nodes()
     assert np.max(np.abs(table.S[:, 0, 0] - np.exp(-t))) < 1e-5
     assert np.max(np.abs(table.S[:, 1, 1] - np.exp(-2.0 * t))) < 1e-5
@@ -275,37 +297,46 @@ def test_spectral_equals_direct_on_random_symmetric():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((3, 3))
     A = -(M @ M.T) / 3.0
+    assert np.array_equal(A, A.T)  # the channel route
     grid = TimeGrid(1.0, 256)
-    a = ExponentialKernel()
-    direct = compute_resolvent(ScalarTypeKernel(a, A), grid)
-    spectral = spectral_resolvent(a, A, grid)
-    worst = max(np.linalg.norm(d) for d in (direct.S - spectral.S))
+    kern = ScalarTypeKernel(ExponentialKernel(), A)
+    spectral = compute_resolvent(kern, grid)
+    direct = grids.march(kern.cell_weights(grid), "product")
+    worst = max(np.linalg.norm(d) for d in (direct - spectral.S))
     assert worst < 1e-10
 
 
 def test_spectral_equals_direct_under_conv_scheme():
     A = np.diag([-1.0, -3.0]) + 0.0
     grid = TimeGrid(1.0, 128)
-    a = ExponentialKernel()
-    direct = compute_resolvent(ScalarTypeKernel(a, A), grid, scheme="conv")
-    spectral = spectral_resolvent(a, A, grid, scheme="conv")
-    assert np.max(np.abs(direct.S - spectral.S)) < 1e-12
+    kern = ScalarTypeKernel(ExponentialKernel(), A)
+    spectral = compute_resolvent(kern, grid, scheme="conv")
+    direct = grids.march(kern.cell_weights(grid), "conv")
+    assert np.max(np.abs(direct - spectral.S)) < 1e-12
     assert spectral.scheme == "conv"
 
 
 def test_spectral_zero_operator():
-    table = spectral_resolvent(ConstantKernel(1.0), np.zeros((2, 2)), TimeGrid(1.0, 16))
+    kern = ScalarTypeKernel(ConstantKernel(1.0), np.zeros((2, 2)))
+    table = compute_resolvent(kern, TimeGrid(1.0, 16))
     np.testing.assert_allclose(table.S, np.broadcast_to(np.eye(2), (17, 2, 2)), atol=1e-15)
 
 
-def test_spectral_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        spectral_resolvent(ConstantKernel(1.0), np.array([[0.0, 1.0], [0.0, 0.0]]), TimeGrid(1.0, 8))
-
-
-def test_spectral_flags_positive_eigenvalues():
-    with pytest.warns(UserWarning):
-        spectral_resolvent(ConstantKernel(1.0), np.diag([1.0, -1.0]), TimeGrid(1.0, 8))
+def test_one_ulp_off_symmetric_takes_the_matrix_march(monkeypatch):
+    # no tolerance: an A one ulp off symmetric is marched as a d x d table, and
+    # agrees with the channel table of its symmetric twin
+    A = rotated_symmetric(5)
+    A_off = A.copy()
+    A_off[0, 1] = np.nextafter(A_off[0, 1], np.inf)
+    grid = TimeGrid(1.0, 128)
+    twin = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), A), grid)
+    calls = []
+    monkeypatch.setattr(
+        "stochvolterra.resolvent.march", lambda W, scheme: calls.append(1) or grids.march(W, scheme)
+    )
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), A_off), grid)
+    assert calls == [1]
+    assert np.max(np.abs(table.S - twin.S)) < 1e-12
 
 
 # --- growth bounds --------------------------------------------------------------

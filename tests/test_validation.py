@@ -39,7 +39,6 @@ from stochvolterra import (
     sample_wiener,
     sample_wiener_batch,
     solve_scalar_resolvent,
-    spectral_resolvent,
     stochastic_convolution,
     verify_ito_identity,
     verify_volterra_identity,
@@ -341,14 +340,14 @@ def test_weak_identity_rejects_an_integrand_or_operator_of_the_wrong_shape():
     inc = sample_wiener(spec, table.grid)
     psi = ConstantDiffusion(np.eye(2))
     path = stochastic_convolution(table, psi, inc)
-    A, a, xi = table.kernel.A, ExponentialKernel(), np.ones(2)
+    a, xi = ExponentialKernel(), np.ones(2)
     with pytest.raises(DimensionMismatch):
-        verify_weak_solution(path, a, A, xi, ConstantDiffusion(np.ones((2, 3))), inc)
+        verify_weak_solution(path, table.kernel, xi, ConstantDiffusion(np.ones((2, 3))), inc)
     for bad in (np.eye(3), [[-1.0]]):
         with pytest.raises(DimensionMismatch):
-            verify_weak_solution(path, a, bad, xi, psi, inc)
+            verify_weak_solution(path, ScalarTypeKernel(a, bad), xi, psi, inc)
     with pytest.raises(DimensionMismatch):
-        verify_weak_solution(path, a, A, np.ones(3), psi, inc)
+        verify_weak_solution(path, table.kernel, np.ones(3), psi, inc)
 
 
 def test_weak_identity_rejects_a_nan_operator_or_functional():
@@ -360,9 +359,9 @@ def test_weak_identity_rejects_a_nan_operator_or_functional():
     A, a = np.array(table.kernel.A), ExponentialKernel()
     A[0, 1] = NAN
     with pytest.raises(ValueError, match="finite"):
-        verify_weak_solution(path, a, A, np.ones(2), psi, inc)
+        verify_weak_solution(path, ScalarTypeKernel(a, A), np.ones(2), psi, inc)
     with pytest.raises(ValueError, match="finite"):
-        verify_weak_solution(path, a, table.kernel.A, [1.0, NAN], psi, inc)
+        verify_weak_solution(path, table.kernel, [1.0, NAN], psi, inc)
 
 
 # --- operators and state vectors ---------------------------------------------
@@ -370,13 +369,10 @@ def test_weak_identity_rejects_a_nan_operator_or_functional():
 
 @pytest.mark.parametrize("bad", [NAN, np.inf])
 def test_operators_must_be_finite(bad):
-    # accretivity once reported a nan eigenvalue, the spectral construction
-    # "must be symmetric" or a "nonpositive diagonal coefficient", and a nonscalar
-    # kernel failed only in the march ("overflow at step 1")
+    # accretivity once reported a nan eigenvalue, and a nonscalar kernel failed
+    # only in the march ("overflow at step 1")
     with pytest.raises(ValueError, match="finite"):
         accretivity_check([[bad]])
-    with pytest.raises(ValueError, match="finite"):
-        spectral_resolvent(ExponentialKernel(), [[bad]], TimeGrid(1.0, 8))
     with pytest.raises(ValueError, match="finite"):
         NonscalarKernel(lambda t: [[bad]])
     with pytest.raises(ValueError, match="finite"):
@@ -389,7 +385,6 @@ def test_operators_must_be_finite(bad):
 def test_operators_must_be_square_matrices(shape):
     for check in (
         accretivity_check,
-        lambda A: spectral_resolvent(ExponentialKernel(), A, TimeGrid(1.0, 8)),
         lambda A: NonscalarKernel(lambda t: A),
         lambda A: ScalarTypeKernel(ExponentialKernel(), A),
     ):
