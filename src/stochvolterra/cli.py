@@ -448,13 +448,14 @@ def _check_out_dir(out_dir):
 def _write_csv(path, header, rows):
     """Write the header line, then one line per row, each number to 17
     significant digits and None as an empty cell.  A row of numbers takes one
-    "%.17g,..." template, which prints each as format(x, ".17g") does."""
+    "%.17g,..." template, which prints each as format(x, ".17g") does; a row of
+    an array is formatted from Python floats (`tolist`), one row at a time."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             try:
-                f.write(line % tuple(row))
+                f.write(line % tuple(row.tolist() if isinstance(row, np.ndarray) else row))
             except TypeError:  # a None cell
                 f.write(",".join("" if x is None else format(float(x), ".17g") for x in row) + "\n")
 

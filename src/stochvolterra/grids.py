@@ -6,7 +6,7 @@ sum of known inputs, _TILE nodes per BLAS product for a batch of paths and one n
 (ascending order) for a single path; `_add_lag_sum_fft` adds it whole by FFT.  `march`
 solves the discrete resolvent equation by recursive halving, pushing cell values through
 the lag weights: FFT products for the far history, strip products inside zones of
-_ZONE nodes and one product with a precomputed inverse per leaf of _LEAF nodes.
+_ZONE nodes and one product with a precomputed inverse per leaf of `_leaf_nodes` nodes.
 An FFT product's error scales with its block's norm, not with each entry.
 """
 
@@ -24,7 +24,6 @@ __all__ = ["TimeGrid"]
 _LAG_BLOCK = 1 << 16  # doubles (0.5 MiB) in lag_convolve's product of one block of paths
 _TILE = 16  # input nodes per lag_convolve product on a batch of paths (a single path: 1)
 
-_LEAF = 8  # nodes per leaf of `march`: one product with the inverted leaf block
 _ZONE = 256  # nodes per block that `march` sums leaf by leaf; longer blocks halve by FFT
 _LEAF_COND = 1e3  # above it a product with the leaf inverse loses cond * eps: substitute
 
@@ -99,7 +98,7 @@ def march(W, scheme):
     implicit = implicit_share(scheme)
     W = np.moveaxis(np.asarray(W, dtype=float), 0, -3)  # (*batch, N, d, d)
     N, d = W.shape[-3], W.shape[-1]
-    b = min(N, _LEAF)
+    b = _leaf_nodes(N, d)
     K = implicit * W[..., :b, :, :]  # the leaf block's lags
     K[..., 1:, :, :] += (1.0 - implicit) * W[..., : b - 1, :, :]
     block = np.eye(b * d) - _toeplitz_strip(K, b, b)
@@ -113,6 +112,12 @@ def march(W, scheme):
     S[...] = np.eye(d)  # S[0] and every right-hand side, solved in place
     _solve(W, S, leaf_inv, implicit, 1, _ZONE << ((N - 1) // _ZONE).bit_length())
     return np.moveaxis(S, -3, 0)
+
+
+def _leaf_nodes(N, d):
+    """Nodes per leaf of a d x d `march` on N cells: about 64 rows of the leaf block, from
+    4 to 16 nodes (16 for channels), so small problems take fewer, larger products."""
+    return min(N, 16, max(4, 64 // d))
 
 
 def _toeplitz_strip(K, rows, cols):

@@ -23,10 +23,12 @@ Schemes
     what the identity verifiers exploit.
 
 Tables are solved by `grids.march`, recursive halving with FFT products for the
-far history and one product with a precomputed leaf inverse per 8 nodes:
-O(N log^2 N) for a d x d table.  `resolvent_residuals` sums both equations'
-histories by FFT (`grids._add_lag_sum_fft`, node-first), in another order than the
-solver, so the second residual reads 1e-15 to 1e-14, not zero.
+far history and one product with a precomputed inverse per leaf of 4 to 16 nodes
+(`grids._leaf_nodes`): O(N log^2 N) for a d x d table.  `resolvent_residuals` sums
+both equations' histories by FFT (`grids._add_lag_sum_fft`, node-first), in another
+order than the solver, so the second residual reads 1e-16 to 1e-14, not zero.  On a
+channel table it checks the channel march; the rotation to S adds roundoff of its own
+that the residuals do not see.
 
 `compute_resolvent` is the one constructor.  A scalar-type kernel a(t) A with exactly
 symmetric A (`_symmetric_eigh`: `np.array_equal(A, A.T)`, no tolerance) splits along
@@ -34,8 +36,11 @@ A's eigenvectors into d scalar channels on the same cell moments, all marched by
 `grids.march_channels` call and rotated back in N d^3 multiply-adds (the d x d march
 spends about N 256 d^3 / 2 in its zones); the two tables agree at roundoff.  An A
 symmetric only to roundoff takes the matrix march: pass (A + A') / 2 to take the
-channels.  Any other kernel marches the full d x d table.
-Operator 2-norms are exact (singular values), one batched call per stack.
+channels.  Any other kernel marches the full d x d table.  A channel table keeps lam,
+V and s: its norms and U-Lipschitz estimate cost O(N d) instead of N SVDs, and its
+residuals d FFT columns instead of d^2, plus one N d^3 rotation of each residual.
+Operator 2-norms are exact (singular values), one batched call per stack, except on
+channel tables, whose norms are max_k |s_k|.
 """
 
 from abc import ABC, abstractmethod
@@ -216,7 +221,10 @@ class ResolventTable:
 
     S[0] is the identity and U is the composite trapezoid integral of S;
     `cell_weights` are the exact weight matrices the marching used, kept so
-    identity verifiers can share them.
+    identity verifiers can share them.  A table marched in eigenchannels also holds
+    A's eigenvalues `lam`, its orthonormal eigenvectors `V` (columns) and the (N+1, d)
+    channels `s`, S(t_n) = V diag(s[n]) V'; its norms, U-Lipschitz estimate and
+    residuals are read from them.  A table from `grids.march` holds None in all three.
     """
 
     grid: TimeGrid
@@ -226,9 +234,15 @@ class ResolventTable:
     scheme: str
     quadrature_id: str
     cell_weights: np.ndarray
+    lam: np.ndarray | None = None
+    V: np.ndarray | None = None
+    s: np.ndarray | None = None
 
     def __post_init__(self):
-        _readonly_fields(self, "S", "U", "cell_weights")
+        channels = [name for name in ("lam", "V", "s") if getattr(self, name) is not None]
+        if len(channels) not in (0, 3):
+            raise ValueError(f"lam, V and s come together, got only {channels}")
+        _readonly_fields(self, "S", "U", "cell_weights", *channels)
         d = self.dim
         if not np.array_equal(self.S[0], np.eye(d)):
             raise NumericalFailure("table does not start at the identity")
@@ -242,21 +256,32 @@ class ResolventTable:
     def dim(self):
         return self.S.shape[1]
 
+    def norms(self):
+        """Operator 2-norms of S(t_n), one per node: max_k |s_k(t_n)| on a channel
+        table, the largest singular value otherwise."""
+        if self.s is None:
+            return operator_2norm(self.S)
+        return np.max(np.abs(self.s), axis=1)
+
     def sup_norm(self):
         """max_n of the operator 2-norm of S(t_n)."""
-        return float(np.max(operator_2norm(self.S)))
+        return float(np.max(self.norms()))
 
     def u_lipschitz(self):
         """Discrete Lipschitz estimate of U: max_n |U(t_{n+1}) - U(t_n)| / h."""
-        steps = operator_2norm(np.diff(self.U, axis=0))
-        return float(np.max(steps)) / self.grid.h
+        h = self.grid.h
+        if self.s is None:
+            steps = operator_2norm(np.diff(self.U, axis=0))
+        else:  # U(t_{n+1}) - U(t_n) = (h / 2) V diag(s[n+1] + s[n]) V'
+            steps = 0.5 * h * np.max(np.abs(self.s[1:] + self.s[:-1]), axis=1)
+        return float(np.max(steps)) / h
 
 
-def _table(grid, S, kernel, scheme, W):
+def _table(grid, S, kernel, scheme, W, *channels):
     """The ResolventTable of the marched S; U is its composite trapezoid integral."""
     U = np.zeros_like(S)
     U[1:] = np.cumsum(0.5 * grid.h * (S[1:] + S[:-1]), axis=0)
-    return ResolventTable(grid, S, U, kernel, scheme, f"{scheme}/cell-exact/v1", W)
+    return ResolventTable(grid, S, U, kernel, scheme, f"{scheme}/cell-exact/v1", W, *channels)
 
 
 def _symmetric_eigh(A):
@@ -270,10 +295,10 @@ def compute_resolvent(kernel, grid, scheme="product"):
 
     A scalar-type kernel with exactly symmetric A = V diag(lam) V' is marched in its
     eigenchannels (`march_channels` with mu = -lam on the cell moments of a) and
-    rotated back as V diag(s_n) V'; NumericalFailure when a channel's step coefficient
-    1 - theta lam w[0] is <= 0, where its steps would alternate in sign instead of
-    growing.  Any other kernel goes through `grids.march`.  With the zero kernel the
-    table is identically the identity under either scheme.
+    rotated back as V diag(s_n) V', and the table keeps lam, V and s; NumericalFailure
+    when a channel's step coefficient 1 - theta lam w[0] is <= 0, where its steps would
+    alternate in sign instead of growing.  Any other kernel goes through `grids.march`.
+    With the zero kernel the table is identically the identity under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
@@ -285,7 +310,7 @@ def compute_resolvent(kernel, grid, scheme="product"):
     s = march_channels(kernel.a.cell_moments(grid.h, grid.N), -lam, scheme)
     S = (V * s[:, None, :]) @ V.T
     S[0] = np.eye(kernel.dim)  # V V' is I only to roundoff
-    return _table(grid, S, kernel, scheme, W)
+    return _table(grid, S, kernel, scheme, W, lam, V, s)
 
 
 @dataclass(frozen=True)
@@ -306,7 +331,11 @@ class ResolventResiduals:
 def resolvent_residuals(table):
     """`ResolventResiduals` of the table.  Both history sums are taken by FFT in
     O(N log N) per column of S, so the second residual checks the march by an
-    independent summation: up to about 1e-14 max|S|, growing with N (not zero)."""
+    independent summation: up to about 1e-14 max|S|, growing with N (not zero).
+    A channel table sums each channel's two scalar equations instead, d columns in
+    place of d^2, and rotates the (N, d) residuals back once as V diag(r) V'."""
+    if table.s is not None:
+        return _channel_residuals(table)
     grid, S, W = table.grid, table.S, table.cell_weights
     N, d = grid.N, table.dim
     # lag k of the first equation's sum is A(t_{k+1}) h
@@ -319,6 +348,24 @@ def resolvent_residuals(table):
     res2 = np.max(np.abs(gap - conv2))
     res1 = np.max(np.abs(gap - grid.h * conv1))
     return ResolventResiduals(res_first=float(res1), res_second=float(res2))
+
+
+def _channel_residuals(table):
+    """`resolvent_residuals` of a channel table: channel k's lags are lam_k times the
+    cell moments of a (second equation) and lam_k a(t_{j+1}) (first), all 2d sums in
+    one batched FFT call; each residual is the max |entry| of V diag(r) V'."""
+    grid, s, lam, V, a = table.grid, table.s, table.lam, table.V, table.kernel.a
+    N, d = grid.N, table.dim
+    lags = np.stack([a.cell_moments(grid.h, N), a(grid.nodes()[1:])])[:, None, :] * lam[:, None]
+    inputs = np.stack([cell_values(s, table.scheme), s[:N]]).swapaxes(1, 2)
+    sums = np.zeros((2, d, N, 1, 1))  # sums[e, k, n-1] is equation e's sum at node n
+    _add_lag_sum_fft(lags[..., None, None], inputs[..., None, None], sums, 0)
+    conv2, conv1 = sums[..., 0, 0].swapaxes(1, 2)
+    gap = s[1:] - 1.0
+    res2, res1 = (
+        float(np.max(np.abs((V * r[:, None, :]) @ V.T))) for r in (gap - conv2, gap - grid.h * conv1)
+    )
+    return ResolventResiduals(res_first=res1, res_second=res2)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +394,12 @@ def exponential_bound_fit(table):
     Least squares of log |S(t_n)| against t_n over the tail half of the grid
     gives the rate; the prefactor is then inflated minimally so the bound
     holds at every node as evaluated, eta_n <= M * exp(w t_n) in floating point
-    (and never below one, which S(0) = I forces anyway); NumericalFailure when
-    a few ulps of M do not suffice (exp(w t) underflowing).
+    on the norms eta = `table.norms()` (max_k |s_k(t_n)| on a channel table,
+    singular values otherwise), and never below one, which S(0) = I forces
+    anyway; NumericalFailure when a few ulps of M do not suffice (exp(w t)
+    underflowing).
     """
-    return _bound_fit(table.grid.nodes(), operator_2norm(table.S))
+    return _bound_fit(table.grid.nodes(), table.norms())
 
 
 def _check_fit_cells(cells):

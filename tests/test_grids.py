@@ -262,11 +262,11 @@ def test_march_follows_growing_tables_node_by_node(scheme, T, N):
     assert node_sup(expected)[-1] > 1e10
 
 
-L, Z = grids._LEAF, grids._ZONE
+L, Z = grids._leaf_nodes(1 << 20, 2), grids._ZONE  # a 2 x 2 march's leaf: 16 nodes
 
 
 @pytest.mark.parametrize("scheme", ["product", "conv"])
-@pytest.mark.parametrize("N", [3, L, L + 1, 2 * L + 3, Z, Z + 1, 2 * Z + 5])
+@pytest.mark.parametrize("N", [3, 8, 9, 19, L, L + 1, 2 * L + 3, Z, Z + 1, 2 * Z + 5])
 def test_march_matches_einsum_march_at_leaf_and_zone_edges(scheme, N):
     W = np.random.default_rng(N).normal(size=(N, 2, 2)) * (2.0 / N)
     expected = einsum_march(W, scheme)
@@ -309,8 +309,8 @@ def test_march_channels_match_single_channels_bit_for_bit_past_a_zone(scheme):
 @pytest.mark.parametrize("scheme", ["product", "conv"])
 @pytest.mark.parametrize("N", [512, 2048])
 def test_overflow_names_the_oracles_first_node_past_the_limit(scheme, N):
-    # s' = 5 s over t = 50 passes 1e100 near t = 46; at N = 512 the conv leaf block is
-    # past _LEAF_COND (a node at a time), every other case goes eight nodes per leaf
+    # s' = 5 s over t = 50 passes 1e100 near t = 46; at N = 512 the leaf block of either
+    # scheme is past _LEAF_COND (a node at a time), at N = 2048 both go sixteen nodes per leaf
     w = np.full(N, 5.0 * 50.0 / N)
     W = w[:, None, None] * np.diag([1.0, -1.0])
     first = int(np.argmax(node_sup(einsum_march(W, scheme)) > OVERFLOW_LIMIT))

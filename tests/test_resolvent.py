@@ -9,6 +9,7 @@ from stochvolterra import (
     LinearKernel,
     NonscalarKernel,
     NumericalFailure,
+    ResolventTable,
     ScalarTypeKernel,
     SmoothnessError,
     TabulatedKernel,
@@ -337,6 +338,78 @@ def test_one_ulp_off_symmetric_takes_the_matrix_march(monkeypatch):
     table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), A_off), grid)
     assert calls == [1]
     assert np.max(np.abs(table.S - twin.S)) < 1e-12
+
+
+def matrix_diagnostics(table):
+    """The d x d formulas on S alone: SVD norms of S and of U's steps, and both residuals
+    with every column of S summed by `_add_lag_sum_fft`."""
+    grid, S, N, d = table.grid, table.S, table.grid.N, table.dim
+    norms = operator_2norm(S)
+    u_lip = np.max(operator_2norm(np.diff(table.U, axis=0))) / grid.h
+    conv1, conv2 = np.zeros((2, N, d, d))
+    _add_lag_sum_fft(table.cell_weights, cell_values(S, table.scheme), conv2, 0)
+    _add_lag_sum_fft(table.kernel.value(grid.nodes()[1:]), S[:N], conv1, 0)
+    gap = S[1:] - np.eye(d)
+    return norms, u_lip, np.max(np.abs(gap - grid.h * conv1)), np.max(np.abs(gap - conv2))
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("a", [FractionalKernel(0.5), ExponentialKernel()], ids=["frac", "exp"])
+@pytest.mark.parametrize("d", [1, 5, 16])
+def test_channel_diagnostics_match_the_matrix_formulas(d, a, scheme):
+    table = compute_resolvent(ScalarTypeKernel(a, rotated_symmetric(d)), TimeGrid(1.0, 256), scheme)
+    assert table.lam.shape == (d,) and table.V.shape == (d, d) and table.s.shape == (257, d)
+    norms, u_lip, res1, res2 = matrix_diagnostics(table)
+    np.testing.assert_allclose(table.norms(), norms, rtol=1e-13, atol=0.0)
+    assert table.sup_norm() == pytest.approx(np.max(norms), rel=1e-13, abs=0.0)
+    assert table.u_lipschitz() == pytest.approx(u_lip, rel=1e-13, abs=0.0)
+    # each residual is the difference of two sums of the table's size, so both routes'
+    # residuals agree relative to max|S| (measured at most 4.7e-16 for the first; the
+    # second is itself roundoff, 2e-16 to 2e-15)
+    res, scale = resolvent_residuals(table), np.max(np.abs(table.S))
+    assert abs(res.res_first - res1) <= 1e-13 * scale
+    assert res2 < 1e-12 and abs(res.res_second - res2) <= 1e-13 * scale
+    # the fitted bound holds at every node on the norms the fit reads
+    fit = exponential_bound_fit(table)
+    assert np.all(table.norms() <= fit.M * np.exp(fit.w * table.grid.nodes()))
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_diag5_channel_norms_are_exact(scheme):
+    # diag5's eigenvectors are a signed permutation: V diag(s) V' places each channel
+    # on the diagonal exactly, so the norms are the diagonal's largest |entry|
+    table = compute_resolvent(diag5_fractional_kernel(), TimeGrid(1.0, 1024), scheme)
+    assert np.array_equal(np.abs(table.V), np.abs(table.V).round())
+    diagonal = np.abs(np.diagonal(table.S, axis1=1, axis2=2)).max(axis=1)
+    assert table.norms().tobytes() == diagonal.tobytes()
+    assert table.norms().tobytes() == operator_2norm(table.S).tobytes()
+    _, _, res1, res2 = matrix_diagnostics(table)
+    res, scale = resolvent_residuals(table), np.max(np.abs(table.S))
+    assert abs(res.res_first - res1) <= 1e-13 * scale
+    assert abs(res.res_second - res2) <= 1e-13 * scale
+
+
+def test_march_tables_carry_no_channels():
+    grid = TimeGrid(1.0, 64)
+    A = rotated_symmetric(3)
+    A_off = A.copy()
+    A_off[0, 1] = np.nextafter(A_off[0, 1], np.inf)
+    kernels = [
+        ScalarTypeKernel(ExponentialKernel(), [[-1.0, 0.4], [0.0, -2.0]]),
+        ScalarTypeKernel(ExponentialKernel(), A_off),
+        NonscalarKernel(lambda t: np.exp(-t) * A),
+    ]
+    for kernel in kernels:
+        table = compute_resolvent(kernel, grid)
+        assert table.lam is None and table.V is None and table.s is None
+        np.testing.assert_array_equal(table.norms(), operator_2norm(table.S))
+
+
+def test_a_table_holds_all_three_channel_arrays_or_none():
+    table = compute_resolvent(diag5_kernel(), TimeGrid(1.0, 16))
+    fields = (table.grid, table.S, table.U, table.kernel, table.scheme, "q", table.cell_weights)
+    with pytest.raises(ValueError, match="come together"):
+        ResolventTable(*fields, lam=table.lam, V=table.V)
 
 
 # --- growth bounds --------------------------------------------------------------

@@ -41,9 +41,12 @@ TAB = ([0.0, 0.5, 1.0], [1.0, 0.5, 0.25])
 
 def _table(name):
     def build(a):
-        arrays = {"S": TABLE.S, "U": TABLE.U, "cell_weights": TABLE.cell_weights, name: a}
+        arrays = {n: getattr(TABLE, n) for n in ("S", "U", "cell_weights", "lam", "V", "s")}
+        arrays[name] = a
+        channels = {n: arrays[n] for n in ("lam", "V", "s")}
         t = ResolventTable(
-            GRID, arrays["S"], arrays["U"], TABLE.kernel, "product", "q", arrays["cell_weights"]
+            GRID, arrays["S"], arrays["U"], TABLE.kernel, "product", "q", arrays["cell_weights"],
+            **channels,
         )
         return getattr(t, name)
 
@@ -85,6 +88,9 @@ CASES = [
     ("ResolventTable.S", TABLE.S, _table("S")),
     ("ResolventTable.U", TABLE.U, _table("U")),
     ("ResolventTable.cell_weights", TABLE.cell_weights, _table("cell_weights")),
+    ("ResolventTable.lam", TABLE.lam, _table("lam")),
+    ("ResolventTable.V", TABLE.V, _table("V")),
+    ("ResolventTable.s", TABLE.s, _table("s")),
     ("WienerIncrements.dW", np.ones((2, 4)), lambda a: WienerIncrements(GRID, a, 0, SPEC).dW),
     (
         "ConvolutionPath.values",
