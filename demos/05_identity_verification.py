@@ -7,8 +7,10 @@ convolution satisfies the convolution identity
 
 exactly: the discrete Dirichlet/Fubini rearrangement telescopes for finite
 sums.  On the default second-order tables the same verifier reports an O(h)
-defect instead.  The weak-form pairing and the integration-by-parts identity
-follow the same pattern.
+defect instead.  The weak-form pairing follows the same pattern.  The
+integration-by-parts identity is exact only in the flat case below; otherwise
+its residual shrinks with the step, and its mean is O(h) on convolution-
+quadrature tables but O(h^2) on the default ones.
 """
 
 import math

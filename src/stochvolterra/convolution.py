@@ -467,9 +467,11 @@ class ItoStatistics:
 def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     """Run the identity over many mild-solution paths and summarize.
 
-    All paths share the table; the reported mean should be statistically
-    indistinguishable from zero and the root mean square shrinks with the
-    grid step.
+    All paths share the table, and the root mean square shrinks with the grid step.
+    The mean estimates the residual's deterministic part c0: O(h^2) on `product`
+    tables (-4.4e-6 at N = 128 on the `ito_mc` benchmark config), so the mean is
+    indistinguishable from zero; O(h) on `conv` tables (+3.8e-4 there, 2.8 standard
+    errors at P = 1000), where c0 / SE grows as sqrt(P) and does not fall with N.
 
     The final residual of the path driven by increments dW is c0 + <g, dW>, g and
     c0 taken once by `_ito_final_weights` (about N^2 d^2 / 2 multiply-adds, none

@@ -17,15 +17,15 @@ roundoff.  An exactly symmetric A (`resolvent._symmetric_eigh`, no tolerance) ru
 eigenchannels: A and every A_lam share A's eigenvectors, so one `march_channels` call
 solves every table and norms are the channels' own.  A path gap is a linear map of the
 path's increments, so its square summed over paths is a quadratic form in their Gram
-matrix (the sample Ito isometry): each block adds about d P N^2 / 2 multiply-adds into
-one N x N Gram matrix per channel, shared by every lam and both gaps, and one end step
-of about 2 d L N^3 multiply-adds, whatever P is, reads every lam's sums.  Live memory
-is d N^2 doubles.  Strip products per block would take 2 d L P N^2, so the Gram pays
-once P exceeds about N, as in every study the package runs (1000 paths on 128 cells in
-the benchmark); with fewer paths the end step dominates (N / P times the strip products'
-work, ten at N = 1024, P = 100).  Any other A convolves each block with
-L + 1 full d x d tables, about P N^2 d^2 / 2 multiply-adds per table, then applies A
-and A_lam and subtracts.
+matrix (the sample Ito isometry): each block is rotated into the channels by one product
+per run of equal psi values and adds about d P N^2 / 2 multiply-adds into one N x N Gram
+matrix per channel, shared by every lam and both gaps; one end step of about
+2 d L N^3 / 3 multiply-adds, whatever P is, reads every lam's sums from the Grams' causal
+triangles.  Live memory is d N^2 doubles.  Strip products per block would take
+2 d L P N^2, so the Gram pays once P exceeds about N / 3, as in every study the package
+runs (1000 paths on 128 cells in the benchmark); below it the end step dominates.  Any
+other A convolves each block with L + 1 full d x d tables, about P N^2 d^2 / 2
+multiply-adds per table, then applies A and A_lam and subtracts.
 """
 
 import warnings
@@ -36,7 +36,7 @@ import numpy as np
 
 from .convolution import _check_integrand, _convolve_paths, _path_blocks
 from .errors import NumericalFailure
-from .grids import _toeplitz_strip, march_channels
+from .grids import _TILE, _toeplitz_strip, march_channels
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
 from .resolvent import ScalarTypeKernel, _bound_fit, _check_fit_cells, _symmetric_eigh
@@ -189,10 +189,9 @@ def yosida_convergence_study(
         )
     family = make_yosida(A, lambdas, force=True)
     blocks = _path_blocks(spec, grid, n_paths, threads)
-    products = map(partial(_left_point_products, psi, grid), blocks)
     eig = _symmetric_eigh(family.A)
     route = _matrix_route if eig is None else partial(_channel_route, eig)
-    e_S, sums, fits = route(a, family, grid, scheme, products)
+    e_S, sums, fits = route(a, family, grid, scheme, psi, blocks)
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(
         lambdas=family.lambdas,
@@ -206,10 +205,11 @@ def yosida_convergence_study(
     )
 
 
-def _matrix_route(a, family, grid, scheme, products):
+def _matrix_route(a, family, grid, scheme, psi, blocks):
     """e_S, the (2, L, N+1) path sums of |W_lam - W|^2 and |A_lam W_lam - A W|^2, and
     the bound fits of the L + 1 tables, each a d x d `compute_resolvent` table
-    convolved with every block: about P N^2 d^2 / 2 multiply-adds a table."""
+    convolved with psi's left-point products of every (P, K, N) increment block:
+    about P N^2 d^2 / 2 multiply-adds a table."""
     base = compute_resolvent(ScalarTypeKernel(a, family.A), grid, scheme=scheme)
     tables = [
         compute_resolvent(ScalarTypeKernel(a, Al), grid, scheme=scheme)
@@ -217,7 +217,7 @@ def _matrix_route(a, family, grid, scheme, products):
     ]
     e_S = np.array([np.max(operator_2norm(tb.S - base.S)) for tb in tables])
     sums = np.zeros((2, family.lambdas.size, grid.N + 1))
-    for c in products:
+    for c in map(partial(_left_point_products, psi, grid), blocks):
         W_base = _convolve_paths(base.S, c)
         AW_base = W_base @ family.A.T
         for i, tb in enumerate(tables):
@@ -229,38 +229,49 @@ def _matrix_route(a, family, grid, scheme, products):
     return e_S, sums, [exponential_bound_fit(tb) for tb in tables + [base]]
 
 
-def _channel_route(eig, a, family, grid, scheme, products):
+def _channel_route(eig, a, family, grid, scheme, psi, blocks):
     """`_matrix_route` for a symmetric A = V diag(mu) V', eig = (mu, V), in A's eigenchannels.
 
     Every A_lam is V diag(mu / (1 - lam mu)) V', so every table is V diag(s) V' and one
     `march_channels` call gives all channels s on the cell moments the tables use.  V
     is orthogonal, so the norms are the channels' own: |S_lam - S| = max_k |s_lam,k -
     s_k|, and per path and node |W_lam - W|^2 sums over k the squared lag sums of the
-    gap s_lam,k - s_k against channel k of the rotated block c V (|A_lam W_lam - A W|^2
-    likewise, with the gap mu_lam s_lam - mu s).  With G the (N L, N) block-Toeplitz
-    strip of a channel's L gaps and y_p its increments, sum_p (G y_p)^2 is the rowwise
-    dot of G Y'Y and G: the blocks add into the channel's Gram matrix Y'Y (a symmetric
-    product, about P N^2 / 2 multiply-adds), and after the last block each channel
-    multiplies its Gram by two strips, one for e_W and one for e_AW: about 2 d L N^3
-    multiply-adds in all, whatever P is.  The d Gram matrices and one strip are alive.
+    gap s_lam,k - s_k against channel k of the rotated increments y_m = V' psi(t_m) dW_m
+    (|A_lam W_lam - A W|^2 likewise, with the gap mu_lam s_lam - mu s); V' psi(t_m) is
+    taken once per call, and a block once per run of equal values.  With G the (N L, N)
+    block-Toeplitz strip of a channel's L gaps and y_p its increments, sum_p (G y_p)^2
+    is the rowwise dot of G Y'Y and G: the blocks add into the channel's Gram matrix
+    Y'Y (a symmetric product, about P N^2 / 2 multiply-adds), and after the last block
+    each channel multiplies its Gram by two strips, one for e_W and one for e_AW.  Row
+    block n - 1 of G is zero from column n on, so _TILE nodes at a time read only the
+    Gram's leading block: about 2 d L N^3 / 3 multiply-adds in all, whatever P is.  The
+    d Gram matrices and one strip are alive.
     """
     mu, V = eig
+    N, L = grid.N, family.lambdas.size
     mus = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])  # (L + 1, d)
-    w = a.cell_moments(grid.h, grid.N)
-    s = march_channels(w, -mus.ravel(), scheme).reshape((grid.N + 1,) + mus.shape)
+    w = a.cell_moments(grid.h, N)
+    s = march_channels(w, -mus.ravel(), scheme).reshape((N + 1,) + mus.shape)
     gaps = np.stack([s[:, 1:] - s[:, :1], mus[1:] * s[:, 1:] - mus[0] * s[:, :1]])
     e_S = np.max(np.abs(gaps[0]), axis=(0, 2))
     lags = np.moveaxis(gaps[:, 1:], -1, 1)[..., None]  # (2, d, N, L, 1): lags 1..N
-    gram = np.zeros((len(mu), grid.N, grid.N))
-    for c in products:
-        y = np.ascontiguousarray(np.moveaxis(c @ V, -1, 0))  # (d, P, N)
+    R = V.T @ psi.values_on_grid(grid)  # y[:, :, m] = R[m, :, :K] dW[:, :, m], K modes
+    cuts = [0, *(np.flatnonzero(np.any(R[1:] != R[:-1], axis=(1, 2))) + 1), N]
+    gram = np.zeros((len(mu), N, N))
+    for dw in blocks:
+        y = np.empty((dw.shape[0], len(mu), N))  # (P, d, N)
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.matmul(R[lo, :, : dw.shape[1]], dw[:, :, lo:hi], out=y[:, :, lo:hi])
         for k in range(len(mu)):
-            gram[k] += y[k].T @ y[k]
+            gram[k] += y[:, k].T @ y[:, k]
         del y  # free before the next block is sampled
-    sums = np.zeros((2, grid.N, family.lambdas.size))
+    sums = np.zeros((2, N, L))
     for j, k in np.ndindex(lags.shape[:2]):
         # (N L, N), one strip alive at a time: row block n - 1 holds lag n - m at column m
-        G = _toeplitz_strip(lags[j, k], grid.N, grid.N)
-        sums[j] += np.einsum("ij,ij->i", G @ gram[k], G).reshape(grid.N, -1)
+        G = _toeplitz_strip(lags[j, k], N, N)
+        for lo in range(0, N, _TILE):
+            hi = min(lo + _TILE, N)  # nodes lo + 1 .. hi: columns m < hi
+            rows = G[lo * L : hi * L, :hi]
+            sums[j, lo:hi] += np.einsum("ij,ij->i", rows @ gram[k, :hi, :hi], rows).reshape(-1, L)
     t, eta = grid.nodes(), np.max(np.abs(s), axis=2)
     return e_S, sums.swapaxes(1, 2), [_bound_fit(t, eta[:, i]) for i in range(mus.shape[0])]

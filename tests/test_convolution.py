@@ -34,7 +34,7 @@ from stochvolterra import (
     yosida_convergence_study,
 )
 from stochvolterra import convolution
-from stochvolterra.convolution import _left_point_products
+from stochvolterra.convolution import _ito_final_weights, _left_point_products
 from stochvolterra.noise import WienerIncrements
 
 
@@ -581,6 +581,21 @@ def test_ito_statistics_smoke():
     assert stats.n_paths == 200
     assert abs(stats.mean) <= 5.0 * stats.std_error
     assert stats.rms > 0.0
+
+
+@pytest.mark.parametrize("scheme, order", [("conv", 1), ("product", 2)])
+def test_ito_residual_mean_is_first_order_on_conv_and_second_on_product(scheme, order):
+    # the final residual is c0 + <g, dW>, so c0 is its exact mean: O(h) under conv, which
+    # the Monte Carlo mean resolves once enough paths are drawn, O(h^2) under product
+    kern = ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0, 0.4], [0.0, -2.0]]))
+    xi = ItoTestFunction(np.array([1.0, 0.5]), phi=math.exp, phi_dot=math.exp)
+    B, X0 = np.array([[0.8, 0.0], [0.3, 0.5]]), np.array([1.0, -1.0])
+    c0 = [
+        _ito_final_weights(compute_resolvent(kern, TimeGrid(1.0, n), scheme=scheme), B, xi, X0)[1]
+        for n in (128, 256, 512)
+    ]
+    for coarse, fine in zip(c0, c0[1:]):
+        assert coarse / fine == pytest.approx(2.0**order, rel=0.05)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])

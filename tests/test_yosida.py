@@ -11,7 +11,9 @@ from stochvolterra import (
     LinearKernel,
     NoiseSpec,
     NumericalFailure,
+    RuleDiffusion,
     ScalarTypeKernel,
+    StepDiffusion,
     TimeGrid,
     accretivity_check,
     compute_resolvent,
@@ -21,7 +23,7 @@ from stochvolterra import (
     sample_wiener_batch,
     yosida_convergence_study,
 )
-from stochvolterra import convolution
+from stochvolterra import convolution, yosida
 from stochvolterra.convolution import _convolve_paths
 from stochvolterra.noise import _left_point_products
 
@@ -219,6 +221,62 @@ def test_channel_route_over_ragged_blocks(monkeypatch, scheme):
     spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
     args = (FractionalKernel(0.5), rotated_diag5(), psi, spec, [0.2, 0.1], TimeGrid(1.0, 64), 100)
     assert_matches_matrix_route(args, scheme)
+
+
+def step_psi():
+    """Three pieces on 64 cells: 0.25 starts on node 16, 0.3 between nodes 19 and 20."""
+    B = np.random.default_rng(3).standard_normal((5, 5))
+    return StepDiffusion([0.0, 0.25, 0.3], [B, 0.5 * B.T, np.eye(5)])
+
+
+def rule_psi():
+    """A smoothly varying integrand: every node is its own run of equal values."""
+    B, C = np.random.default_rng(4).standard_normal((2, 5, 5))
+    return RuleDiffusion(lambda t: np.cos(3.0 * t) * B + t * C, (5, 5))
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("truncation", [5, 3])
+@pytest.mark.parametrize("make_psi", [step_psi, rule_psi], ids=["step", "rule"])
+def test_channel_route_matches_the_matrix_route_on_varying_integrands(make_psi, truncation, scheme):
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=truncation, seed=515)
+    psi, grid = make_psi(), TimeGrid(1.0, 64)
+    args = (ExponentialKernel(), rotated_diag5(), psi, spec, [0.2, 0.1, 0.05], grid, 100)
+    assert_matches_matrix_route(args, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("paths_per_block", [None, 7], ids=["one-block", "ragged"])
+def test_channel_route_on_cells_not_a_multiple_of_the_end_chunk(
+    monkeypatch, paths_per_block, scheme
+):
+    # 70 cells: the end step's last chunk holds 6 nodes; 20 paths on 70 cells, truncated noise
+    if paths_per_block:
+        monkeypatch.setattr(convolution, "_MC_BLOCK", 3 * 70 * paths_per_block)  # 7 + 7 + 6
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=3, seed=515)
+    psi, grid = step_psi(), TimeGrid(1.0, 70)
+    args = (FractionalKernel(0.5), rotated_diag5(), psi, spec, [0.2, 0.1], grid, 20)
+    assert_matches_matrix_route(args, scheme)
+
+
+@pytest.mark.parametrize(
+    "psi, widths",
+    [(ConstantDiffusion(np.eye(5)), [64]), (step_psi(), [16, 4, 44]), (rule_psi(), [1] * 64)],
+    ids=["constant", "step", "rule"],
+)
+def test_channel_route_rotates_a_block_once_per_run_of_equal_values(monkeypatch, psi, widths):
+    seen, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        seen.append(b.shape[-1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(yosida.np, "matmul", spy)
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    yosida_convergence_study(
+        ExponentialKernel(), rotated_diag5(), psi, spec, [0.2, 0.1], TimeGrid(1.0, 64), 10
+    )
+    assert seen == widths
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["channel", "matrix"])
