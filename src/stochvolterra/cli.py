@@ -437,8 +437,12 @@ EXPERIMENTS = {
 
 def _check_out_dir(out_dir):
     """Raise NotADirectoryError if out_dir, or else its nearest existing
-    ancestor, is not a directory (so out_dir cannot be made one)."""
-    place = out_dir.resolve()
+    ancestor, is not a directory (so out_dir cannot be made one), and OSError
+    if out_dir is no path at all (an embedded NUL byte)."""
+    try:
+        place = out_dir.resolve()
+    except ValueError as exc:
+        raise OSError(f"output location {str(out_dir)!r} is not a path: {exc}") from exc
     while not place.exists():
         place = place.parent
     if not place.is_dir():
@@ -449,8 +453,16 @@ def _write_csv(path, header, rows):
     """Write the header line, then one line per row, each number to 17
     significant digits and None as an empty cell.  A row of numbers takes one
     "%.17g,..." template, which prints each as format(x, ".17g") does; a row of
-    an array is formatted from Python floats (`tolist`), one row at a time."""
+    an array is formatted from Python floats (`tolist`), one row at a time.  In a
+    2-D float64 array of rows, each column whose entries all have row 0's bits
+    (-0.0 is not +0.0) is formatted once, into the template."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
+    if isinstance(rows, np.ndarray) and len(rows):
+        bits = rows.view(np.uint64)
+        const = np.all(bits == bits[0], axis=0)
+        cells = [("%.17g" % x).replace("%", "%%") for x in rows[0].tolist()]
+        line = ",".join(c if k else "%.17g" for c, k in zip(cells, const)) + "\n"
+        rows = rows[:, ~const]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:

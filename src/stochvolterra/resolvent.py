@@ -277,11 +277,11 @@ class ResolventTable:
         return float(np.max(steps)) / h
 
 
-def _table(grid, S, kernel, scheme, W, *channels):
-    """The ResolventTable of the marched S; U is its composite trapezoid integral."""
-    U = np.zeros_like(S)
-    U[1:] = np.cumsum(0.5 * grid.h * (S[1:] + S[:-1]), axis=0)
-    return ResolventTable(grid, S, U, kernel, scheme, f"{scheme}/cell-exact/v1", W, *channels)
+def _trapezoid(x, h):
+    """Composite trapezoid integrals of x along axis 0, 0 at the first node."""
+    out = np.zeros_like(x)
+    out[1:] = np.cumsum(0.5 * h * (x[1:] + x[:-1]), axis=0)
+    return out
 
 
 def _symmetric_eigh(A):
@@ -295,7 +295,8 @@ def compute_resolvent(kernel, grid, scheme="product"):
 
     A scalar-type kernel with exactly symmetric A = V diag(lam) V' is marched in its
     eigenchannels (`march_channels` with mu = -lam on the cell moments of a) and
-    rotated back as V diag(s_n) V', and the table keeps lam, V and s; NumericalFailure
+    rotated back as V diag(s_n) V', its U as V diag(u_n) V' with u the channels'
+    trapezoid sums, and the table keeps lam, V and s; NumericalFailure
     when a channel's step coefficient 1 - theta lam w[0] is <= 0, where its steps would
     alternate in sign instead of growing.  Any other kernel goes through `grids.march`.
     With the zero kernel the table is identically the identity under either scheme.
@@ -305,12 +306,15 @@ def compute_resolvent(kernel, grid, scheme="product"):
     W = kernel.cell_weights(grid)
     eig = _symmetric_eigh(kernel.A) if isinstance(kernel, ScalarTypeKernel) else None
     if eig is None:
-        return _table(grid, march(W, scheme), kernel, scheme, W)
-    lam, V = eig
-    s = march_channels(kernel.a.cell_moments(grid.h, grid.N), -lam, scheme)
-    S = (V * s[:, None, :]) @ V.T
-    S[0] = np.eye(kernel.dim)  # V V' is I only to roundoff
-    return _table(grid, S, kernel, scheme, W, lam, V, s)
+        S = march(W, scheme)
+        U, channels = _trapezoid(S, grid.h), ()
+    else:
+        lam, V = eig
+        s = march_channels(kernel.a.cell_moments(grid.h, grid.N), -lam, scheme)
+        S, U = ((V * x[:, None, :]) @ V.T for x in (s, _trapezoid(s, grid.h)))
+        S[0], U[0] = np.eye(kernel.dim), 0.0  # V V' is I, and V 0 V' is 0, only to roundoff
+        channels = (lam, V, s)
+    return ResolventTable(grid, S, U, kernel, scheme, f"{scheme}/cell-exact/v1", W, *channels)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stochvolterra
@@ -319,9 +319,12 @@ def test_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, SMALL["cp_check"])
     taken = tmp_path / "taken"
     taken.write_text("keep")
-    for out in (taken, taken / "below"):  # an existing file, and a path through one
+    # an existing file, a path through one, and a name with a NUL byte
+    for out in (taken, taken / "below", tmp_path / "o\x00x"):
         assert main(["--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: output:")
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: output:")
+        assert "Traceback" not in err
     assert taken.read_text() == "keep"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
@@ -544,6 +547,62 @@ def test_csv_template_prints_what_format_prints(tmp_path):
     lines = [",".join(f"c{i}" for i in range(7))] + [",".join(row) for row in cells]
     assert path.read_text() == "\n".join(lines) + "\n"
     assert cells[0][:5] == ["-0", "nan", "inf", "-inf", "4.9406564584124654e-324"]
+
+
+def reference_csv(header, rows):
+    """The CSV text of header and rows, each cell formatted on its own."""
+    lines = [",".join(header)] + [",".join(format(float(x), ".17g") for x in r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1.0 / 3.0, 1e300]
+
+
+@st.composite
+def csv_arrays(draw):
+    """2-D float64 arrays of 0 to 5 rows whose columns are constant (often an edge
+    value), a mix of +0.0 and -0.0, or any floats."""
+    n = draw(st.integers(0, 5))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["constant", "signed zeros", "any"]))
+        if kind == "constant":
+            columns.append([draw(st.sampled_from(EDGE) | st.floats())] * n)
+        else:
+            cells = st.sampled_from([0.0, -0.0]) if kind == "signed zeros" else st.floats()
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return np.array(columns, dtype=np.float64).reshape(len(columns), n).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_arrays())
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))  # +0.0 and -0.0 in one column
+@example(np.array([EDGE]))  # one row: every column is constant
+@example(np.zeros((0, 3)))
+def test_array_rows_print_what_format_prints(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    cli._write_csv(path, header, rows)
+    assert path.read_text() == reference_csv(header, rows)
+
+
+def test_resolvent_rows_print_what_format_prints(tmp_path):
+    """The rows of the resolvent experiment on diag5 (40 constant zero columns) and on
+    a rotated operator (none), and the same rows negated below row 0, which makes
+    diag5's zero columns mix +0.0 and -0.0."""
+    Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))
+    rotated = Q @ np.diag(-np.arange(1.0, 6.0)) @ Q.T
+    path = tmp_path / "resolvent.csv"
+    for operator in ({"benchmark": "diag5"}, {"matrix": (0.5 * (rotated + rotated.T)).tolist()}):
+        config = dict(SMALL["resolvent"], operator=operator, grid={"T": 1.0, "N": 64})
+        files, _ = cli._run_resolvent(threads=1, **cli._resolve(config, None)[1])
+        header, rows = files["resolvent.csv"]
+        bits = rows.view(np.uint64)
+        constant = np.all(bits == bits[0], axis=0).sum()
+        assert constant == (40 if "benchmark" in operator else 0)
+        for table in (rows, np.vstack([rows[:1], -rows[1:]])):
+            cli._write_csv(path, header, table)
+            assert path.read_text() == reference_csv(header, table)
 
 
 # --- remaining experiments, smoke level --------------------------------------------

@@ -389,6 +389,26 @@ def test_diag5_channel_norms_are_exact(scheme):
     assert abs(res.res_second - res2) <= 1e-13 * scale
 
 
+def stacked_trapezoid(S, h):
+    U = np.zeros_like(S)
+    U[1:] = np.cumsum(0.5 * h * (S[1:] + S[:-1]), axis=0)
+    return U
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_channel_u_is_the_trapezoid_integral_of_s(scheme):
+    # U = V diag(u) V' with u the channels' trapezoid sums: S's own trapezoid sums to
+    # roundoff on a rotated operator, and bit for bit on diag5 (a signed permutation)
+    grid = TimeGrid(1.0, 1024)
+    kernel = ScalarTypeKernel(FractionalKernel(0.5), rotated_symmetric(16))
+    table = compute_resolvent(kernel, grid, scheme)
+    scale = np.max(np.abs(table.S))
+    assert np.max(np.abs(table.U - stacked_trapezoid(table.S, grid.h))) <= 1e-14 * scale
+    assert table.U[0].tobytes() == np.zeros((16, 16)).tobytes()
+    table = compute_resolvent(diag5_fractional_kernel(), grid, scheme)
+    assert table.U.tobytes() == stacked_trapezoid(table.S, grid.h).tobytes()
+
+
 def test_march_tables_carry_no_channels():
     grid = TimeGrid(1.0, 64)
     A = rotated_symmetric(3)
