@@ -91,9 +91,10 @@ def march(W, scheme):
     values through W, as a per-step march does, and solves each leaf's nodes from the
     block Toeplitz system S[n] - sum_{m<=n} K[n-m] S[m] = known terms, K[j] = theta W[j]
     + (1 - theta) W[j-1].  A leaf block with condition number past _LEAF_COND is solved a
-    node at a time instead.  Raises ValueError for a scheme not in SCHEMES,
-    NumericalFailure for a singular step matrix I - theta W[0] or a node past
-    OVERFLOW_LIMIT (naming the first).
+    node at a time instead; in a batch one such block sends every member node by node
+    (`np.max`), moving the others at roundoff, and otherwise each member is bit for bit its
+    own march.  Raises ValueError for a scheme not in SCHEMES, NumericalFailure for a
+    singular step matrix I - theta W[0] or a node past OVERFLOW_LIMIT (naming the first).
     """
     implicit = implicit_share(scheme)
     W = np.moveaxis(np.asarray(W, dtype=float), 0, -3)  # (*batch, N, d, d)
@@ -189,16 +190,28 @@ def _add_lag_sum_fft(k, x, out, start):
 def march_channels(w, mu, scheme):
     """(N+1, C) table of `march` on the 1x1 weights -mu[c] w (w is (N,), mu is (C,)).
 
-    One batched `march` call, so each channel is bit for bit its own 1x1 march
-    (unless only some channels' leaf blocks pass _LEAF_COND); raises as `march`
-    does, naming the mu of a nonpositive diagonal coefficient 1 + implicit_share mu w[0].
+    One batched `march` call, each channel bit for bit its own 1x1 march as `march` says
+    of batches; raises as `march` does, and as `_check_steps` on the eigenvalues -mu.
     """
-    W = -np.multiply.outer(w, mu)
-    denom = 1.0 - implicit_share(scheme) * W[0]
+    _check_steps(w[0], -mu, scheme)
+    return march(-np.multiply.outer(w, mu)[:, :, None, None], scheme)[:, :, 0, 0]
+
+
+def _check_steps(w0, ops, scheme):
+    """Raise NumericalFailure naming mu = -lam for a real eigenvalue lam of ops with step
+    coefficient 1 - implicit_share lam w0 <= 0, whose eigenvector carries a sign-alternating
+    scalar channel.  ops holds eigenvalues, or d x d operators solved only if implicit_share
+    |w0| ||A||_inf >= 1 (as |lam| <= ||A||_inf); complex eigenvalues pass unchecked."""
+    theta, lam = implicit_share(scheme), np.asarray(ops, dtype=float)
+    if lam.ndim > 1:
+        if theta * abs(w0) * np.max(np.sum(np.abs(lam), axis=-1)) < 1.0:
+            return
+        lam = np.linalg.eigvals(lam).ravel()
+        lam = lam.real[lam.imag == 0.0]
+    denom = 1.0 - theta * w0 * lam
     if np.any(denom <= 0.0):
         i = int(np.argmax(denom <= 0.0))
-        raise NumericalFailure(f"nonpositive diagonal coefficient {denom[i]} at mu={mu[i]}")
-    return march(W[:, :, None, None], scheme)[:, :, 0, 0]
+        raise NumericalFailure(f"nonpositive diagonal coefficient {denom[i]} at mu={-lam[i]}")
 
 
 def _guard_overflow(k, values):

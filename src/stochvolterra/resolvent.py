@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
 from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
-from .grids import march, march_channels
+from .grids import _check_steps, march, march_channels
 from .kernels import ScalarKernel
 from .spaces import _readonly_fields, _square
 
@@ -296,16 +296,19 @@ def compute_resolvent(kernel, grid, scheme="product"):
     A scalar-type kernel with exactly symmetric A = V diag(lam) V' is marched in its
     eigenchannels (`march_channels` with mu = -lam on the cell moments of a) and
     rotated back as V diag(s_n) V', its U as V diag(u_n) V' with u the channels'
-    trapezoid sums, and the table keeps lam, V and s; NumericalFailure
-    when a channel's step coefficient 1 - theta lam w[0] is <= 0, where its steps would
-    alternate in sign instead of growing.  Any other kernel goes through `grids.march`.
-    With the zero kernel the table is identically the identity under either scheme.
+    trapezoid sums, and the table keeps lam, V and s.  Any other kernel goes through
+    `grids.march`.  A scalar-type kernel raises NumericalFailure for a real eigenvalue of A
+    with step coefficient 1 - theta lam w[0] <= 0 (`grids._check_steps`); complex
+    eigenvalues and nonscalar kernels are not checked.  With the zero kernel the table is
+    identically the identity under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
     W = kernel.cell_weights(grid)
     eig = _symmetric_eigh(kernel.A) if isinstance(kernel, ScalarTypeKernel) else None
     if eig is None:
+        if isinstance(kernel, ScalarTypeKernel):  # march_channels checks the channels' steps
+            _check_steps(kernel.a.cell_moments(grid.h, 1)[0], kernel.A, scheme)
         S = march(W, scheme)
         U, channels = _trapezoid(S, grid.h), ()
     else:

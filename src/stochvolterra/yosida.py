@@ -6,26 +6,18 @@ operators
     J_lam = (I - lam A)^{-1},     A_lam = A J_lam = (J_lam - I) / lam
 
 are contractive resolvents and bounded surrogates converging to A at first
-order in lam.  The convergence study rebuilds the resolvent family for each
-A_lam on the same grid and weights as the base family, so the reported gaps
+order in lam.  The convergence study marches the base family and every A_lam
+family once, together, on the same grid and weights, so the reported gaps
 isolate the regularization error, and couples all stochastic columns through
 common noise per path (independent noise would swamp the signal and must not
 be used).
 
-The study takes one of two routes, with the same checks and the same results up to
-roundoff.  An exactly symmetric A (`resolvent._symmetric_eigh`, no tolerance) runs in its
-eigenchannels: A and every A_lam share A's eigenvectors, so one `march_channels` call
-solves every table and norms are the channels' own.  A path gap is a linear map of the
-path's increments, so its square summed over paths is a quadratic form in their Gram
-matrix (the sample Ito isometry): each block is rotated into the channels by one product
-per run of equal psi values and adds about d P N^2 / 2 multiply-adds into one N x N Gram
-matrix per channel, shared by every lam and both gaps; one end step of about
-2 d L N^3 / 3 multiply-adds, whatever P is, reads every lam's sums from the Grams' causal
-triangles.  Live memory is d N^2 doubles.  Strip products per block would take
-2 d L P N^2, so the Gram pays once P exceeds about N / 3, as in every study the package
-runs (1000 paths on 128 cells in the benchmark); below it the end step dominates.  Any
-other A convolves each block with L + 1 full d x d tables, about P N^2 d^2 / 2
-multiply-adds per table, then applies A and A_lam and subtracts.
+The study's two routes differ only in their path sums, with the same results up to
+roundoff.  An exactly symmetric A (`resolvent._symmetric_eigh`, no tolerance) is marched
+in its eigenchannels, which every A_lam shares, and sums the paths' gaps as quadratic
+forms in their increments' Gram matrix (the sample Ito isometry), which beats strip
+products once P exceeds about N / 3, as in every study the package runs.  Any other A
+convolves each block with the L + 1 d x d tables.
 """
 
 import warnings
@@ -36,11 +28,10 @@ import numpy as np
 
 from .convolution import _check_integrand, _convolve_paths, _path_blocks
 from .errors import NumericalFailure
-from .grids import _TILE, _toeplitz_strip, march_channels
+from .grids import _TILE, _check_steps, _toeplitz_strip, march, march_channels
 from .kernels import check_complete_positivity
 from .noise import _left_point_products
-from .resolvent import ScalarTypeKernel, _bound_fit, _check_fit_cells, _symmetric_eigh
-from .resolvent import compute_resolvent, exponential_bound_fit, operator_2norm
+from .resolvent import _bound_fit, _check_fit_cells, _symmetric_eigh, operator_2norm
 from .spaces import _integer_in, _readonly_fields, _square
 
 __all__ = [
@@ -151,12 +142,6 @@ class YosidaStudy:
     cp_consistent: bool
 
 
-def _node_sums(diff):
-    """Sum over paths of |diff|^2 at every node of a (P, N+1, d) array, squared in place."""
-    diff **= 2
-    return np.sum(diff, axis=2).sum(axis=0)
-
-
 def yosida_convergence_study(
     a, A, psi, spec, lambdas, grid, n_paths, scheme="product", threads=1
 ):
@@ -167,11 +152,12 @@ def yosida_convergence_study(
     the point of the study is to watch the limits the theory promises under
     those hypotheses.
 
-    Paths stream through `convolution._path_blocks` and every table convolves
-    the same block (common noise).  Per lam and node the study sums
-    |W_lam - W_base|^2 and |A_lam W_lam - A W_base|^2 over paths, and e = max
-    over nodes of sum / P; only one block is alive, so memory does not grow with P.
-    An exactly symmetric A takes the channel route, any other A the matrix route.
+    One march solves the base and every A_lam table on the cell moments w of a:
+    `march_channels` on the (L + 1, d) channel values of a symmetric A, otherwise one
+    batched `grids.march` on the weights w (x) [A, A_lam1, ...], refusing a real eigenvalue
+    with a nonpositive step as `compute_resolvent` does.  e_S and the growth fits read one
+    norm of the tables, and e = max over nodes of the route's path sums / P; paths stream
+    through `convolution._path_blocks`, one block (common noise) alive at a time.
     """
     A = _square(A, "A")
     _check_integrand(psi, A.shape[0], spec.cov)
@@ -188,14 +174,24 @@ def yosida_convergence_study(
             stacklevel=2,
         )
     family = make_yosida(A, lambdas, force=True)
+    eig, w = _symmetric_eigh(family.A), a.cell_moments(grid.h, grid.N)
     blocks = _path_blocks(spec, grid, n_paths, threads)
-    eig = _symmetric_eigh(family.A)
-    route = _matrix_route if eig is None else partial(_channel_route, eig)
-    e_S, sums, fits = route(a, family, grid, scheme, psi, blocks)
+    if eig is None:  # (N + 1, L + 1, d, d) tables of [A, A_lam1, ...]
+        ops = np.concatenate([family.A[None], family.A_lam])
+        _check_steps(w[0], ops, scheme)
+        tables, norm = march(w[:, None, None, None] * ops, scheme), operator_2norm
+        sums = _matrix_route(tables, ops, psi, grid, blocks)
+    else:  # (N + 1, L + 1, d) channels of [A, A_lam1, ...] = V diag(ops[i]) V'
+        mu, V = eig
+        ops = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])
+        tables = march_channels(w, -ops.ravel(), scheme).reshape((grid.N + 1,) + ops.shape)
+        norm = partial(np.linalg.norm, ord=np.inf, axis=-1)  # |V diag(x) V'| = max_k |x_k|
+        sums = _channel_route(tables, ops, V, psi, grid, blocks)
+    fits = [_bound_fit(grid.nodes(), eta) for eta in norm(tables).T]
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(
         lambdas=family.lambdas,
-        e_S=e_S,
+        e_S=np.max(norm(tables[:, 1:] - tables[:, :1]), axis=0),
         e_W=e_W,
         e_AW=e_AW,
         bound_M=max(f.M for f in fits),
@@ -205,64 +201,53 @@ def yosida_convergence_study(
     )
 
 
-def _matrix_route(a, family, grid, scheme, psi, blocks):
-    """e_S, the (2, L, N+1) path sums of |W_lam - W|^2 and |A_lam W_lam - A W|^2, and
-    the bound fits of the L + 1 tables, each a d x d `compute_resolvent` table
-    convolved with psi's left-point products of every (P, K, N) increment block:
-    about P N^2 d^2 / 2 multiply-adds a table."""
-    base = compute_resolvent(ScalarTypeKernel(a, family.A), grid, scheme=scheme)
-    tables = [
-        compute_resolvent(ScalarTypeKernel(a, Al), grid, scheme=scheme)
-        for Al in family.A_lam
-    ]
-    e_S = np.array([np.max(operator_2norm(tb.S - base.S)) for tb in tables])
-    sums = np.zeros((2, family.lambdas.size, grid.N + 1))
+def _matrix_route(S, ops, psi, grid, blocks):
+    """(2, L, N+1) path sums of |W_lam - W|^2 and |A_lam W_lam - A W|^2 over the (N+1,
+    L+1, d, d) tables S of the operators ops = [A, A_lam1, ...]: each table convolved with
+    psi's left-point products of every (P, K, N) increment block, about P N^2 d^2 / 2
+    multiply-adds a table."""
+    sums = np.zeros((2, ops.shape[0] - 1, grid.N + 1))
     for c in map(partial(_left_point_products, psi, grid), blocks):
-        W_base = _convolve_paths(base.S, c)
-        AW_base = W_base @ family.A.T
-        for i, tb in enumerate(tables):
-            W_lam = _convolve_paths(tb.S, c)
-            sums[1, i] += _node_sums(W_lam @ family.A_lam[i].T - AW_base)
-            W_lam -= W_base
-            sums[0, i] += _node_sums(W_lam)
-            del W_lam  # free before the next table's convolution allocates its own
-    return e_S, sums, [exponential_bound_fit(tb) for tb in tables + [base]]
+        W = _convolve_paths(S[:, 0], c)
+        AW = W @ ops[0].T
+        for i in range(1, ops.shape[0]):
+            W_lam = _convolve_paths(S[:, i], c)
+            AW_gap = W_lam @ ops[i].T - AW
+            W_lam -= W
+            for j, gap in enumerate((W_lam, AW_gap)):
+                gap **= 2
+                sums[j, i - 1] += np.sum(gap, axis=2).sum(axis=0)
+            del W_lam, AW_gap  # free before the next table's convolution allocates its own
+    return sums
 
 
-def _channel_route(eig, a, family, grid, scheme, psi, blocks):
-    """`_matrix_route` for a symmetric A = V diag(mu) V', eig = (mu, V), in A's eigenchannels.
+def _channel_route(s, mus, V, psi, grid, blocks):
+    """`_matrix_route` on the (N+1, L+1, d) channels s of the tables V diag(s) V' of the
+    operators V diag(mus[i]) V', for a symmetric A = V diag(mus[0]) V'.
 
-    Every A_lam is V diag(mu / (1 - lam mu)) V', so every table is V diag(s) V' and one
-    `march_channels` call gives all channels s on the cell moments the tables use.  V
-    is orthogonal, so the norms are the channels' own: |S_lam - S| = max_k |s_lam,k -
-    s_k|, and per path and node |W_lam - W|^2 sums over k the squared lag sums of the
-    gap s_lam,k - s_k against channel k of the rotated increments y_m = V' psi(t_m) dW_m
-    (|A_lam W_lam - A W|^2 likewise, with the gap mu_lam s_lam - mu s); V' psi(t_m) is
-    taken once per call, and a block once per run of equal values.  With G the (N L, N)
-    block-Toeplitz strip of a channel's L gaps and y_p its increments, sum_p (G y_p)^2
-    is the rowwise dot of G Y'Y and G: the blocks add into the channel's Gram matrix
-    Y'Y (a symmetric product, about P N^2 / 2 multiply-adds), and after the last block
-    each channel multiplies its Gram by two strips, one for e_W and one for e_AW.  Row
-    block n - 1 of G is zero from column n on, so _TILE nodes at a time read only the
-    Gram's leading block: about 2 d L N^3 / 3 multiply-adds in all, whatever P is.  The
-    d Gram matrices and one strip are alive.
+    Per path and node |W_lam - W|^2 sums over k the squared lag sums of the gap s_lam,k -
+    s_k against channel k of the rotated increments y_m = V' psi(t_m) dW_m (|A_lam W_lam -
+    A W|^2 likewise, with the gap mu_lam s_lam - mu s); V' psi(t_m) is taken once per call,
+    and a block once per run of equal values.  With G the (N L, N) block-Toeplitz strip of
+    a channel's L gaps and y_p its increments, sum_p (G y_p)^2 is the rowwise dot of G Y'Y
+    and G: the blocks add into the channel's Gram matrix Y'Y (a symmetric product, about
+    P N^2 / 2 multiply-adds), and after the last block each channel multiplies its Gram by
+    two strips, one for e_W and one for e_AW.  Row block n - 1 of G is zero from column n
+    on, so _TILE nodes at a time read only the Gram's leading block: about 2 d L N^3 / 3
+    multiply-adds in all, whatever P is, where strip products per block would take
+    2 d L P N^2.  The d Gram matrices and one strip are alive.
     """
-    mu, V = eig
-    N, L = grid.N, family.lambdas.size
-    mus = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])  # (L + 1, d)
-    w = a.cell_moments(grid.h, N)
-    s = march_channels(w, -mus.ravel(), scheme).reshape((N + 1,) + mus.shape)
+    (N, L), d = (grid.N, mus.shape[0] - 1), mus.shape[1]
     gaps = np.stack([s[:, 1:] - s[:, :1], mus[1:] * s[:, 1:] - mus[0] * s[:, :1]])
-    e_S = np.max(np.abs(gaps[0]), axis=(0, 2))
     lags = np.moveaxis(gaps[:, 1:], -1, 1)[..., None]  # (2, d, N, L, 1): lags 1..N
     R = V.T @ psi.values_on_grid(grid)  # y[:, :, m] = R[m, :, :K] dW[:, :, m], K modes
     cuts = [0, *(np.flatnonzero(np.any(R[1:] != R[:-1], axis=(1, 2))) + 1), N]
-    gram = np.zeros((len(mu), N, N))
+    gram = np.zeros((d, N, N))
     for dw in blocks:
-        y = np.empty((dw.shape[0], len(mu), N))  # (P, d, N)
+        y = np.empty((dw.shape[0], d, N))  # (P, d, N)
         for lo, hi in zip(cuts, cuts[1:]):
             np.matmul(R[lo, :, : dw.shape[1]], dw[:, :, lo:hi], out=y[:, :, lo:hi])
-        for k in range(len(mu)):
+        for k in range(d):
             gram[k] += y[:, k].T @ y[:, k]
         del y  # free before the next block is sampled
     sums = np.zeros((2, N, L))
@@ -273,5 +258,4 @@ def _channel_route(eig, a, family, grid, scheme, psi, blocks):
             hi = min(lo + _TILE, N)  # nodes lo + 1 .. hi: columns m < hi
             rows = G[lo * L : hi * L, :hi]
             sums[j, lo:hi] += np.einsum("ij,ij->i", rows @ gram[k, :hi, :hi], rows).reshape(-1, L)
-    t, eta = grid.nodes(), np.max(np.abs(s), axis=2)
-    return e_S, sums.swapaxes(1, 2), [_bound_fit(t, eta[:, i]) for i in range(mus.shape[0])]
+    return sums.swapaxes(1, 2)

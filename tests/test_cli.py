@@ -466,6 +466,23 @@ def test_numerical_failure_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.filterwarnings("ignore:A is not dissipative")
+@pytest.mark.parametrize("experiment", ["resolvent", "yosida"])
+def test_alternating_channel_of_a_nonsymmetric_operator_exits_4(tmp_path, capsys, experiment):
+    # on 8 cells the real eigenvalue 50 of A has step coefficient 1 - theta 50 h <= 0:
+    # S_00 = e^(50 t) would come out alternating in sign
+    config = dict(
+        SMALL[experiment], operator={"matrix": [[50.0, 1.0], [0.0, 50.0]]}, grid={"T": 1.0, "N": 8}
+    )
+    if experiment == "yosida":
+        identity = {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+        config.update(noise={"cylindrical": 2, "seed": 21}, psi=identity)
+    code, out = run(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 4 and not out.exists()
+    assert err.splitlines() == [err.strip()] and err.startswith("error: numerical: nonpositive")
+
+
 # --- determinism ------------------------------------------------------------------
 
 

@@ -286,6 +286,33 @@ def test_march_substitutes_on_an_ill_conditioned_leaf_block():
     assert np.max(np.abs(march(W, "product") - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("N", [40, Z + 37])
+def test_batched_march_matches_separate_marches_bit_for_bit(scheme, N):
+    # an (N, 3, 2, 2) stack marched at once: leaf products, zone strips and, past one
+    # zone, FFT halving all act member by member
+    W = np.random.default_rng(N).normal(size=(N, 3, 2, 2)) * (2.0 / N)
+    got = march(W, scheme)
+    assert got.shape == (N + 1, 3, 2, 2)
+    for i in range(3):
+        np.testing.assert_array_equal(got[:, i], march(W[:, i], scheme))
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_one_ill_conditioned_leaf_block_sends_the_whole_batch_node_by_node(monkeypatch, scheme):
+    # member 0's step matrix I - theta W[0] is 1e-3 from singular, so its leaf block is past
+    # _LEAF_COND; member 1's is not: the batch takes both a node at a time, within
+    # roundoff of their own marches
+    W = np.random.default_rng(3).normal(size=(3, 2, 3, 3)) * 0.1
+    W[0, 0] += 0.999 / grids.implicit_share(scheme) * np.eye(3)
+    got = march(W, scheme)
+    own = [march(W[:, i], scheme) for i in range(2)]
+    monkeypatch.setattr(grids, "_LEAF_COND", 0.0)  # every leaf block a node at a time
+    for i in range(2):
+        np.testing.assert_array_equal(got[:, i], march(W[:, i], scheme))
+        assert np.max(np.abs(got[:, i] - own[i])) <= 1e-12 * np.max(np.abs(own[i]))
+
+
 def test_march_keeps_stiff_product_tables_accurate():
     # lambda h = 1667: S alternates in sign, so pushing S through K = (W[j] + W[j-1]) / 2
     # cancels to 6e-12; cell averages through W read 1e-14 to 2e-14

@@ -109,6 +109,33 @@ def test_symmetric_step_matrix_with_a_nonpositive_eigenvalue_is_refused(scheme):
         compute_resolvent(kern, TimeGrid(1.0, 8), scheme=scheme)
 
 
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_real_eigenvalue_with_a_nonpositive_step_is_refused_without_symmetry(scheme):
+    # S_00 is exactly e^(50 t), but came back as 1, -1.94, 3.77, -7.31, ...: the real
+    # eigenvector (1, 0) carries the scalar channel of 50, whose step factor is negative
+    kern = ScalarTypeKernel(ConstantKernel(1.0), [[50.0, 1.0], [0.0, 50.0]])
+    with pytest.raises(NumericalFailure, match="nonpositive diagonal coefficient .* mu=-50"):
+        compute_resolvent(kern, TimeGrid(1.0, 8), scheme=scheme)
+
+
+def test_step_check_solves_eigenvalues_only_when_a_step_can_be_nonpositive(monkeypatch):
+    solved, eigvals = [], np.linalg.eigvals
+
+    def spy(a):
+        solved.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    # theta h |A|_inf = 0.5 * 1/16 * 2.5 < 1: no eigenvalue can make a step nonpositive
+    kern = ScalarTypeKernel(ConstantKernel(1.0), [[-1.0, 0.5], [0.0, -2.0]])
+    compute_resolvent(kern, TimeGrid(1.0, 16))
+    assert solved == []
+    # +-50i: complex eigenvalues are solved but not checked
+    rotation = ScalarTypeKernel(ConstantKernel(1.0), [[0.0, 50.0], [-50.0, 0.0]])
+    compute_resolvent(rotation, TimeGrid(1.0, 8))
+    assert solved == [(2, 2)]
+
+
 def test_rejects_unknown_scheme_and_tiny_grid():
     with pytest.raises(ValueError):
         compute_resolvent(ou_kernel(), TimeGrid(1.0, 16), scheme="magic")

@@ -307,6 +307,28 @@ def test_nonsymmetric_dissipative_operator_columns_decrease():
     assert np.all(np.diff(study.e_AW) < 0)
 
 
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_nonsymmetric_operator_matches_the_matrix_route(scheme):
+    # one batched d x d march for the base and every A_lam table, against separate tables
+    A = -np.diag(np.arange(1.0, 6.0)) + np.diag([0.5, 0.4, 0.3, 0.2], 1)
+    psi = ConstantDiffusion(np.random.default_rng(3).standard_normal((5, 5)))
+    spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+    args = (FractionalKernel(0.5), A, psi, spec, [0.2, 0.1, 0.05], TimeGrid(1.0, 64), 100)
+    assert_matches_matrix_route(args, scheme)
+
+
+@pytest.mark.filterwarnings("ignore:A is not dissipative")
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_nonsymmetric_operator_with_a_nonpositive_step_is_refused(scheme):
+    psi = ConstantDiffusion(np.eye(2))
+    spec = NoiseSpec(cov=CovOperator(np.ones(2)), truncation=2, seed=1)
+    with pytest.raises(NumericalFailure, match="nonpositive diagonal coefficient .* mu=-50"):
+        yosida_convergence_study(
+            ExponentialKernel(), [[50.0, 1.0], [0.0, 50.0]], psi, spec, [0.2], TimeGrid(1.0, 8), 4,
+            scheme=scheme,
+        )
+
+
 def test_channel_route_threads_do_not_change_results(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # four workers on any machine
     psi = ConstantDiffusion(np.eye(5))
