@@ -32,12 +32,13 @@ from .convolution import (
     MIN_COVARIANCE_PATHS,
     MIN_ITO_PATHS,
     ItoTestFunction,
+    _per_path,
+    _volterra_sups,
     covariance_monte_carlo,
     covariance_quadrature,
     ito_identity_statistics,
     mild_solution,
     stochastic_convolution,
-    verify_volterra_identity,
 )
 from .errors import ConfigError, StochVolterraError
 from .grids import TimeGrid
@@ -371,13 +372,9 @@ def _run_covariance(kernel, operator, grid, noise, psi, n_paths, t_index, scheme
 
 def _run_verify_volterra(kernel, operator, grid, noise, psi, n_paths, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
-    residuals = []
-    for pid in range(n_paths):
-        inc = sample_wiener(noise, grid, path_id=pid)
-        path = stochastic_convolution(table, psi, inc)
-        residuals.append(verify_volterra_identity(path, table.kernel, psi, inc).sup_residual)
-    results = {"max_sup_residual": max(residuals)}
-    return {"verify_volterra.csv": (["path_id", "sup_residual"], enumerate(residuals))}, results
+    sups = _per_path(lambda dw: _volterra_sups(table, psi, dw), noise, grid, n_paths, threads)
+    results = {"max_sup_residual": float(np.max(sups))}
+    return {"verify_volterra.csv": (["path_id", "sup_residual"], enumerate(sups))}, results
 
 
 def _run_verify_ito(kernel, operator, grid, noise, psi, xi, x0, n_paths, scheme, threads):

@@ -8,8 +8,8 @@ which is adapted by construction.  On tables built with the ``conv`` scheme
 the discrete Dirichlet/Fubini rearrangement is exact for finite sums, so the
 Volterra and weak-form identities hold per path to machine precision; on
 ``product`` tables the same verifiers report a residual that decreases at
-first order in the step.  Both read one node defect, `_volterra_defect`: the
-Volterra check its norm, the weak form its pairing with the functional.
+first order in the step.  Both read `_volterra_defect`, the node defect of a batch
+of paths: the Volterra check its norm, the weak form its pairing with the functional.
 
 Every history sum of P paths (path convolution, the defect's kernel convolution,
 Ito drift) is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A
@@ -19,8 +19,8 @@ consumers fold `_path_blocks` of about 2^20 increments into running results one
 block at a time.  The covariance and the Ito statistics read one linear functional
 of each path's increments, built once per call (node weights; the final residual's
 adjoint, two lag sums of one path), so a block costs one product, P K N d or P K N
-multiply-adds; the Yosida study convolves each block, `grids._TILE` nodes per
-product (roundoff-level reordering).
+multiply-adds; the Yosida study and the CLI's Volterra check (`_volterra_sups`)
+convolve each block, `grids._TILE` nodes per product (roundoff-level reordering).
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
-from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch, stochastic_integral
+from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
 
 __all__ = [
@@ -74,6 +74,16 @@ def _path_blocks(spec, grid, n_paths, threads):
     block = max(1, _MC_BLOCK // (spec.truncation * grid.N))
     for p in range(0, n_paths, block):
         yield sample_wiener_batch(spec, grid, range(p, min(p + block, n_paths)), threads=threads)
+
+
+def _per_path(block_fn, spec, grid, n_paths, threads):
+    """block_fn's doubles, one per path of a block of `_path_blocks`, in one array of n_paths
+    (small per-block copies would sit between blocks on the heap and keep it from shrinking)."""
+    out, p = np.empty(n_paths), 0
+    for part in map(block_fn, _path_blocks(spec, grid, n_paths, threads)):
+        out[p : p + len(part)] = part
+        p += len(part)
+    return out
 
 
 def _convolve_paths(S, c_batch):
@@ -144,12 +154,6 @@ class MildSolutionPath:
         _readonly_fields(self, "values", "X0")
 
 
-def _isometry_sum(table, psi, cov, K, n):
-    """h * sum_{m<n} |S(t_n - t_m) Psi(t_m)|_{HS}^2 under the first K modes."""
-    M = table.S[n:0:-1] @ psi.values_on_grid(table.grid)[:n, :, :K]
-    return table.grid.h * float(np.sum(cov.q[:K] * np.sum(M * M, axis=(0, 1))))
-
-
 def stochastic_convolution(table, psi, inc):
     """Convolve one increment path against the resolvent table.
 
@@ -159,7 +163,9 @@ def stochastic_convolution(table, psi, inc):
     _check_integrand(psi, table.dim, inc.spec.cov, table.grid, inc.grid)
     c = _left_point_products(psi, table.grid, inc.dW[None])
     values = _convolve_paths(table.S, c)[0]
-    ms = _isometry_sum(table, psi, inc.spec.cov, inc.modes, table.grid.N)
+    # the isometry sum h sum_{m<N} |S(T - t_m) Psi(t_m)|_HS^2 under the sampled modes
+    M = table.S[:0:-1] @ psi.values_on_grid(table.grid)[:, :, : inc.modes]
+    ms = table.grid.h * float(np.sum(inc.spec.cov.q[: inc.modes] * np.sum(M * M, axis=(0, 1))))
     return ConvolutionPath(
         grid=table.grid,
         values=values,
@@ -228,9 +234,7 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     Scratch is about 2^20 doubles (twice that when n < N) whatever P is, plus X
     itself, P d.
     """
-    n_paths = _integer_in(n_paths, "n_paths", 0)
-    if n_paths < MIN_COVARIANCE_PATHS:
-        raise ValueError(f"need at least {MIN_COVARIANCE_PATHS} paths, got {n_paths}")
+    n_paths = _integer_in(n_paths, "n_paths", MIN_COVARIANCE_PATHS)
     if not np.array_equal(Q.q, spec.cov.q):
         raise ValueError("Q disagrees with the covariance in the noise spec")
     t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
@@ -270,13 +274,34 @@ class IdentityReport:
         return cls(residuals=res, sup_residual=float(np.max(res)), exact_regime=scheme == "conv")
 
 
-def _volterra_defect(path, W, psi, inc):
-    """(N+1, d) defect X_n - sum_{m<n} W[n-1-m] c_m - I_n of the path X at every node,
-    c its cell values under its scheme and I the Ito integral of psi against inc."""
+def _volterra_defect(X, W, c, scheme):
+    """(P, N+1, d) defect X_n - sum_{m<n} W[n-1-m] x_m - sum_{m<n} c_m of a batch of paths X,
+    x their cell values under the scheme and c their `_left_point_products` (the Ito sum's
+    terms); for P = 1, `lag_convolve` sums in ascending m."""
+    conv = np.zeros_like(X)
+    lag_convolve(W, cell_values(X.swapaxes(0, 1), scheme).swapaxes(0, 1), conv[:, 1:])
+    defect = X - conv
+    defect[:, 1:] -= np.cumsum(c, axis=1)
+    return defect
+
+
+def _path_defect(path, kernel, psi, inc):
+    """`_volterra_defect` of one path with the kernel's cell weights, recomputed here."""
     _check_integrand(psi, path.values.shape[1], inc.spec.cov, path.grid, inc.grid)
-    conv = np.zeros_like(path.values)
-    lag_convolve(W, cell_values(path.values, path.scheme)[None], conv[None, 1:])
-    return path.values - conv - stochastic_integral(psi, inc)
+    c = _left_point_products(psi, path.grid, inc.dW[None])
+    return _volterra_defect(path.values[None], kernel.cell_weights(path.grid), c, path.scheme)[0]
+
+
+def _volterra_sups(table, psi, dw_batch):
+    """max_n |Volterra defect at t_n| of each path of a (b, K, N) block of increments,
+    convolved against the table with its own cell weights: b doubles.  Raises
+    NumericalFailure, as `ConvolutionPath` does, when a convolved path is not finite."""
+    c = _left_point_products(psi, table.grid, dw_batch)
+    X = _convolve_paths(table.S, c)
+    if not np.all(np.isfinite(X)):
+        raise NumericalFailure("convolution path contains nonfinite values")
+    defect = _volterra_defect(X, table.cell_weights, c, table.scheme)
+    return np.max(np.linalg.norm(defect, axis=2), axis=1)
 
 
 def verify_volterra_identity(path, kernel, psi, inc):
@@ -288,7 +313,7 @@ def verify_volterra_identity(path, kernel, psi, inc):
     residual is machine zero.  Mismatched weights downgrade the check to a
     first-order-convergent one.
     """
-    defect = _volterra_defect(path, kernel.cell_weights(path.grid), psi, inc)
+    defect = _path_defect(path, kernel, psi, inc)
     return IdentityReport.of(np.linalg.norm(defect, axis=1), path.scheme)
 
 
@@ -300,8 +325,7 @@ def verify_weak_solution(path, kernel, xi, psi, inc):
     Any state vector is admissible in finite dimensions.
     """
     xi = _vector(xi, "xi", path.values.shape[1])
-    defect = _volterra_defect(path, kernel.cell_weights(path.grid), psi, inc)
-    return IdentityReport.of(np.abs(defect @ xi), path.scheme)
+    return IdentityReport.of(np.abs(_path_defect(path, kernel, psi, inc) @ xi), path.scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -478,23 +502,15 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     per path).  Paths stream through `_path_blocks`, and each block is one product
     with g, P K N multiply-adds in all.  Scratch is one block of about 2^20
     increments whatever P is, and the final residuals go into one array of P
-    doubles, 8 bytes a path (small per-block copies would sit between blocks on
-    the heap and keep it from shrinking).  Every input check raises before the
-    first path is drawn.
+    doubles (`_per_path`).  Every input check raises before the first path is drawn.
     """
-    n_paths = _integer_in(n_paths, "n_paths", 0)
-    if n_paths < MIN_ITO_PATHS:
-        raise ValueError(f"need at least {MIN_ITO_PATHS} paths, got {n_paths}")
+    n_paths = _integer_in(n_paths, "n_paths", MIN_ITO_PATHS)
     _check_ito_inputs(table.kernel, xi, table.dim)
     Bm = _check_integrand(as_matrix(B), table.dim, spec.cov)
     xi.check_consistency(table.grid.T)
     X0 = _vector(X0, "X0", table.dim)
     g, c0 = _ito_final_weights(table, Bm[:, : spec.truncation], xi, X0)
-    final, p = np.empty(n_paths), 0
-    blocks = _path_blocks(spec, table.grid, n_paths, threads)
-    for res in map(partial(_convolve_at, g, n=table.grid.N), blocks):
-        final[p : p + len(res)] = res
-        p += len(res)
+    final = _per_path(partial(_convolve_at, g, n=table.grid.N), spec, table.grid, n_paths, threads)
     final += c0
     mean = float(np.mean(final))
     se = float(np.std(final, ddof=1) / np.sqrt(n_paths))

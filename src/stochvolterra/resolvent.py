@@ -336,42 +336,29 @@ class ResolventResiduals:
 
 
 def resolvent_residuals(table):
-    """`ResolventResiduals` of the table.  Both history sums are taken by FFT in
-    O(N log N) per column of S, so the second residual checks the march by an
-    independent summation: up to about 1e-14 max|S|, growing with N (not zero).
-    A channel table sums each channel's two scalar equations instead, d columns in
-    place of d^2, and rotates the (N, d) residuals back once as V diag(r) V'."""
+    """`ResolventResiduals` of the table.  Both equations' history sums are taken by one
+    FFT call, O(N log N) per column of S, so the second residual checks the march by an
+    independent summation: up to about 1e-14 max|S|, growing with N (not zero).  A channel
+    table is d 1x1 tables, channel axis first, whose lags are lam_k times those of a: d
+    columns in place of d^2; its (N, d) residuals r are rotated back once, V diag(r) V'."""
+    grid, N = table.grid, table.grid.N
+    nodes = grid.nodes()[1:]  # lag k of the first equation's sum is A(t_{k+1}) h
+    if table.s is None:
+        x, one, lags = table.S, np.eye(table.dim), (table.cell_weights, table.kernel.value(nodes))
+    else:
+        x, one, a = table.s, 1.0, table.kernel.a
+        lags = tuple(np.multiply.outer(w, table.lam) for w in (a.cell_moments(grid.h, N), a(nodes)))
+    parts = (x[1:] - one, cell_values(x, table.scheme), x[:N]) + lags
     if table.s is not None:
-        return _channel_residuals(table)
-    grid, S, W = table.grid, table.S, table.cell_weights
-    N, d = grid.N, table.dim
-    # lag k of the first equation's sum is A(t_{k+1}) h
-    A_vals = table.kernel.value(grid.nodes()[1:])
-    # each column of S is one sum's input; conv[n-1] is the sum at node n
-    conv1, conv2 = np.zeros((2, N, d, d))
-    _add_lag_sum_fft(W, cell_values(S, table.scheme), conv2, 0)
-    _add_lag_sum_fft(A_vals, S[:N], conv1, 0)
-    gap = S[1:] - np.eye(d)
-    res2 = np.max(np.abs(gap - conv2))
-    res1 = np.max(np.abs(gap - grid.h * conv1))
-    return ResolventResiduals(res_first=float(res1), res_second=float(res2))
-
-
-def _channel_residuals(table):
-    """`resolvent_residuals` of a channel table: channel k's lags are lam_k times the
-    cell moments of a (second equation) and lam_k a(t_{j+1}) (first), all 2d sums in
-    one batched FFT call; each residual is the max |entry| of V diag(r) V'."""
-    grid, s, lam, V, a = table.grid, table.s, table.lam, table.V, table.kernel.a
-    N, d = grid.N, table.dim
-    lags = np.stack([a.cell_moments(grid.h, N), a(grid.nodes()[1:])])[:, None, :] * lam[:, None]
-    inputs = np.stack([cell_values(s, table.scheme), s[:N]]).swapaxes(1, 2)
-    sums = np.zeros((2, d, N, 1, 1))  # sums[e, k, n-1] is equation e's sum at node n
-    _add_lag_sum_fft(lags[..., None, None], inputs[..., None, None], sums, 0)
-    conv2, conv1 = sums[..., 0, 0].swapaxes(1, 2)
-    gap = s[1:] - 1.0
-    res2, res1 = (
-        float(np.max(np.abs((V * r[:, None, :]) @ V.T))) for r in (gap - conv2, gap - grid.h * conv1)
-    )
+        parts = [p.T[..., None, None] for p in parts]
+    gap, cells, left, lag2, lag1 = parts
+    # each column of an input is one sum's; sums[e][..., n-1, :, :] is equation e's at node n
+    sums = np.zeros((2,) + gap.shape)
+    _add_lag_sum_fft(np.stack([lag2, lag1]), np.stack([cells, left]), sums, 0)
+    res = (gap - sums[0], gap - grid.h * sums[1])
+    if table.s is not None:
+        res = ((table.V * r[..., 0, 0].T[:, None, :]) @ table.V.T for r in res)
+    res2, res1 = (float(np.max(np.abs(r))) for r in res)
     return ResolventResiduals(res_first=res1, res_second=res2)
 
 

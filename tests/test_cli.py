@@ -515,7 +515,7 @@ def test_threads_do_not_change_bytes(tmp_path, monkeypatch):
     assert main(["--config", cfg, "--out", str(out4), "--threads", "4"]) == 0
     assert (out1 / "covariance.csv").read_bytes() == (out4 / "covariance.csv").read_bytes()
     # path batches through tiled lag sums, residuals by FFT, probes by the channel march
-    for name in ("verify_ito", "yosida", "resolvent", "cp_check"):
+    for name in ("verify_ito", "verify_volterra", "yosida", "resolvent", "cp_check"):
         cfg = write_config(tmp_path, SMALL[name], name=f"{name}.json")
         outs = [tmp_path / f"{name}-{threads}" for threads in (1, 2)]
         for threads, out in zip((1, 2), outs):
@@ -672,6 +672,16 @@ def test_verify_volterra_experiment(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["scheme"] == "conv"  # verify defaults to exact scheme
     assert manifest["results"]["max_sup_residual"] < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_verify_volterra_overflowing_path_exits_4(tmp_path, capsys):
+    # S grows to about cosh(sqrt(30)); with a psi of 1e308 the paths pass the largest double
+    config = edited(edited(SMALL["verify_volterra"], "psi", "matrix", [[1e308]]), "grid", "N", 128)
+    code, out = run(tmp_path, dict(config, operator={"matrix": [[30.0]]}))
+    assert code == 4
+    assert capsys.readouterr().err == "error: numerical: convolution path contains nonfinite values\n"
+    assert not out.exists()
 
 
 def test_verify_ito_experiment(tmp_path):

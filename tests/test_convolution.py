@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stochvolterra import (
     NonscalarKernel,
     ScalarTypeKernel,
     SmoothnessError,
+    StepDiffusion,
     TimeGrid,
     compute_resolvent,
     covariance_monte_carlo,
@@ -471,12 +473,55 @@ def test_weak_and_volterra_residuals_come_from_one_defect():
         inc = sample_wiener(unit_spec(2, seed=9), table.grid, path_id=4)
         path = stochastic_convolution(table, psi, inc)
         xi = rng.standard_normal(2)
-        defect = convolution._volterra_defect(path, kernel.cell_weights(table.grid), psi, inc)
+        c = _left_point_products(psi, table.grid, inc.dW[None])
+        W = kernel.cell_weights(table.grid)
+        defect = convolution._volterra_defect(path.values[None], W, c, scheme)[0]
         weak = verify_weak_solution(path, kernel, xi, psi, inc)
         volterra = verify_volterra_identity(path, kernel, psi, inc)
         assert weak.residuals.tobytes() == np.abs(defect @ xi).tobytes()
         assert volterra.residuals.tobytes() == np.linalg.norm(defect, axis=1).tobytes()
         assert weak.residuals[0] == volterra.residuals[0] == 0.0
+
+
+def volterra_problem(A, a, scheme, psi_kind, n=32):
+    """A table on n cells and a psi against 4 noise modes, 3 of them sampled for "step"."""
+    d = A.shape[0]
+    table = compute_resolvent(ScalarTypeKernel(a, A), TimeGrid(1.0, n), scheme=scheme)
+    if psi_kind == "constant":
+        psi, K = ConstantDiffusion(np.arange(4.0 * d).reshape(d, 4) / (4 * d)), 4
+    else:
+        rng = np.random.default_rng(3)
+        psi, K = StepDiffusion([0.0, 0.3, 0.5], rng.standard_normal((3, d, 4))), 3
+    spec = NoiseSpec(cov=CovOperator(np.array([1.0, 0.5, 0.25, 0.1])), truncation=K, seed=17)
+    return table, psi, spec
+
+
+def volterra_sups(table, psi, spec, n_paths, threads=1):
+    block_fn = partial(convolution._volterra_sups, table, psi)
+    return convolution._per_path(block_fn, spec, table.grid, n_paths, threads)
+
+
+Q3, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+ROTATED3 = Q3 @ np.diag([-1.0, -2.0, -3.0]) @ Q3.T
+ROTATED3 = 0.5 * (ROTATED3 + ROTATED3.T)  # exactly symmetric: a channel table
+NONSYMMETRIC3 = -np.diag([1.0, 2.0, 3.0]) + np.diag([0.3, 0.3], 1)
+
+
+@pytest.mark.parametrize("A", [ROTATED3, NONSYMMETRIC3], ids=["symmetric", "nonsymmetric"])
+@pytest.mark.parametrize("a", [FractionalKernel(0.5), ExponentialKernel()], ids=["frac", "exp"])
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("psi_kind", ["constant", "step"])
+def test_volterra_block_sups_match_the_single_path_verifier(A, a, scheme, psi_kind):
+    # a block of paths is convolved, tiled, and checked at once; each path's sup residual
+    # is the single-path verifier's up to the roundoff of that reordering
+    table, psi, spec = volterra_problem(A, a, scheme, psi_kind)
+    sups = volterra_sups(table, psi, spec, 6)
+    for pid, sup in enumerate(sups):
+        inc = sample_wiener(spec, table.grid, path_id=pid)
+        path = stochastic_convolution(table, psi, inc)
+        ref = verify_volterra_identity(path, table.kernel, psi, inc).sup_residual
+        assert abs(sup - ref) <= 1e-14 + 1e-12 * ref
+        assert sup < 1e-13 if scheme == "conv" else sup > 1e-3
 
 
 # --- the integration-by-parts identity ---------------------------------------------
@@ -605,7 +650,7 @@ def test_ito_statistics_needs_two_paths(n_paths):
     grid = TimeGrid(1.0, 16)
     table = compute_resolvent(kern, grid)
     xi = ItoTestFunction.constant(np.ones(1))
-    with pytest.raises(ValueError, match="at least 2 paths"):
+    with pytest.raises(ValueError, match=r"n_paths must lie in \[2, inf\]"):
         ito_identity_statistics(table, np.eye(1), xi, np.ones(1), unit_spec(seed=1), n_paths)
 
 
@@ -802,6 +847,18 @@ def test_yosida_study_blocks_match_one_block(monkeypatch, paths_per_block, block
     np.testing.assert_array_equal(part.e_S, whole.e_S)
 
 
+@pytest.mark.parametrize("paths_per_block, blocks", [(23, 3), (7, 8), (1, 50)])
+def test_volterra_sups_blocks_match_one_block(monkeypatch, paths_per_block, blocks):
+    # product scheme: residuals of order h, so `close` sees the reordering's roundoff
+    table, psi, spec = volterra_problem(NONSYMMETRIC3, ExponentialKernel(), "product", "step")
+    whole = volterra_sups(table, psi, spec, 50)
+    calls = count_blocks(monkeypatch, paths_per_block, 3, 32)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
+    for threads in (1, 2):
+        assert close(volterra_sups(table, psi, spec, 50, threads=threads), whole)
+    assert len(calls) == 2 * blocks
+
+
 def traced_peak(run):
     """Peak bytes numpy and Python allocate while run() executes."""
     tracemalloc.start()
@@ -827,6 +884,14 @@ def test_yosida_study_memory_does_not_grow_with_paths(monkeypatch):
     monkeypatch.setattr(convolution, "_MC_BLOCK", 64 * 5 * 64)  # 64 paths a block
     yosida_problem(64, n=64)  # one-time allocations happen here
     peaks = [traced_peak(lambda: yosida_problem(64 * blocks, n=64)) for blocks in (1, 32)]
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_volterra_sups_memory_does_not_grow_with_paths(monkeypatch):
+    table, psi, spec = volterra_problem(ROTATED3, FractionalKernel(0.5), "conv", "constant", 64)
+    monkeypatch.setattr(convolution, "_MC_BLOCK", 64 * 4 * 64)  # 64 paths a block
+    volterra_sups(table, psi, spec, 64)  # one-time allocations happen here
+    peaks = [traced_peak(lambda: volterra_sups(table, psi, spec, 64 * blocks)) for blocks in (1, 32)]
     assert peaks[1] <= 1.5 * peaks[0]
 
 
