@@ -15,14 +15,17 @@ Every history sum of P paths (path convolution, the defect's kernel convolution,
 Ito drift) is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A
 single path is summed in ascending source node, so node 0 is exactly zero and the
 identity table reduces to the elementary Ito sum bit for bit.  The Monte Carlo
-consumers fold `_path_blocks` of about 2^20 increments into running results one
-block at a time.  The covariance and the Ito statistics read one linear functional
-of each path's increments, built once per call (node weights; the final residual's
-adjoint, two lag sums of one path), so a block costs one product, P K N d or P K N
-multiply-adds; the Yosida study and the CLI's Volterra check (`_volterra_sups`)
-convolve each block, `grids._TILE` nodes per product (roundoff-level reordering).
+consumers fold `_path_blocks` of about `_MC_BLOCK` = 2^17 increments (1 MiB, so a block
+and its consumer's arrays stay near a 2 MiB L2 cache) into running results one block at
+a time; a threaded stream samples all its blocks on one worker pool.  The covariance and
+the Ito statistics read one linear functional of each path's increments, built once per
+call (node weights; the final residual's adjoint, two lag sums of one path), so a block
+costs one product, P K N d or P K N multiply-adds; the Yosida study and the CLI's
+Volterra check (`_volterra_sups`) convolve each block, `grids._TILE` nodes per product
+(roundoff-level reordering).
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,7 +33,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
-from .noise import ConstantDiffusion, _left_point_products, sample_wiener_batch
+from .noise import ConstantDiffusion, _increments, _left_point_products, _pool, _workers
+from .noise import sample_wiener_batch
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
 
 __all__ = [
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 
-_MC_BLOCK = 1 << 20  # doubles of increments sampled per block of Monte Carlo paths
+_MC_BLOCK = 1 << 17  # doubles of increments a block of Monte Carlo paths: 1 MiB, half a 2 MiB L2
 
 MIN_COVARIANCE_PATHS = 100
 MIN_ITO_PATHS = 2  # a standard error needs two residuals
@@ -67,22 +71,36 @@ def _check_integrand(psi, d, cov, *grids):
     return psi
 
 
+@contextmanager
 def _path_blocks(spec, grid, n_paths, threads):
-    """Increments of paths 0, ..., n_paths - 1 as consecutive (b, K, N) blocks,
-    b = max(1, _MC_BLOCK // (K N)).  Consumers map a function over the blocks,
-    so one block, about _MC_BLOCK doubles, is alive at a time whatever n_paths is."""
-    block = max(1, _MC_BLOCK // (spec.truncation * grid.N))
-    for p in range(0, n_paths, block):
-        yield sample_wiener_batch(spec, grid, range(p, min(p + block, n_paths)), threads=threads)
+    """Increments of paths 0, ..., n_paths - 1 as an iterator of consecutive (b, K, N)
+    blocks, b = max(1, _MC_BLOCK // (K N)) whatever `threads` is, so sums taken block by
+    block do not depend on it.  Consumers map a function over the blocks inside the
+    context, so one block, about _MC_BLOCK doubles, is alive at a time whatever n_paths
+    is.  On more than one worker every block is filled on one pool, shut down when the
+    context exits, also on an error; one worker samples each block through
+    `sample_wiener_batch`, the call perfbench's layer trace times."""
+    b = max(1, _MC_BLOCK // (spec.truncation * grid.N))
+    ids = (range(p, min(p + b, n_paths)) for p in range(0, n_paths, b))
+    workers = _workers(threads, min(b, n_paths))
+    with _pool(workers) as pool:
+        if pool is None:
+            yield map(partial(sample_wiener_batch, spec, grid), ids)
+        else:
+            yield (_increments(spec, grid, i, pool, workers) for i in ids)
 
 
 def _per_path(block_fn, spec, grid, n_paths, threads):
-    """block_fn's doubles, one per path of a block of `_path_blocks`, in one array of n_paths
-    (small per-block copies would sit between blocks on the heap and keep it from shrinking)."""
-    out, p = np.empty(n_paths), 0
-    for part in map(block_fn, _path_blocks(spec, grid, n_paths, threads)):
-        out[p : p + len(part)] = part
-        p += len(part)
+    """block_fn's rows, one per path of a block of `_path_blocks` (doubles, or arrays of one
+    shape), in one array of n_paths rows: small per-block copies would sit between blocks
+    on the heap and keep it from shrinking, and concatenating them would copy every row."""
+    out, p = None, 0
+    with _path_blocks(spec, grid, n_paths, threads) as blocks:
+        for part in map(block_fn, blocks):
+            if out is None:
+                out = np.empty((n_paths,) + part.shape[1:])
+            out[p : p + len(part)] = part
+            p += len(part)
     return out
 
 
@@ -228,11 +246,11 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     exactly; per-entry standard errors use the Gaussian formula
     sqrt((C_ii C_jj + C_ij^2)/n).
 
-    Paths stream through `_path_blocks` (b = 2^20 / (K N) paths a block), and
+    Paths stream through `_path_blocks` (b = 2^17 / (K N) paths a block), and
     each block is folded into X(t_n) by one GEMM, the (b, K n) increments times
     the (K n, d) weights of `_node_weights`: P K n d multiply-adds in all.
-    Scratch is about 2^20 doubles (twice that when n < N) whatever P is, plus X
-    itself, P d.
+    Scratch is about 2^17 doubles (twice that when n < N) whatever P is, plus X
+    itself, P d doubles (`_per_path`), centred in place.
     """
     n_paths = _integer_in(n_paths, "n_paths", MIN_COVARIANCE_PATHS)
     if not np.array_equal(Q.q, spec.cov.q):
@@ -240,11 +258,9 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
     Bm = _check_integrand(as_matrix(B), table.dim, spec.cov)
     G = _node_weights(table.S, Bm[:, : spec.truncation], t_index)
-    blocks = _path_blocks(spec, table.grid, n_paths, threads)
-    X = np.concatenate(list(map(partial(_convolve_at, G, n=t_index), blocks)))
-    mean = X.mean(axis=0)
-    centered = X - mean
-    C = (centered.T @ centered) / (n_paths - 1)
+    X = _per_path(partial(_convolve_at, G, n=t_index), spec, table.grid, n_paths, threads)
+    X -= X.mean(axis=0)
+    C = (X.T @ X) / (n_paths - 1)
     C = 0.5 * (C + C.T)
     var = np.diag(C)
     se = np.sqrt((np.outer(var, var) + C**2) / n_paths)
@@ -500,7 +516,7 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     The final residual of the path driven by increments dW is c0 + <g, dW>, g and
     c0 taken once by `_ito_final_weights` (about N^2 d^2 / 2 multiply-adds, none
     per path).  Paths stream through `_path_blocks`, and each block is one product
-    with g, P K N multiply-adds in all.  Scratch is one block of about 2^20
+    with g, P K N multiply-adds in all.  Scratch is one block of about 2^17
     increments whatever P is, and the final residuals go into one array of P
     doubles (`_per_path`).  Every input check raises before the first path is drawn.
     """

@@ -7,10 +7,13 @@ generator per worker thread and re-keys it before each path by assigning the
 state a fresh Philox with that key starts in, which costs a few microseconds
 instead of building a new generator.  Each worker fills its own contiguous
 range of paths, so a batch is the same bit for bit on any number of threads.
+`sample_wiener_batch` builds a pool for its call; `_increments` fills on a pool its
+caller holds, so a stream of batches (`convolution._path_blocks`) builds one in all.
 """
 
 import os
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +115,39 @@ def ThreadPoolExecutor(max_workers):
     return pool(max_workers=max_workers)
 
 
+def _workers(threads, n):
+    """Workers that fill n paths: min(threads, n, os.cpu_count()), at least one."""
+    return max(1, min(_integer_in(threads, "threads", 1), n, os.cpu_count() or 1))
+
+
+def _pool(workers):
+    """A context giving a pool of `workers` threads, shut down on exit, or None for one."""
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _increments(spec, grid, path_ids, pool, workers):
+    """(P, K, N) increments of path_ids: the normals of `workers` contiguous ranges of paths,
+    filled on the pool, or here for one worker (pool None), so the bytes do not depend on
+    the split; then each mode is scaled by sqrt(h q_k)."""
+    out = np.empty((len(path_ids), spec.truncation, grid.N))
+    if pool is None:
+        _fill_normals(out, spec.seed, path_ids)
+    else:
+        cuts = [len(path_ids) * w // workers for w in range(workers + 1)]
+        jobs = [(out[a:b], spec.seed, path_ids[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        list(pool.map(lambda job: _fill_normals(*job), jobs))
+    out *= np.sqrt(grid.h * spec.cov.q[: spec.truncation])[:, None]
+    return out
+
+
 def sample_wiener_batch(spec, grid, path_ids, threads=1):
     """Increments for many paths as a (P, K, N) array.
 
     Path i is the stream of path_ids[i], written into its own slot; each of
-    min(threads, os.cpu_count()) workers fills one contiguous range of slots,
-    so the result is the same bit for bit for any thread count.  Ids and the positive
-    thread count are Python or numpy integers (not bools); the ids are checked in bulk.
+    min(threads, os.cpu_count()) workers of a pool built for this call fills one
+    contiguous range of slots, so the result is the same bit for bit for any thread
+    count.  Ids and the positive thread count are Python or numpy integers (not bools);
+    the ids are checked in bulk.
     """
     path_ids = list(path_ids)
     if not all(type(p) is int or isinstance(p, np.integer) for p in path_ids):
@@ -127,17 +156,9 @@ def sample_wiener_batch(spec, grid, path_ids, threads=1):
         raise ValueError(
             f"path ids must lie in [0, 2**64), got {min(path_ids)} to {max(path_ids)}"
         )
-    out = np.empty((len(path_ids), spec.truncation, grid.N))
-    workers = max(1, min(_integer_in(threads, "threads", 1), len(path_ids), os.cpu_count() or 1))
-    if workers > 1:
-        cuts = [len(path_ids) * w // workers for w in range(workers + 1)]
-        jobs = [(out[a:b], spec.seed, path_ids[a:b]) for a, b in zip(cuts, cuts[1:])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda job: _fill_normals(*job), jobs))
-    else:
-        _fill_normals(out, spec.seed, path_ids)
-    out *= np.sqrt(grid.h * spec.cov.q[: spec.truncation])[:, None]
-    return out
+    workers = _workers(threads, len(path_ids))
+    with _pool(workers) as pool:
+        return _increments(spec, grid, path_ids, pool, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -175,18 +175,19 @@ def yosida_convergence_study(
         )
     family = make_yosida(A, lambdas, force=True)
     eig, w = _symmetric_eigh(family.A), a.cell_moments(grid.h, grid.N)
-    blocks = _path_blocks(spec, grid, n_paths, threads)
     if eig is None:  # (N + 1, L + 1, d, d) tables of [A, A_lam1, ...]
         ops = np.concatenate([family.A[None], family.A_lam])
         _check_steps(w[0], ops, scheme)
         tables, norm = march(w[:, None, None, None] * ops, scheme), operator_2norm
-        sums = _matrix_route(tables, ops, psi, grid, blocks)
+        route = partial(_matrix_route, tables, ops)
     else:  # (N + 1, L + 1, d) channels of [A, A_lam1, ...] = V diag(ops[i]) V'
         mu, V = eig
         ops = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])
         tables = march_channels(w, -ops.ravel(), scheme).reshape((grid.N + 1,) + ops.shape)
         norm = partial(np.linalg.norm, ord=np.inf, axis=-1)  # |V diag(x) V'| = max_k |x_k|
-        sums = _channel_route(tables, ops, V, psi, grid, blocks)
+        route = partial(_channel_route, tables, ops, V)
+    with _path_blocks(spec, grid, n_paths, threads) as blocks:
+        sums = route(psi, grid, blocks)
     fits = [_bound_fit(grid.nodes(), eta) for eta in norm(tables).T]
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(

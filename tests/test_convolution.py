@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 from functools import partial
 
@@ -17,6 +18,7 @@ from stochvolterra import (
     ItoTestFunction,
     NoiseSpec,
     NonscalarKernel,
+    NumericalFailure,
     ScalarTypeKernel,
     SmoothnessError,
     StepDiffusion,
@@ -35,7 +37,7 @@ from stochvolterra import (
     verify_weak_solution,
     yosida_convergence_study,
 )
-from stochvolterra import convolution
+from stochvolterra import convolution, noise
 from stochvolterra.convolution import _ito_final_weights, _left_point_products
 from stochvolterra.noise import WienerIncrements
 
@@ -781,16 +783,17 @@ def yosida_problem(n_paths, n=32):
 
 
 def count_blocks(monkeypatch, paths_per_block, K, N):
-    """Set the block to `paths_per_block` paths and count the blocks sampled."""
+    """Set the block to `paths_per_block` paths and count the blocks sampled, on one
+    worker (`sample_wiener_batch`) or on the stream's pool (`_increments`)."""
     monkeypatch.setattr(convolution, "_MC_BLOCK", paths_per_block * K * N)
     calls = []
-    sample = convolution.sample_wiener_batch
+    for name in ("sample_wiener_batch", "_increments"):
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sample(*args, **kwargs)
+        def counted(*args, sample=getattr(convolution, name), **kwargs):
+            calls.append(1)
+            return sample(*args, **kwargs)
 
-    monkeypatch.setattr(convolution, "sample_wiener_batch", counted)
+        monkeypatch.setattr(convolution, name, counted)
     return calls
 
 
@@ -857,6 +860,86 @@ def test_volterra_sups_blocks_match_one_block(monkeypatch, paths_per_block, bloc
     for threads in (1, 2):
         assert close(volterra_sups(table, psi, spec, 50, threads=threads), whole)
     assert len(calls) == 2 * blocks
+
+
+def count_pools(monkeypatch):
+    """Record the worker count of every pool built; each is still a real pool."""
+    pools = []
+    build = noise.ThreadPoolExecutor
+
+    def counted(max_workers):
+        pools.append(max_workers)
+        return build(max_workers)
+
+    monkeypatch.setattr(noise, "ThreadPoolExecutor", counted)
+    return pools
+
+
+def covariance_problem():
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), -np.eye(2)), TimeGrid(1.0, 32))
+    return table, np.eye(2), NoiseSpec(cov=CovOperator(np.ones(2)), truncation=2, seed=9)
+
+
+@pytest.mark.parametrize("experiment", ["covariance", "ito", "yosida-channels", "yosida-matrix"])
+def test_a_threaded_stream_builds_one_pool(monkeypatch, experiment):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
+    baseline = threading.active_count()
+    if experiment == "covariance":
+        table, B, spec = covariance_problem()
+        blocks = count_blocks(monkeypatch, 7, 2, 32)
+        pools = count_pools(monkeypatch)
+        covariance_monte_carlo(table, B, spec.cov, spec, 150, 20, threads=2)
+    elif experiment == "ito":
+        table, B, xi, X0, spec = ito_problem()
+        blocks = count_blocks(monkeypatch, 7, 2, 32)
+        pools = count_pools(monkeypatch)
+        ito_identity_statistics(table, B, xi, X0, spec, 150, threads=2)
+    else:
+        A = -np.diag(np.arange(1.0, 6.0))
+        if experiment == "yosida-matrix":
+            A += np.diag([0.3] * 4, 1)
+        spec = NoiseSpec(cov=CovOperator(np.ones(5)), truncation=5, seed=515)
+        blocks = count_blocks(monkeypatch, 7, 5, 32)
+        pools = count_pools(monkeypatch)
+        yosida_convergence_study(
+            ExponentialKernel(), A, ConstantDiffusion(np.eye(5)), spec, [0.2, 0.1],
+            TimeGrid(1.0, 32), 150, threads=2,
+        )
+    assert len(blocks) == 22  # 150 paths, 7 a block: the last ragged
+    assert pools == [2]
+    assert threading.active_count() == baseline
+
+
+def test_a_stream_that_raises_shuts_its_pool_down(monkeypatch):
+    table, psi, spec = volterra_problem(ROTATED3, FractionalKernel(0.5), "conv", "constant")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
+    baseline = threading.active_count()
+    blocks = count_blocks(monkeypatch, 7, 4, 32)
+    pools = count_pools(monkeypatch)
+
+    def overflow_in_block_3(dw):
+        if len(blocks) == 3:
+            dw[2, 0, 5] = np.inf
+        return convolution._volterra_sups(table, psi, dw)
+
+    with pytest.raises(NumericalFailure, match="nonfinite"):
+        convolution._per_path(overflow_in_block_3, spec, table.grid, 50, 2)
+    assert len(blocks) == 3
+    assert pools == [2]
+    assert threading.active_count() == baseline
+
+
+def test_the_paths_of_a_block_do_not_depend_on_threads(monkeypatch):
+    # the Yosida Gram sums add blocks in order, so the partition must not move
+    table, B, spec = covariance_problem()
+    monkeypatch.setattr(convolution, "_MC_BLOCK", 7 * 2 * 32)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    expected = sample_wiener_batch(spec, table.grid, range(50))
+    for threads in (1, 2, 3, 16):
+        with convolution._path_blocks(spec, table.grid, 50, threads) as blocks:
+            parts = list(blocks)
+        assert [len(b) for b in parts] == [7] * 7 + [1]
+        assert np.concatenate(parts).tobytes() == expected.tobytes()
 
 
 def traced_peak(run):
