@@ -372,7 +372,8 @@ def _run_covariance(kernel, operator, grid, noise, psi, n_paths, t_index, scheme
 
 def _run_verify_volterra(kernel, operator, grid, noise, psi, n_paths, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
-    sups = _per_path(lambda dw: _volterra_sups(table, psi, dw), noise, grid, n_paths, threads)
+    vals = psi.values_on_grid(grid)  # once per stream, not per block
+    sups = _per_path(lambda dw: _volterra_sups(table, vals, dw), noise, grid, n_paths, threads)
     results = {"max_sup_residual": float(np.max(sups))}
     return {"verify_volterra.csv": (["path_id", "sup_residual"], enumerate(sups))}, results
 

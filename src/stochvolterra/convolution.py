@@ -21,8 +21,8 @@ a time; a threaded stream samples all its blocks on one worker pool.  The covari
 the Ito statistics read one linear functional of each path's increments, built once per
 call (node weights; the final residual's adjoint, two lag sums of one path), so a block
 costs one product, P K N d or P K N multiply-adds; the Yosida study and the CLI's
-Volterra check (`_volterra_sups`) convolve each block, `grids._TILE` nodes per product
-(roundoff-level reordering).
+Volterra check (`_volterra_sups`) convolve each block's left-point products (psi's grid
+values taken once per stream), `grids._TILE` nodes per product (roundoff-level reordering).
 """
 
 from contextlib import contextmanager
@@ -31,10 +31,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, NumericalFailure, SmoothnessError
+from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
 from .grids import TimeGrid, cell_values, lag_convolve
-from .noise import ConstantDiffusion, _increments, _left_point_products, _pool, _workers
-from .noise import sample_wiener_batch
+from .noise import ConstantDiffusion, _check_integrand, _increments, _left_point_products
+from .noise import _pool, _workers, sample_wiener_batch
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
 
 __all__ = [
@@ -60,15 +60,6 @@ _MC_BLOCK = 1 << 17  # doubles of increments a block of Monte Carlo paths: 1 MiB
 
 MIN_COVARIANCE_PATHS = 100
 MIN_ITO_PATHS = 2  # a standard error needs two residuals
-
-
-def _check_integrand(psi, d, cov, *grids):
-    """psi (integrand or matrix) if the grids agree and its shape is (d, cov.dim); else raise."""
-    if any(g != grids[0] for g in grids):
-        raise GridMismatch(f"incompatible grids: {' vs '.join(map(str, grids))}")
-    if tuple(psi.shape) != (d, cov.dim):
-        raise DimensionMismatch("integrand vs (state, noise) dimensions", psi.shape, (d, cov.dim))
-    return psi
 
 
 @contextmanager
@@ -179,10 +170,10 @@ def stochastic_convolution(table, psi, inc):
     elementary Ito integral of the integrand.
     """
     _check_integrand(psi, table.dim, inc.spec.cov, table.grid, inc.grid)
-    c = _left_point_products(psi, table.grid, inc.dW[None])
-    values = _convolve_paths(table.S, c)[0]
+    vals = psi.values_on_grid(table.grid)
+    values = _convolve_paths(table.S, _left_point_products(vals, inc.dW[None]).swapaxes(1, 2))[0]
     # the isometry sum h sum_{m<N} |S(T - t_m) Psi(t_m)|_HS^2 under the sampled modes
-    M = table.S[:0:-1] @ psi.values_on_grid(table.grid)[:, :, : inc.modes]
+    M = table.S[:0:-1] @ vals[:, :, : inc.modes]
     ms = table.grid.h * float(np.sum(inc.spec.cov.q[: inc.modes] * np.sum(M * M, axis=(0, 1))))
     return ConvolutionPath(
         grid=table.grid,
@@ -292,8 +283,8 @@ class IdentityReport:
 
 def _volterra_defect(X, W, c, scheme):
     """(P, N+1, d) defect X_n - sum_{m<n} W[n-1-m] x_m - sum_{m<n} c_m of a batch of paths X,
-    x their cell values under the scheme and c their `_left_point_products` (the Ito sum's
-    terms); for P = 1, `lag_convolve` sums in ascending m."""
+    x their cell values under the scheme and c (P, N, d) their `_left_point_products` (the
+    Ito sum's terms); for P = 1, `lag_convolve` sums in ascending m."""
     conv = np.zeros_like(X)
     lag_convolve(W, cell_values(X.swapaxes(0, 1), scheme).swapaxes(0, 1), conv[:, 1:])
     defect = X - conv
@@ -304,16 +295,17 @@ def _volterra_defect(X, W, c, scheme):
 def _path_defect(path, kernel, psi, inc):
     """`_volterra_defect` of one path with the kernel's cell weights, recomputed here."""
     _check_integrand(psi, path.values.shape[1], inc.spec.cov, path.grid, inc.grid)
-    c = _left_point_products(psi, path.grid, inc.dW[None])
+    c = _left_point_products(psi.values_on_grid(path.grid), inc.dW[None]).swapaxes(1, 2)
     return _volterra_defect(path.values[None], kernel.cell_weights(path.grid), c, path.scheme)[0]
 
 
-def _volterra_sups(table, psi, dw_batch):
-    """max_n |Volterra defect at t_n| of each path of a (b, K, N) block of increments,
-    convolved against the table with its own cell weights: b doubles.  Raises
-    NumericalFailure, as `ConvolutionPath` does, when a convolved path is not finite."""
-    c = _left_point_products(psi, table.grid, dw_batch)
-    X = _convolve_paths(table.S, c)
+def _volterra_sups(table, vals, dw_batch):
+    """max_n |Volterra defect at t_n| of each path of a (b, K, N) block of increments driving
+    psi's grid values vals (taken once per stream), with the table's cell weights: b doubles.
+    Raises NumericalFailure, as `ConvolutionPath` does, when a convolved path is not finite."""
+    c = _left_point_products(vals, dw_batch).swapaxes(1, 2)
+    with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite path raises below
+        X = _convolve_paths(table.S, c)
     if not np.all(np.isfinite(X)):
         raise NumericalFailure("convolution path contains nonfinite values")
     defect = _volterra_defect(X, table.cell_weights, c, table.scheme)
@@ -417,7 +409,7 @@ def _ito_profile(kernel, xi, grid):
 
 
 def _ito_residual_batch(kernel, xi, grid, X, bdw):
-    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, N, d)."""
+    """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, d, N) (`_left_point_products`)."""
     h = grid.h
     u, phi, phi_dot = _ito_profile(kernel, xi, grid)
     u = u[:, None, :]
@@ -438,7 +430,7 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     res = x_xi * phi
     res -= res[:, :1]
     res[:, 1:] -= np.cumsum(rate, axis=1)
-    res[:, 1:] -= np.cumsum((bdw @ xi.xi0) * phi[:-1], axis=1)
+    res[:, 1:] -= np.cumsum((xi.xi0 @ bdw) * phi[:-1], axis=1)
     return res
 
 
@@ -484,7 +476,7 @@ def verify_ito_identity(x_path, kernel, B, xi, inc):
     _check_ito_inputs(kernel, xi, d)
     Bm = _check_integrand(as_matrix(B), d, inc.spec.cov, x_path.grid, inc.grid)
     xi.check_consistency(x_path.grid.T)
-    bdw = _left_point_products(ConstantDiffusion(Bm), x_path.grid, inc.dW[None])
+    bdw = _left_point_products(ConstantDiffusion(Bm).values_on_grid(x_path.grid), inc.dW[None])
     res = _ito_residual_batch(kernel, xi, x_path.grid, x_path.values[None], bdw)[0]
     return ItoIdentityReport(
         residuals=res,

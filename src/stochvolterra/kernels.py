@@ -272,16 +272,18 @@ class ScalarResolventPath:
 
     def residual(self):
         """Max node residual of the discrete equation (machine level by construction)."""
-        w = self.kernel.cell_moments(self.grid.h, self.grid.N)
-        return float(_residuals(w, np.array([self.mu]), self.s[:, None], self.scheme)[0])
+        w, s = self.kernel.cell_moments(self.grid.h, self.grid.N), self.s[:, None]
+        return float(np.max(np.abs(_channel_defects(s, w, cell_values(s, self.scheme), self.mu))))
 
 
-def _residuals(w, mu, s, scheme):
-    """Max node residual of s + mu[c] (w convolved with s) = 1 for each channel c of the
-    (N+1, C) table s, the lag sums of every channel by one FFT sum (`_add_lag_sum_fft`)."""
-    conv = np.zeros((w.size, 1, s.shape[1]))
-    _add_lag_sum_fft(w[:, None, None], cell_values(s, scheme)[:, None, :], conv, 0)
-    return np.max(np.abs(s[1:] + mu * conv[:, 0] - 1.0), axis=0)
+def _channel_defects(s, lags, x, mu):
+    """(N, C) defects s[n] + mu[c] sum_{m<n} lags[n-1-m] x[m, c] - 1, n = 1..N, of the (N+1,
+    C) channel table s: the scalar lags against every channel as a column of one FFT lag sum
+    (`_add_lag_sum_fft`), scaled by mu after the sum.  With lags the cell moments of a and x
+    the cell values of s, the relaxation equation s + mu (a * s) = 1."""
+    conv = np.zeros((lags.size, 1, s.shape[1]))
+    _add_lag_sum_fft(lags[:, None, None], x[:, None, :], conv, 0)
+    return s[1:] + mu * conv[:, 0] - 1.0
 
 
 def solve_scalar_resolvent(kernel, mu, grid, scheme="product"):
@@ -304,8 +306,9 @@ def _relaxation_paths(kernel, mus, grid, scheme):
     if not np.all(np.isfinite(mus)):
         raise ValueError(f"mu must be finite, got {mus[~np.isfinite(mus)][0]}")
     s = march_channels(w, mus, scheme)
+    sups = np.max(np.abs(_channel_defects(s, w, cell_values(s, scheme), mus)), axis=0)
     tols = 1e-12 * (1.0 + np.abs(mus)) * np.max(np.abs(s), axis=0)
-    for mu, res, tol in zip(mus, _residuals(w, mus, s, scheme), tols):
+    for mu, res, tol in zip(mus, sups, tols):
         if not res <= tol:  # also true for nan
             raise NumericalFailure(f"residual {res} at mu={mu} exceeds construction tolerance")
     return [
@@ -396,7 +399,9 @@ class CompletePositivityReport:
 
 def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
     """Probe the sign of the relaxation solution for each mu >= 0 given, all in
-    one channel march.  tol defaults to `default_cp_tolerance(h)`, h = T/N.
+    one channel march.  tol defaults to `default_cp_tolerance(h)`, h = T/N.  The march is
+    `product`, whose first step s[1] = (1 - mu w0 / 2) / (1 + mu w0 / 2) rings whatever the
+    kernel: below -tol it raises NumericalFailure, as a witness there would be the scheme's.
     """
     mu_list = [float(m) for m in (DEFAULT_MU_GRID if mu_list is None else mu_list)]
     if not mu_list:
@@ -410,6 +415,9 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
     probes = []
     t_nodes = grid.nodes()
     for path in _relaxation_paths(kernel, mu_list, grid, "product"):
+        if path.s[1] < -tol:  # a witness there would come from the scheme, not from the kernel
+            msg = f"product's first step {path.s[1]:.3g} at mu={path.mu:g} < -tol = {-tol:.3g}"
+            raise NumericalFailure(f"{msg}: the scheme rings; probe on conv or N > {grid.N}")
         i_min, below = int(np.argmin(path.s)), path.s < -tol
         first = float(t_nodes[np.argmax(below)]) if np.any(below) else None
         probes.append(MuProbe(path.mu, float(path.s[i_min]), float(t_nodes[i_min]), first, path))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GridMismatch
 from .grids import TimeGrid
 from .spaces import CovOperator, _integer_in, _readonly, _readonly_fields, as_matrix
 
@@ -279,11 +279,26 @@ class RuleDiffusion(DiffusionProcess):
 # ---------------------------------------------------------------------------
 
 
-def _left_point_products(psi, grid, dw_batch):
-    """(P, N, dim_H) array of Psi(t_m) dW_m over a (P, K, N) batch of increments."""
-    K = dw_batch.shape[1]
-    vals = psi.values_on_grid(grid)
-    return np.einsum("mik,pkm->pmi", vals[:, :, :K], dw_batch)
+def _check_integrand(psi, d, cov, *grids):
+    """psi (integrand or matrix) if the grids agree and its shape is (d, cov.dim); else raise."""
+    if any(g != grids[0] for g in grids):
+        raise GridMismatch(f"incompatible grids: {' vs '.join(map(str, grids))}")
+    if tuple(psi.shape) != (d, cov.dim):
+        raise DimensionMismatch("integrand vs (state, noise) dimensions", psi.shape, (d, cov.dim))
+    return psi
+
+
+def _left_point_products(vals, dw_batch):
+    """(P, dim_H, N) products Psi(t_m) dW_m of a (P, K, N) batch of increments, one per run
+    of equal grid values vals (`values_on_grid`, taken once per call or stream; K columns).
+    Nonfinite increments give nonfinite products, unwarned: the callers' checks raise."""
+    P, K, N = dw_batch.shape
+    cuts = [0, *(np.flatnonzero(np.any(vals[1:] != vals[:-1], axis=(1, 2))) + 1), N]
+    out = np.empty((P, vals.shape[1], N))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.matmul(vals[lo, :, :K], dw_batch[:, :, lo:hi], out=out[:, :, lo:hi])
+    return out
 
 
 def stochastic_integral(psi, inc):
@@ -294,10 +309,7 @@ def stochastic_integral(psi, inc):
     isometry holds in expectation against the integrand's time-integrated
     Hilbert-Schmidt norm.
     """
-    if psi.shape[1] != inc.spec.cov.dim:
-        raise DimensionMismatch(
-            "integrand columns vs noise dimension", psi.shape, (inc.spec.cov.dim,)
-        )
+    _check_integrand(psi, psi.shape[0], inc.spec.cov)
     out = np.zeros((inc.grid.N + 1, psi.shape[0]))
-    out[1:] = np.cumsum(_left_point_products(psi, inc.grid, inc.dW[None])[0], axis=0)
+    out[1:] = np.cumsum(_left_point_products(psi.values_on_grid(inc.grid), inc.dW[None])[0].T, 0)
     return out

@@ -27,8 +27,8 @@ far history and one product with a precomputed inverse per leaf of 4 to 16 nodes
 (`grids._leaf_nodes`): O(N log^2 N) for a d x d table.  `resolvent_residuals` sums
 both equations' histories by FFT (`grids._add_lag_sum_fft`, node-first), in another
 order than the solver, so the second residual reads 1e-16 to 1e-14, not zero.  On a
-channel table it checks the channel march; the rotation to S adds roundoff of its own
-that the residuals do not see.
+channel table it checks the channel march by `kernels._channel_defects`, the relaxation
+paths' check; the rotation to S adds roundoff of its own that the residuals do not see.
 
 `compute_resolvent` is the one constructor.  A scalar-type kernel a(t) A with exactly
 symmetric A (`_symmetric_eigh`: `np.array_equal(A, A.T)`, no tolerance) splits along
@@ -38,7 +38,7 @@ spends about N 256 d^3 / 2 in its zones); the two tables agree at roundoff.  An 
 symmetric only to roundoff takes the matrix march: pass (A + A') / 2 to take the
 channels.  Any other kernel marches the full d x d table.  A channel table keeps lam,
 V and s: its norms and U-Lipschitz estimate cost O(N d) instead of N SVDs, and its
-residuals d FFT columns instead of d^2, plus one N d^3 rotation of each residual.
+residuals d FFT columns an equation instead of d^2, plus an N d^3 rotation of each.
 Operator 2-norms are exact (singular values), one batched call per stack, except on
 channel tables, whose norms are max_k |s_k|.
 """
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
 from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
 from .grids import _check_steps, march, march_channels
-from .kernels import ScalarKernel
+from .kernels import ScalarKernel, _channel_defects
 from .spaces import _readonly_fields, _square
 
 __all__ = [
@@ -336,28 +336,25 @@ class ResolventResiduals:
 
 
 def resolvent_residuals(table):
-    """`ResolventResiduals` of the table.  Both equations' history sums are taken by one
-    FFT call, O(N log N) per column of S, so the second residual checks the march by an
-    independent summation: up to about 1e-14 max|S|, growing with N (not zero).  A channel
-    table is d 1x1 tables, channel axis first, whose lags are lam_k times those of a: d
-    columns in place of d^2; its (N, d) residuals r are rotated back once, V diag(r) V'."""
+    """`ResolventResiduals` of the table.  Both equations' history sums are taken by FFT,
+    O(N log N) per column of S, so the second residual checks the march by an independent
+    summation: up to about 1e-14 max|S|, growing with N (not zero).  A channel table is d
+    scalar equations, each equation's channels the columns of one `kernels._channel_defects`
+    call on the lags of a, scaled by lam_k after the sum; its (N, d) defects r are rotated
+    back as V diag(r) V', one equation at a time."""
     grid, N = table.grid, table.grid.N
     nodes = grid.nodes()[1:]  # lag k of the first equation's sum is A(t_{k+1}) h
-    if table.s is None:
-        x, one, lags = table.S, np.eye(table.dim), (table.cell_weights, table.kernel.value(nodes))
+    if table.s is None:  # each column of S is one sum's: sums[e][n-1] is equation e's at node n
+        S, sums = table.S, np.zeros((2, N) + table.S.shape[1:])
+        lags = np.stack([table.cell_weights, table.kernel.value(nodes)])
+        _add_lag_sum_fft(lags, np.stack([cell_values(S, table.scheme), S[:N]]), sums, 0)
+        gap = S[1:] - np.eye(table.dim)
+        res = (gap - sums[0], gap - grid.h * sums[1])
     else:
-        x, one, a = table.s, 1.0, table.kernel.a
-        lags = tuple(np.multiply.outer(w, table.lam) for w in (a.cell_moments(grid.h, N), a(nodes)))
-    parts = (x[1:] - one, cell_values(x, table.scheme), x[:N]) + lags
-    if table.s is not None:
-        parts = [p.T[..., None, None] for p in parts]
-    gap, cells, left, lag2, lag1 = parts
-    # each column of an input is one sum's; sums[e][..., n-1, :, :] is equation e's at node n
-    sums = np.zeros((2,) + gap.shape)
-    _add_lag_sum_fft(np.stack([lag2, lag1]), np.stack([cells, left]), sums, 0)
-    res = (gap - sums[0], gap - grid.h * sums[1])
-    if table.s is not None:
-        res = ((table.V * r[..., 0, 0].T[:, None, :]) @ table.V.T for r in res)
+        s, lam, a = table.s, table.lam, table.kernel.a
+        w, cells = a.cell_moments(grid.h, N), cell_values(s, table.scheme)
+        eqs = ((w, cells, -lam), (a(nodes), s[:N], -grid.h * lam))
+        res = ((table.V * _channel_defects(s, *eq)[:, None, :]) @ table.V.T for eq in eqs)
     res2, res1 = (float(np.max(np.abs(r))) for r in res)
     return ResolventResiduals(res_first=res1, res_second=res2)
 

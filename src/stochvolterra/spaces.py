@@ -88,14 +88,6 @@ class HSOperator:
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("operator entries must be finite")
 
-    @property
-    def dim_H(self):
-        return self.matrix.shape[0]
-
-    @property
-    def dim_U(self):
-        return self.matrix.shape[1]
-
 
 def as_matrix(B):
     """The matrix of an HSOperator, or of a plain array made one: a read-only float copy,

@@ -26,11 +26,11 @@ from functools import partial
 
 import numpy as np
 
-from .convolution import _check_integrand, _convolve_paths, _path_blocks
+from .convolution import _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .grids import _TILE, _check_steps, _toeplitz_strip, march, march_channels
 from .kernels import check_complete_positivity
-from .noise import _left_point_products
+from .noise import _check_integrand, _left_point_products
 from .resolvent import _bound_fit, _check_fit_cells, _symmetric_eigh, operator_2norm
 from .spaces import _integer_in, _readonly_fields, _square
 
@@ -147,10 +147,10 @@ def yosida_convergence_study(
 ):
     """Measure how the regularized solutions approach the base solution.
 
-    Hypothesis checks (complete positivity of the kernel on the study grid,
-    dissipativity of A) are advisory: violations warn rather than fail, since
-    the point of the study is to watch the limits the theory promises under
-    those hypotheses.
+    Hypothesis checks (complete positivity of the kernel on the study grid, dissipativity
+    of A) are advisory: violations, and a positivity probe that refuses, warn rather than
+    fail (`cp_consistent` is then False), since the point of the study is to watch the
+    limits the theory promises under those hypotheses.
 
     One march solves the base and every A_lam table on the cell moments w of a:
     `march_channels` on the (L + 1, d) channel values of a symmetric A, otherwise one
@@ -163,16 +163,16 @@ def yosida_convergence_study(
     _check_integrand(psi, A.shape[0], spec.cov)
     n_paths = _integer_in(n_paths, "n_paths", 1)
     _check_fit_cells(grid.N)  # the growth fit's ValueError, before any path is sampled
-    cp = check_complete_positivity(a, T=grid.T, N=max(grid.N, 256))
-    if not cp.consistent:
-        warnings.warn(f"kernel hypothesis violated: {cp.verdict}", stacklevel=2)
+    try:
+        cp = check_complete_positivity(a, T=grid.T, N=max(grid.N, 256))
+        cp_consistent, cp_msg = cp.consistent, f"kernel hypothesis violated: {cp.verdict}"
+    except NumericalFailure as exc:  # a refused probe is as advisory as a witness
+        cp_consistent, cp_msg = False, f"complete-positivity probe refused: {exc}"
     acc = accretivity_check(A)
-    if not acc.dissipative:
-        warnings.warn(
-            f"A is not dissipative (max symmetric eigenvalue "
-            f"{acc.max_symmetric_eigenvalue:g})",
-            stacklevel=2,
-        )
+    acc_msg = f"A is not dissipative (max symmetric eigenvalue {acc.max_symmetric_eigenvalue:g})"
+    for ok, msg in ((cp_consistent, cp_msg), (acc.dissipative, acc_msg)):
+        if not ok:
+            warnings.warn(msg, stacklevel=2)
     family = make_yosida(A, lambdas, force=True)
     eig, w = _symmetric_eigh(family.A), a.cell_moments(grid.h, grid.N)
     if eig is None:  # (N + 1, L + 1, d, d) tables of [A, A_lam1, ...]
@@ -187,7 +187,7 @@ def yosida_convergence_study(
         norm = partial(np.linalg.norm, ord=np.inf, axis=-1)  # |V diag(x) V'| = max_k |x_k|
         route = partial(_channel_route, tables, ops, V)
     with _path_blocks(spec, grid, n_paths, threads) as blocks:
-        sums = route(psi, grid, blocks)
+        sums = route(psi.values_on_grid(grid), blocks)  # psi evaluated once per stream
     fits = [_bound_fit(grid.nodes(), eta) for eta in norm(tables).T]
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(
@@ -198,17 +198,18 @@ def yosida_convergence_study(
         bound_M=max(f.M for f in fits),
         bound_w=max(f.w for f in fits),
         n_paths=n_paths,
-        cp_consistent=cp.consistent,
+        cp_consistent=cp_consistent,
     )
 
 
-def _matrix_route(S, ops, psi, grid, blocks):
+def _matrix_route(S, ops, vals, blocks):
     """(2, L, N+1) path sums of |W_lam - W|^2 and |A_lam W_lam - A W|^2 over the (N+1,
     L+1, d, d) tables S of the operators ops = [A, A_lam1, ...]: each table convolved with
-    psi's left-point products of every (P, K, N) increment block, about P N^2 d^2 / 2
-    multiply-adds a table."""
-    sums = np.zeros((2, ops.shape[0] - 1, grid.N + 1))
-    for c in map(partial(_left_point_products, psi, grid), blocks):
+    the left-point products of psi's grid values vals and every (P, K, N) increment block,
+    about P N^2 d^2 / 2 multiply-adds a table."""
+    sums = np.zeros((2, ops.shape[0] - 1, S.shape[0]))
+    for dw in blocks:
+        c = _left_point_products(vals, dw).swapaxes(1, 2)
         W = _convolve_paths(S[:, 0], c)
         AW = W @ ops[0].T
         for i in range(1, ops.shape[0]):
@@ -222,14 +223,14 @@ def _matrix_route(S, ops, psi, grid, blocks):
     return sums
 
 
-def _channel_route(s, mus, V, psi, grid, blocks):
+def _channel_route(s, mus, V, vals, blocks):
     """`_matrix_route` on the (N+1, L+1, d) channels s of the tables V diag(s) V' of the
     operators V diag(mus[i]) V', for a symmetric A = V diag(mus[0]) V'.
 
     Per path and node |W_lam - W|^2 sums over k the squared lag sums of the gap s_lam,k -
     s_k against channel k of the rotated increments y_m = V' psi(t_m) dW_m (|A_lam W_lam -
-    A W|^2 likewise, with the gap mu_lam s_lam - mu s); V' psi(t_m) is taken once per call,
-    and a block once per run of equal values.  With G the (N L, N) block-Toeplitz strip of
+    A W|^2 likewise, with the gap mu_lam s_lam - mu s): `_left_point_products` of each block
+    with V' vals, psi's rotated grid values.  With G the (N L, N) block-Toeplitz strip of
     a channel's L gaps and y_p its increments, sum_p (G y_p)^2 is the rowwise dot of G Y'Y
     and G: the blocks add into the channel's Gram matrix Y'Y (a symmetric product, about
     P N^2 / 2 multiply-adds), and after the last block each channel multiplies its Gram by
@@ -238,16 +239,13 @@ def _channel_route(s, mus, V, psi, grid, blocks):
     multiply-adds in all, whatever P is, where strip products per block would take
     2 d L P N^2.  The d Gram matrices and one strip are alive.
     """
-    (N, L), d = (grid.N, mus.shape[0] - 1), mus.shape[1]
+    (N, L), d = (s.shape[0] - 1, mus.shape[0] - 1), mus.shape[1]
     gaps = np.stack([s[:, 1:] - s[:, :1], mus[1:] * s[:, 1:] - mus[0] * s[:, :1]])
     lags = np.moveaxis(gaps[:, 1:], -1, 1)[..., None]  # (2, d, N, L, 1): lags 1..N
-    R = V.T @ psi.values_on_grid(grid)  # y[:, :, m] = R[m, :, :K] dW[:, :, m], K modes
-    cuts = [0, *(np.flatnonzero(np.any(R[1:] != R[:-1], axis=(1, 2))) + 1), N]
+    R = V.T @ vals  # V' psi(t_m)
     gram = np.zeros((d, N, N))
     for dw in blocks:
-        y = np.empty((dw.shape[0], d, N))  # (P, d, N)
-        for lo, hi in zip(cuts, cuts[1:]):
-            np.matmul(R[lo, :, : dw.shape[1]], dw[:, :, lo:hi], out=y[:, :, lo:hi])
+        y = _left_point_products(R, dw)  # (P, d, N)
         for k in range(d):
             gram[k] += y[:, k].T @ y[:, k]
         del y  # free before the next block is sampled

@@ -307,8 +307,8 @@ def test_criterion_11_gaussian_statistics():
         grid = TimeGrid(1.0, 64)
         spec_iso = NoiseSpec(cov=Q, truncation=2, seed=999)
         dw_iso = sample_wiener_batch(spec_iso, grid, range(20000))
-        c_iso = _left_point_products(ConstantDiffusion(B), grid, dw_iso)
-        observed = float(np.mean(np.sum(np.sum(c_iso, axis=1) ** 2, axis=1)))
+        c_iso = _left_point_products(ConstantDiffusion(B).values_on_grid(grid), dw_iso)
+        observed = float(np.mean(np.sum(np.sum(c_iso, axis=2) ** 2, axis=1)))
         predicted = ConstantDiffusion(B).integrated_hs_norm_sq(grid, Q)
         assert abs(observed - predicted) / predicted < 0.05
 

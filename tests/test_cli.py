@@ -466,6 +466,24 @@ def test_numerical_failure_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "kernel, mu, N",
+    [
+        ({"variant": "fractional", "alpha": 0.5}, 100.0, 256),
+        ({"variant": "fractional", "alpha": 0.5}, 100.0, 1024),
+        ({"variant": "constant", "c": 1.0}, 1000.0, 256),
+    ],
+)
+def test_cp_check_refuses_a_ringing_first_step(tmp_path, capsys, kernel, mu, N):
+    # the probe's product march would give a witness against a completely positive kernel
+    config = {"experiment": "cp_check", "kernel": kernel, "grid": {"T": 1.0, "N": N}}
+    code, out = run(tmp_path, dict(config, mu_list=[1.0, mu]))
+    err = capsys.readouterr().err
+    assert code == 4 and not out.exists()
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: numerical: product's first step -0.") and f"mu={mu:g}" in err
+
+
 @pytest.mark.filterwarnings("ignore:A is not dissipative")
 @pytest.mark.parametrize("experiment", ["resolvent", "yosida"])
 def test_alternating_channel_of_a_nonsymmetric_operator_exits_4(tmp_path, capsys, experiment):

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -37,7 +38,7 @@ from stochvolterra import (
     verify_weak_solution,
     yosida_convergence_study,
 )
-from stochvolterra import convolution, noise
+from stochvolterra import cli, convolution, noise
 from stochvolterra.convolution import _ito_final_weights, _left_point_products
 from stochvolterra.noise import WienerIncrements
 
@@ -109,7 +110,8 @@ def test_tiled_batch_convolution_matches_single_paths():
     table = compute_resolvent(kern, TimeGrid(1.0, 100))  # six tiles of 16 and a ragged 4
     spec = unit_spec(2, seed=17)
     psi = ConstantDiffusion(rng.standard_normal((3, 2)))
-    c = _left_point_products(psi, table.grid, sample_wiener_batch(spec, table.grid, range(7)))
+    dw = sample_wiener_batch(spec, table.grid, range(7))
+    c = _left_point_products(psi.values_on_grid(table.grid), dw).swapaxes(1, 2)
     paths = convolution._convolve_paths(table.S, c)
     for p in range(7):
         single = stochastic_convolution(table, psi, sample_wiener(spec, table.grid, p)).values
@@ -263,7 +265,7 @@ def einsum_sample_covariance(table, B, spec, n_paths, t_index):
     """Sample covariance and standard errors from the whole (P, K, N) increment
     batch: left-point products for every path and cell, then one einsum at the node."""
     dw = sample_wiener_batch(spec, table.grid, range(n_paths))
-    c = _left_point_products(ConstantDiffusion(B), table.grid, dw)
+    c = _left_point_products(ConstantDiffusion(B).values_on_grid(table.grid), dw).swapaxes(1, 2)
     X = np.einsum("jab,pjb->pa", table.S[t_index:0:-1], c[:, :t_index])
     centered = X - X.mean(axis=0)
     C = (centered.T @ centered) / (n_paths - 1)
@@ -475,7 +477,7 @@ def test_weak_and_volterra_residuals_come_from_one_defect():
         inc = sample_wiener(unit_spec(2, seed=9), table.grid, path_id=4)
         path = stochastic_convolution(table, psi, inc)
         xi = rng.standard_normal(2)
-        c = _left_point_products(psi, table.grid, inc.dW[None])
+        c = _left_point_products(psi.values_on_grid(table.grid), inc.dW[None]).swapaxes(1, 2)
         W = kernel.cell_weights(table.grid)
         defect = convolution._volterra_defect(path.values[None], W, c, scheme)[0]
         weak = verify_weak_solution(path, kernel, xi, psi, inc)
@@ -499,7 +501,7 @@ def volterra_problem(A, a, scheme, psi_kind, n=32):
 
 
 def volterra_sups(table, psi, spec, n_paths, threads=1):
-    block_fn = partial(convolution._volterra_sups, table, psi)
+    block_fn = partial(convolution._volterra_sups, table, psi.values_on_grid(table.grid))
     return convolution._per_path(block_fn, spec, table.grid, n_paths, threads)
 
 
@@ -731,8 +733,8 @@ def ito_final_per_path(table, B, xi, X0, spec, n_paths):
     """Final residuals of paths 0..n_paths-1, each path convolved against the table
     and its residual taken at every node."""
     dw = sample_wiener_batch(spec, table.grid, range(n_paths))
-    c = _left_point_products(ConstantDiffusion(B), table.grid, dw)
-    X = convolution._convolve_paths(table.S, c) + np.einsum("nij,j->ni", table.S, X0)
+    c = _left_point_products(ConstantDiffusion(B).values_on_grid(table.grid), dw)
+    X = convolution._convolve_paths(table.S, c.swapaxes(1, 2)) + np.einsum("nij,j->ni", table.S, X0)
     return convolution._ito_residual_batch(table.kernel, xi, table.grid, X, c)[:, -1]
 
 
@@ -920,13 +922,54 @@ def test_a_stream_that_raises_shuts_its_pool_down(monkeypatch):
     def overflow_in_block_3(dw):
         if len(blocks) == 3:
             dw[2, 0, 5] = np.inf
-        return convolution._volterra_sups(table, psi, dw)
+        return convolution._volterra_sups(table, psi.values_on_grid(table.grid), dw)
 
     with pytest.raises(NumericalFailure, match="nonfinite"):
         convolution._per_path(overflow_in_block_3, spec, table.grid, 50, 2)
     assert len(blocks) == 3
     assert pools == [2]
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("psi_kind", ["constant", "step"])
+def test_an_inf_increment_fails_its_block_without_a_runtime_warning(psi_kind):
+    table, psi, spec = volterra_problem(ROTATED3, FractionalKernel(0.5), "conv", psi_kind)
+    dw = sample_wiener_batch(spec, table.grid, range(4))
+    dw[2, 0, 5] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="nonfinite"):
+            convolution._volterra_sups(table, psi.values_on_grid(table.grid), dw)
+
+
+def count_grid_values(monkeypatch):
+    """Record the grid size of every `values_on_grid` call of any integrand."""
+    calls = []
+    for cls in (noise.DiffusionProcess, noise.ConstantDiffusion):
+
+        def counted(self, grid, original=cls.values_on_grid):
+            calls.append(grid.N)
+            return original(self, grid)
+
+        monkeypatch.setattr(cls, "values_on_grid", counted)
+    return calls
+
+
+@pytest.mark.parametrize("experiment", ["verify_volterra", "yosida-channels", "yosida-matrix"])
+def test_psi_is_evaluated_once_per_stream(monkeypatch, experiment):
+    # a step psi over 8 blocks of paths: one grid evaluation serves every block
+    table, psi, spec = volterra_problem(ROTATED3, FractionalKernel(0.5), "conv", "step")
+    blocks = count_blocks(monkeypatch, 7, 3, 32)
+    calls = count_grid_values(monkeypatch)
+    if experiment == "verify_volterra":
+        cli._run_verify_volterra(
+            FractionalKernel(0.5), ROTATED3, table.grid, spec, psi, 50, "conv", threads=1
+        )
+    else:
+        A = ROTATED3 if experiment == "yosida-channels" else NONSYMMETRIC3
+        yosida_convergence_study(ExponentialKernel(), A, psi, spec, [0.2, 0.1], table.grid, 50)
+    assert len(blocks) == 8
+    assert calls == [32]
 
 
 def test_the_paths_of_a_block_do_not_depend_on_threads(monkeypatch):

@@ -285,6 +285,45 @@ def test_cp_verdict_stable_under_refinement():
         assert verdicts == [expected, expected]
 
 
+@pytest.mark.parametrize(
+    "kernel, mu, N, first",
+    [
+        (FractionalKernel(0.5), 100.0, 256, "-0.558"),
+        (FractionalKernel(0.5), 100.0, 1024, "-0.276"),
+        (ConstantKernel(1.0), 1000.0, 256, "-0.323"),
+    ],
+)
+def test_cp_probe_refuses_a_ringing_first_step(kernel, mu, N, first):
+    # product's first step (1 - mu w0 / 2) / (1 + mu w0 / 2) lies below -tol: the probe
+    # would call these completely positive kernels "not completely positive"
+    match = f"first step {first} at mu={mu:g} .*conv or N > {N}"
+    with pytest.raises(NumericalFailure, match=match):
+        check_complete_positivity(kernel, mu_list=[1.0, mu], N=N)
+
+
+def test_cp_probe_keeps_a_first_step_above_minus_tol():
+    # alpha = 0.3 at mu = 10 on 256 cells: the first step -0.027 lies above -tol = -0.039
+    report = check_complete_positivity(FractionalKernel(0.3), N=256)
+    assert report.probes[-1].mu == 10.0
+    assert -report.tol < report.probes[-1].path.s[1] < -0.02
+    assert report.consistent
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "kernel",
+    [FractionalKernel(0.3), FractionalKernel(0.5), ConstantKernel(1.0), ExponentialKernel()],
+    ids=["frac0.3", "frac0.5", "constant", "exp"],
+)
+def test_conv_relaxation_stays_in_the_unit_interval_when_stiff(kernel, N):
+    # conv (theta = 1) does not ring: for these completely positive kernels s stays in
+    # [0, 1] however stiff mu w0 is
+    grid = TimeGrid(1.0, N)
+    for mu in (1e2, 1e3, 1e4):
+        s = solve_scalar_resolvent(kernel, mu, grid, scheme="conv").s
+        assert -1e-12 <= np.min(s) and np.max(s) <= 1.0 + 1e-12, (mu, np.min(s), np.max(s))
+
+
 def test_cp_rejects_bad_mu():
     with pytest.raises(ValueError):
         check_complete_positivity(ExponentialKernel(), mu_list=[])

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -271,3 +272,43 @@ def test_integral_dimension_guard():
     inc = sample_wiener(spec_with([1.0, 1.0]), grid)
     with pytest.raises(DimensionMismatch):
         stochastic_integral(ConstantDiffusion(np.ones((2, 3))), inc)
+
+
+# --- left-point products ----------------------------------------------------------
+
+
+def einsum_products(vals, dw):
+    """The oracle: Psi(t_m) dW_m at every node by one einsum, (P, dim_H, N)."""
+    return np.einsum("mik,pkm->pim", vals[:, :, : dw.shape[1]], dw)
+
+
+@pytest.mark.parametrize("K", [4, 2], ids=["all-modes", "truncated"])
+@pytest.mark.parametrize("kind", ["constant", "step-on-nodes", "step-between-nodes", "rule"])
+def test_left_point_products_match_an_einsum(kind, K):
+    grid = TimeGrid(1.0, 16)  # 0.25 and 0.5 are nodes, 0.3 and 0.71 are not
+    mats = np.random.default_rng(11).standard_normal((3, 3, 4))
+    psi = {
+        "constant": ConstantDiffusion(mats[0]),
+        "step-on-nodes": StepDiffusion([0.0, 0.25, 0.5], mats),
+        "step-between-nodes": StepDiffusion([0.0, 0.3, 0.71], mats),
+        "rule": RuleDiffusion(lambda t: np.cos(3.0 * t) * mats[0] + t * mats[1], (3, 4)),
+    }[kind]
+    spec = NoiseSpec(cov=CovOperator(np.array([1.0, 0.5, 0.25, 0.1])), truncation=K, seed=3)
+    dw = sample_wiener_batch(spec, grid, range(5))
+    vals = psi.values_on_grid(grid)
+    got, oracle = noise._left_point_products(vals, dw), einsum_products(vals, dw)
+    assert got.shape == (5, 3, 16)
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-15 * np.max(np.abs(oracle)))
+
+
+def test_left_point_products_pass_nonfinite_increments_unwarned():
+    # a product meets inf * 0 here; matmul flags it as invalid, where an einsum does not
+    psi = StepDiffusion([0.0, 0.5], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    grid = TimeGrid(1.0, 8)
+    dw = np.ones((2, 2, 8))
+    dw[1, 0, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = noise._left_point_products(psi.values_on_grid(grid), dw)
+    assert np.isinf(got[1, 0, 2]) and np.isnan(got[1, 1, 2])
+    assert np.all(np.isfinite(np.delete(got[1], 2, axis=1))) and np.all(np.isfinite(got[0]))

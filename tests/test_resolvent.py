@@ -18,6 +18,7 @@ from stochvolterra import (
     exponential_bound_fit,
     operator_2norm,
     resolvent_residuals,
+    solve_scalar_resolvent,
 )
 from stochvolterra import grids
 from stochvolterra.grids import _add_lag_sum_fft, cell_values, lag_convolve
@@ -414,6 +415,33 @@ def test_diag5_channel_norms_are_exact(scheme):
     res, scale = resolvent_residuals(table), np.max(np.abs(table.S))
     assert abs(res.res_first - res1) <= 1e-13 * scale
     assert abs(res.res_second - res2) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("d", [1, 5, 16])
+def test_channel_residuals_match_the_marched_matrix_table(d, scheme):
+    # the same kernel marched as a d x d table by grids.march, residuals by the matrix sums
+    kernel = ScalarTypeKernel(FractionalKernel(0.5), rotated_symmetric(d))
+    grid = TimeGrid(1.0, 256)
+    table = compute_resolvent(kernel, grid, scheme)
+    S = grids.march(kernel.cell_weights(grid), scheme)
+    matrix = ResolventTable(
+        grid, S, stacked_trapezoid(S, grid.h), kernel, scheme, table.quadrature_id,
+        table.cell_weights,
+    )
+    channel, marched, scale = resolvent_residuals(table), resolvent_residuals(matrix), np.max(S)
+    assert abs(channel.res_first - marched.res_first) <= 1e-13 * scale
+    assert max(channel.res_second, marched.res_second) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+def test_channel_residuals_are_the_relaxation_residuals_for_a_diagonal_operator(scheme):
+    # A = -diag(mu): V is a permutation, so each channel is the relaxation path of its mu
+    # and the second residual is the largest of the paths' residuals, bit for bit
+    grid, a, mus = TimeGrid(1.0, 256), FractionalKernel(0.5), [1.0, 30.0, 100.0]
+    table = compute_resolvent(ScalarTypeKernel(a, -np.diag(mus)), grid, scheme)
+    paths = [solve_scalar_resolvent(a, mu, grid, scheme) for mu in mus]
+    assert resolvent_residuals(table).res_second == max(p.residual() for p in paths)
 
 
 def stacked_trapezoid(S, h):

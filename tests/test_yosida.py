@@ -141,6 +141,15 @@ def test_study_warns_on_hypothesis_violation():
         )
 
 
+def test_study_probe_refusal_is_advisory():
+    # FractionalKernel(0.2) on the probe's 256 cells: product's first step at mu = 10 is
+    # -0.29, so the probe refuses; the study warns and completes
+    with pytest.warns(UserWarning, match="probe refused: product's first step -0.285 at mu=10"):
+        study = _study(n_paths=50, kernel=FractionalKernel(0.2))
+    assert not study.cp_consistent
+    assert np.all(np.isfinite(study.e_W)) and np.all(np.isfinite(study.e_AW))
+
+
 def test_study_threads_do_not_change_results(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # four workers on any machine
     A = -np.diag(np.arange(1.0, 6.0))
@@ -171,7 +180,8 @@ def matrix_route_reference(a, A, psi, spec, lambdas, grid, n_paths, scheme):
     tables = [
         compute_resolvent(ScalarTypeKernel(a, Al), grid, scheme=scheme) for Al in family.A_lam
     ]
-    c = _left_point_products(psi, grid, sample_wiener_batch(spec, grid, range(n_paths)))
+    dw = sample_wiener_batch(spec, grid, range(n_paths))
+    c = _left_point_products(psi.values_on_grid(grid), dw).swapaxes(1, 2)
     W = _convolve_paths(base.S, c)
     e_S, e_W, e_AW = [], [], []
     for Al, tb in zip(family.A_lam, tables):
