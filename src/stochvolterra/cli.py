@@ -53,7 +53,7 @@ from .kernels import (
     default_cp_tolerance,
     solve_scalar_resolvent,
 )
-from .noise import ConstantDiffusion, NoiseSpec, StepDiffusion, sample_wiener
+from .noise import ConstantDiffusion, NoiseSpec, StepDiffusion, _check_integrand, sample_wiener
 from .resolvent import (
     MIN_BOUND_FIT_CELLS,
     MIN_RESOLVENT_CELLS,
@@ -63,7 +63,7 @@ from .resolvent import (
     exponential_bound_fit,
     resolvent_residuals,
 )
-from .spaces import CovOperator, _integer_in
+from .spaces import CovOperator, _integer_in, _square, _vector
 from .yosida import yosida_convergence_study
 
 BENCHMARK_OPERATORS = {
@@ -111,9 +111,8 @@ def _numbers(value, depth):
     return isinstance(value, (list, tuple)) and all(_numbers(v, depth - 1) for v in value)
 
 
-def _array(value, name, ndim, length=None):
-    """Lists of finite numbers nested `ndim` deep (`length` of them at the top,
-    when given), as a float array."""
+def _array(value, name, ndim):
+    """Lists of finite numbers nested `ndim` deep, as a float array."""
     try:
         a = np.array(value)
     except ValueError:  # ragged nesting
@@ -122,8 +121,6 @@ def _array(value, name, ndim, length=None):
     if not kind_ok or a.ndim != ndim or not np.all(np.isfinite(a)):
         kind = ("a list", "a matrix", "a list of matrices")[ndim - 1]
         raise ConfigError(f"{name} must be {kind} of finite numbers")
-    if length is not None and len(a) != length:
-        raise ConfigError(f"{name} has {len(a)} entries, the operator dimension is {length}")
     return a.astype(float)
 
 
@@ -145,34 +142,46 @@ def _require_keys(section, name, required, optional=()):
 
 
 def _section(name, build, *args):
-    """build(*args), with a missing key, ValueError or TypeError it raises
-    reported as a ConfigError naming the section."""
+    """build(*args), with a ValueError or TypeError it raises reported as a
+    ConfigError naming the section."""
     try:
         return build(*args)
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"section '{name}' is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
+# each variant's required keys, optional keys and builder; a key of another variant is unknown
 _KERNELS = {
-    "fractional": lambda s: FractionalKernel(_number(s["alpha"], "kernel.alpha")),
-    "exponential": lambda s: ExponentialKernel(
+    "fractional": (("alpha",), (), lambda s: FractionalKernel(_number(s["alpha"], "kernel.alpha"))),
+    "exponential": ((), ("c", "b"), lambda s: ExponentialKernel(
         _number(s.get("c", 1.0), "kernel.c"), _number(s.get("b", 1.0), "kernel.b")
-    ),
-    "constant": lambda s: ConstantKernel(_number(s.get("c", 1.0), "kernel.c")),
-    "linear": lambda s: LinearKernel(),
-    "tabulated": lambda s: TabulatedKernel(
+    )),
+    "constant": ((), ("c",), lambda s: ConstantKernel(_number(s.get("c", 1.0), "kernel.c"))),
+    "linear": ((), (), lambda s: LinearKernel()),
+    "tabulated": (("times", "values"), (), lambda s: TabulatedKernel(
         _array(s["times"], "kernel.times", 1), _array(s["values"], "kernel.values", 1)
-    ),
+    )),
+}
+
+_PSIS = {
+    "constant": (("matrix",), (), lambda s: ConstantDiffusion(
+        _array(s["matrix"], "psi.matrix", 2)
+    )),
+    "step": (("breakpoints", "matrices"), (), lambda s: StepDiffusion(
+        _array(s["breakpoints"], "psi.breakpoints", 1), _array(s["matrices"], "psi.matrices", 3)
+    )),
 }
 
 
-def _kernel(section):
-    _require_keys(section, "kernel", ["variant"], ["alpha", "c", "b", "times", "values"])
-    return _KERNELS[_choice(section["variant"], _KERNELS, "kernel variant")](section)
+def _variant(section, name, variants):
+    """The object built from a section by the builder of its variant in `variants`, after
+    checking that the section holds that variant's required keys and no others."""
+    _require_keys(section, name, ["variant"], section)  # an object naming a variant
+    required, optional, build = variants[_choice(section["variant"], variants, f"{name} variant")]
+    _require_keys(section, name, ("variant",) + required, optional)
+    return build(section)
 
 
 def _grid(section, min_cells):
@@ -188,10 +197,7 @@ def _operator(section):
     if "benchmark" in section:
         name = _choice(section["benchmark"], BENCHMARK_OPERATORS, "operator benchmark")
         return np.array(BENCHMARK_OPERATORS[name])
-    A = _array(section["matrix"], "operator.matrix", 2)
-    if A.shape[0] != A.shape[1]:
-        raise ConfigError("operator matrix must be square")
-    return A
+    return _square(_array(section["matrix"], "operator.matrix", 2), "operator.matrix")
 
 
 def _noise(section, seed_override):
@@ -209,20 +215,10 @@ def _noise(section, seed_override):
     return NoiseSpec(cov=cov, truncation=truncation, seed=seed)
 
 
-def _psi(section):
-    _require_keys(section, "psi", ["variant"], ["matrix", "breakpoints", "matrices"])
-    if _choice(section["variant"], ("constant", "step"), "psi variant") == "constant":
-        return ConstantDiffusion(_array(section["matrix"], "psi.matrix", 2))
-    return StepDiffusion(
-        _array(section["breakpoints"], "psi.breakpoints", 1),
-        _array(section["matrices"], "psi.matrices", 3),
-    )
-
-
 def _xi(section, d):
     _require_keys(section, "xi", ["xi0"], ["phi"])
     phi, phi_dot = _PHI_FORMS[_choice(section.get("phi", "constant"), _PHI_FORMS, "phi form")]
-    return ItoTestFunction(_array(section["xi0"], "xi.xi0", 1, d), phi, phi_dot)
+    return ItoTestFunction(_vector(_array(section["xi0"], "xi.xi0", 1), "xi.xi0", d), phi, phi_dot)
 
 
 def _resolve(config, seed_override):
@@ -244,7 +240,7 @@ def _resolve(config, seed_override):
         raise ConfigError("out_dir must be a string")
 
     echo = json.loads(json.dumps(config))  # deep copy of plain data
-    kernel = _section("kernel", _kernel, echo["kernel"])
+    kernel = _section("kernel", _variant, echo["kernel"], "kernel", _KERNELS)
     grid = _section("grid", _grid, echo["grid"], exp.min_cells)
     echo["grid"]["N"] = grid.N
     args = {"kernel": kernel, "grid": grid}
@@ -270,12 +266,8 @@ def _resolve(config, seed_override):
         echo["noise"].update(seed=spec.seed, truncation=spec.truncation)
         if "cylindrical" in echo["noise"]:
             echo["noise"]["cylindrical"] = spec.cov.dim
-        psi = args["psi"] = _section("psi", _psi, echo["psi"])
-        if psi.shape != (d, spec.cov.dim):
-            raise ConfigError(
-                f"psi is {psi.shape[0]}x{psi.shape[1]}, the operator dimension by the "
-                f"noise modes is {d}x{spec.cov.dim}"
-            )
+        psi = _section("psi", _variant, echo["psi"], "psi", _PSIS)
+        args["psi"] = _section("psi", _check_integrand, psi, d, spec.cov)
         if exp.constant_psi and not isinstance(psi, ConstantDiffusion):
             raise ConfigError(f"{name} needs a constant psi")
     if "xi" in echo:
@@ -283,7 +275,7 @@ def _resolve(config, seed_override):
         if not kernel.differentiable:
             raise ConfigError(f"verify_ito needs a differentiable kernel, got {kernel.label()}")
     if "x0" in echo:
-        args["x0"] = _array(echo["x0"], "x0", 1, d)
+        args["x0"] = _section("x0", _vector, _array(echo["x0"], "x0", 1), "x0", d)
     if "mc" in echo:
         _require_keys(echo["mc"], "mc", ["n_paths"])
         n_paths = _integer(echo["mc"]["n_paths"], "mc.n_paths", exp.min_paths)

@@ -96,10 +96,13 @@ def _per_path(block_fn, spec, grid, n_paths, threads):
 
 
 def _convolve_paths(S, c_batch):
-    """Running convolution sum_{m<n} S[n-m] c[m] for each path of the batch."""
+    """Running sums sum_{m<n} S[n-m] c[m] of each path; a nonfinite one raises NumericalFailure."""
     P, N, d = c_batch.shape
     out = np.zeros((P, N + 1, d))
-    lag_convolve(S[1:], c_batch, out[:, 1:])
+    with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite path raises below
+        lag_convolve(S[1:], c_batch, out[:, 1:])
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("convolution path contains nonfinite values")
     return out
 
 
@@ -302,12 +305,9 @@ def _path_defect(path, kernel, psi, inc):
 def _volterra_sups(table, vals, dw_batch):
     """max_n |Volterra defect at t_n| of each path of a (b, K, N) block of increments driving
     psi's grid values vals (taken once per stream), with the table's cell weights: b doubles.
-    Raises NumericalFailure, as `ConvolutionPath` does, when a convolved path is not finite."""
+    A path that is not finite is refused by `_convolve_paths`."""
     c = _left_point_products(vals, dw_batch).swapaxes(1, 2)
-    with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite path raises below
-        X = _convolve_paths(table.S, c)
-    if not np.all(np.isfinite(X)):
-        raise NumericalFailure("convolution path contains nonfinite values")
+    X = _convolve_paths(table.S, c)
     defect = _volterra_defect(X, table.cell_weights, c, table.scheme)
     return np.max(np.linalg.norm(defect, axis=2), axis=1)
 

@@ -58,7 +58,7 @@ class WienerIncrements:
     """K x N array of increments over the grid cells for one path.
 
     Entry (k, m) is Gaussian with variance h * q_k, independent across modes
-    and cells.
+    and cells.  dW is finite, with grid.N columns and at most spec.cov.dim rows.
     """
 
     grid: TimeGrid
@@ -68,6 +68,11 @@ class WienerIncrements:
 
     def __post_init__(self):
         _readonly_fields(self, "dW")
+        K, N = self.spec.cov.dim, self.grid.N
+        if self.dW.ndim != 2 or self.dW.shape[0] > K or self.dW.shape[1] != N:
+            raise DimensionMismatch("increments vs (modes, cells)", self.dW.shape, (K, N))
+        if not np.all(np.isfinite(self.dW)):
+            raise ValueError("increments must be finite")
 
     @property
     def modes(self):
@@ -291,7 +296,8 @@ def _check_integrand(psi, d, cov, *grids):
 def _left_point_products(vals, dw_batch):
     """(P, dim_H, N) products Psi(t_m) dW_m of a (P, K, N) batch of increments, one per run
     of equal grid values vals (`values_on_grid`, taken once per call or stream; K columns).
-    Nonfinite increments give nonfinite products, unwarned: the callers' checks raise."""
+    Nonfinite increments give nonfinite products, unwarned: `WienerIncrements` refuses them,
+    sampled blocks have none, and `convolution._convolve_paths` refuses a nonfinite path."""
     P, K, N = dw_batch.shape
     cuts = [0, *(np.flatnonzero(np.any(vals[1:] != vals[:-1], axis=(1, 2))) + 1), N]
     out = np.empty((P, vals.shape[1], N))

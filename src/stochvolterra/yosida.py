@@ -88,7 +88,7 @@ class YosidaFamily:
 def make_yosida(A, lambdas, force=False):
     """Build the family by one linear solve per lam.
 
-    Requires a dissipative A unless `force` is given; lam values must be
+    Requires a dissipative A unless `force` is given (then unchecked); lam values must be
     positive and strictly decreasing.  Fails naming the offending lam if a
     regularized matrix is singular (impossible in the dissipative case).
     """
@@ -96,8 +96,7 @@ def make_yosida(A, lambdas, force=False):
     lambdas = np.asarray([float(l) for l in lambdas])
     if lambdas.size == 0 or not (np.all(lambdas > 0) and np.all(np.diff(lambdas) < 0)):
         raise ValueError("lambdas must be positive and strictly decreasing")
-    report = accretivity_check(A)
-    if not report.dissipative and not force:
+    if not force and not (report := accretivity_check(A)).dissipative:
         raise ValueError(
             f"A is not dissipative (max symmetric eigenvalue "
             f"{report.max_symmetric_eigenvalue:g}); pass force=True to proceed"

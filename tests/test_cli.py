@@ -301,6 +301,77 @@ def test_malformed_config_exits_3_before_running(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+# each kernel and psi variant with its own keys, in a config that runs, and a key that only
+# another variant of the same section takes
+VARIANTS = {
+    "kernel-fractional": ("resolvent", "kernel", {"variant": "fractional", "alpha": 0.5}, "c"),
+    "kernel-exponential": ("resolvent", "kernel", {"variant": "exponential", "c": 2.0}, "alpha"),
+    "kernel-constant": ("resolvent", "kernel", {"variant": "constant", "c": 1.0}, "b"),
+    "kernel-linear": ("resolvent", "kernel", {"variant": "linear"}, "c"),
+    "kernel-tabulated": (
+        "resolvent",
+        "kernel",
+        {"variant": "tabulated", "times": [0.0, 0.5, 1.0], "values": [1.0, 0.5, 0.25]},
+        "alpha",
+    ),
+    "psi-constant": ("convolve", "psi", {"variant": "constant", "matrix": [[1.0]]}, "breakpoints"),
+    "psi-step": ("convolve", "psi", STEP_PSI, "matrix"),
+}
+FOREIGN_VALUES = {"c": 1.0, "b": 1.0, "alpha": 0.5, "breakpoints": [0.0], "matrix": [[1.0]]}
+
+
+def assert_validation_error(tmp_path, capsys, config, match):
+    code, out = run(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: validation:") and err.count("\n") == 1 and match in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_variant_runs_on_its_own_keys(tmp_path, variant):
+    experiment, section, keys, _ = VARIANTS[variant]
+    assert run(tmp_path, dict(SMALL[experiment], **{section: keys}))[0] == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_key_of_another_variant_exits_3(tmp_path, capsys, variant):
+    # accepted and ignored before each variant had its own key table
+    experiment, section, keys, foreign = VARIANTS[variant]
+    config = dict(SMALL[experiment], **{section: dict(keys, **{foreign: FOREIGN_VALUES[foreign]})})
+    assert_validation_error(tmp_path, capsys, config, f"unknown key '{foreign}' in section")
+
+
+@pytest.mark.parametrize(
+    "experiment, section, keys",
+    [
+        ("resolvent", "kernel", {"variant": "fractional"}),
+        ("resolvent", "kernel", {"variant": "tabulated", "times": [0.0, 1.0]}),
+        ("convolve", "psi", {"variant": "constant"}),
+        ("convolve", "psi", {"variant": "step", "breakpoints": [0.0]}),
+        ("convolve", "psi", {"matrix": [[1.0]]}),
+    ],
+    ids=["fractional", "tabulated", "psi-constant", "psi-step", "psi-no-variant"],
+)
+def test_a_missing_required_key_exits_3(tmp_path, capsys, experiment, section, keys):
+    config = dict(SMALL[experiment], **{section: keys})
+    assert_validation_error(tmp_path, capsys, config, "missing key '")
+
+
+@pytest.mark.parametrize(
+    "config, match",
+    [
+        (edited(SMALL["resolvent"], "operator", "matrix", [[-1.0, 0.0]]), "must be square"),
+        (edited(SMALL["convolve"], "psi", "matrix", [[1.0, 1.0]]), "integrand vs (state, noise)"),
+        (edited(SMALL["convolve"], None, "x0", [1.0, 2.0]), "x0 shape"),
+        (edited(SMALL["verify_ito"], "xi", "xi0", [1.0, 0.0]), "xi.xi0 shape"),
+    ],
+    ids=["operator-not-square", "psi-shape", "x0-length", "xi0-length"],
+)
+def test_cross_section_faults_report_the_library_check(tmp_path, capsys, config, match):
+    assert_validation_error(tmp_path, capsys, config, match)
+
+
 def test_non_string_out_dir_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, dict(SMALL["scalar_resolvent"], out_dir=5))

@@ -942,6 +942,62 @@ def test_an_inf_increment_fails_its_block_without_a_runtime_warning(psi_kind):
             convolution._volterra_sups(table, psi.values_on_grid(table.grid), dw)
 
 
+@pytest.mark.parametrize("n_paths", [1, 4])
+@pytest.mark.parametrize("entry", [1e308, np.inf], ids=["overflow", "inf"])
+def test_convolve_paths_refuses_a_nonfinite_path_without_a_runtime_warning(n_paths, entry):
+    # a path whose running sums pass the float range (or meet inf * 0) fails the whole
+    # block with the typed error, not a RuntimeWarning from the lag sum's products
+    table = ou_table(32)
+    c = np.random.default_rng(5).standard_normal((n_paths, 32, 1))
+    np.testing.assert_allclose(
+        convolution._convolve_paths(table.S, c)[:, 1:, 0],
+        np.stack([[table.S[n:0:-1, 0, 0] @ p[:n, 0] for n in range(1, 33)] for p in c]),
+        rtol=1e-13,
+        atol=1e-14,
+    )
+    c[-1, 3:5, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="nonfinite"):
+            convolution._convolve_paths(table.S, c)
+
+
+def inf_increments(spec, grid):
+    """Increments of path 0 with one entry set to inf, as a WienerIncrements."""
+    dW = sample_wiener(spec, grid).dW.copy()
+    dW[0, 5] = np.inf
+    return WienerIncrements(grid=grid, dW=dW, path_id=0, spec=spec)
+
+
+# each routine that takes one path's increments, called on increments holding an inf; at
+# the parent of this check the first four returned nan and the last two warned
+INCREMENT_ROUTINES = {
+    "stochastic_integral": lambda t, psi, path, inc: stochastic_integral(psi, inc()),
+    "verify_volterra_identity": lambda t, psi, path, inc: verify_volterra_identity(
+        path, t.kernel, psi, inc()
+    ),
+    "verify_weak_solution": lambda t, psi, path, inc: verify_weak_solution(
+        path, t.kernel, np.ones(2), psi, inc()
+    ),
+    "verify_ito_identity": lambda t, psi, path, inc: verify_ito_identity(
+        path, t.kernel, psi.B, ItoTestFunction.constant(np.ones(2)), inc()
+    ),
+    "stochastic_convolution": lambda t, psi, path, inc: stochastic_convolution(t, psi, inc()),
+    "mild_solution": lambda t, psi, path, inc: mild_solution(t, np.ones(2), psi, inc()),
+}
+
+
+@pytest.mark.parametrize("routine", INCREMENT_ROUTINES)
+def test_an_inf_increment_is_refused_with_a_value_error_and_no_warning(routine):
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), -np.eye(2)), TimeGrid(1.0, 16))
+    spec, psi = unit_spec(2, seed=4), ConstantDiffusion(np.array([[1.0, 0.5], [0.0, 2.0]]))
+    path = stochastic_convolution(table, psi, sample_wiener(spec, table.grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="increments must be finite"):
+            INCREMENT_ROUTINES[routine](table, psi, path, lambda: inf_increments(spec, table.grid))
+
+
 def count_grid_values(monkeypatch):
     """Record the grid size of every `values_on_grid` call of any integrand."""
     calls = []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,39 @@ def test_one_ill_conditioned_leaf_block_sends_the_whole_batch_node_by_node(monke
     for i in range(2):
         np.testing.assert_array_equal(got[:, i], march(W[:, i], scheme))
         assert np.max(np.abs(got[:, i] - own[i])) <= 1e-12 * np.max(np.abs(own[i]))
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("ill", [False, True], ids=["well-conditioned", "ill-conditioned"])
+def test_march_takes_the_leaf_route_cond_gives_without_calling_it(monkeypatch, scheme, ill):
+    # the leaf block's condition number comes from the inverse march already holds: the
+    # route np.linalg.cond(block, np.inf) picks, with cond itself never called
+    W = np.random.default_rng(3).normal(size=(40, 2, 3, 3)) * 0.1
+    if ill:  # member 0's step matrix is 1e-3 from singular
+        W[0, 0] += 0.999 / grids.implicit_share(scheme) * np.eye(3)
+    theta, b = grids.implicit_share(scheme), grids._leaf_nodes(40, 3)
+    K = theta * W[:b] + (1.0 - theta) * np.pad(W, ((1, 0), (0, 0), (0, 0), (0, 0)))[:b]
+    block = np.eye(b * 3) - grids._toeplitz_strip(np.moveaxis(K, 0, -3), b, b)
+    assert (np.max(np.linalg.cond(block, np.inf)) > grids._LEAF_COND) == ill
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("march called np.linalg.cond")
+
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    got = march(W, scheme)
+    monkeypatch.setattr(grids, "_LEAF_COND", 0.0 if ill else np.inf)  # force that route
+    np.testing.assert_array_equal(got, march(W, scheme))
+
+
+def test_a_leaf_condition_number_past_the_float_range_is_refused_unwarned():
+    # ||block||_inf = 4.7e19 and ||block^-1||_inf = 3.2e293 are finite but their product is
+    # not: as with np.linalg.cond's inf, the leaves go node by node, and the guard raises
+    W = np.full((16, 1, 1), 3.1622776601683794e18)
+    W[0] = 0.9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflow at step 7"):
+            march(W, "conv")
 
 
 def test_march_keeps_stiff_product_tables_accurate():

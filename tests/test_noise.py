@@ -179,6 +179,28 @@ def test_cumulative_path_starts_at_zero():
     np.testing.assert_allclose(np.diff(W, axis=1), inc.dW, atol=1e-16)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(8,), (3, 8), (2, 7), (2, 9), (1, 2, 8)],
+    ids=["1-d", "3-modes", "7-cells", "9-cells", "3-d"],
+)
+def test_increments_of_another_shape_are_refused(shape):
+    # two modes on 8 cells: K x 8 increments with K <= 2 (a truncation) and nothing else
+    grid, spec = TimeGrid(1.0, 8), spec_with([1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="increments"):
+        noise.WienerIncrements(grid=grid, dW=np.zeros(shape), path_id=0, spec=spec)
+    assert noise.WienerIncrements(grid=grid, dW=np.zeros((1, 8)), path_id=0, spec=spec).modes == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_increments_are_refused(bad):
+    grid, spec = TimeGrid(1.0, 8), spec_with([1.0, 2.0])
+    dW = sample_wiener(spec, grid).dW.copy()
+    dW[1, 7] = bad
+    with pytest.raises(ValueError, match="increments must be finite"):
+        noise.WienerIncrements(grid=grid, dW=dW, path_id=0, spec=spec)
+
+
 # --- integrands -----------------------------------------------------------------
 
 

@@ -42,6 +42,41 @@ def test_accretivity_nonnormal_case():
     assert rep.max_symmetric_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
 
+def spy_accretivity(monkeypatch):
+    """Record the matrix of every `accretivity_check` call made inside the yosida module."""
+    calls = []
+
+    def spy(A, original=yosida.accretivity_check):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(yosida, "accretivity_check", spy)
+    return calls
+
+
+def test_forced_family_runs_no_dissipativity_check(monkeypatch):
+    calls = spy_accretivity(monkeypatch)
+    A = np.array([[0.5, 1.0], [0.0, -1.0]])  # not dissipative
+    forced = make_yosida(A, [0.5, 0.25], force=True)
+    assert calls == []
+    np.testing.assert_allclose(forced.J[0], np.linalg.inv(np.eye(2) - 0.5 * A), rtol=1e-14)
+    with pytest.raises(ValueError, match="not dissipative"):
+        make_yosida(A, [0.5, 0.25])
+    assert len(calls) == 1
+
+
+def test_study_checks_dissipativity_once(monkeypatch):
+    # the study's own check drives its warning; the family it builds is forced
+    calls = spy_accretivity(monkeypatch)
+    grid = TimeGrid(1.0, 16)
+    spec = NoiseSpec(cov=CovOperator(np.ones(1)), truncation=1, seed=2)
+    with pytest.warns(UserWarning, match="not dissipative"):
+        yosida_convergence_study(
+            ExponentialKernel(), [[0.5]], ConstantDiffusion([[1.0]]), spec, [0.2, 0.1], grid, 4
+        )
+    assert len(calls) == 1
+
+
 def test_scalar_family_closed_form():
     fam = make_yosida(np.array([[-1.0]]), [1.0])
     assert fam.J[0][0, 0] == pytest.approx(0.5)
