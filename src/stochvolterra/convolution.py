@@ -120,13 +120,6 @@ def _convolve_at(G, dw_batch, n):
     return dw_batch[:, :, :n].reshape(P, K * n) @ G
 
 
-@dataclass(frozen=True)
-class PathProvenance:
-    table: str
-    psi: str
-    path_id: int
-
-
 @dataclass(frozen=True, eq=False)
 class ConvolutionPath:
     """One sampled path of the stochastic convolution.
@@ -139,7 +132,6 @@ class ConvolutionPath:
     grid: TimeGrid
     values: np.ndarray
     scheme: str
-    provenance: PathProvenance
     mean_square_at_T: float
 
     def __post_init__(self):
@@ -178,17 +170,7 @@ def stochastic_convolution(table, psi, inc):
     # the isometry sum h sum_{m<N} |S(T - t_m) Psi(t_m)|_HS^2 under the sampled modes
     M = table.S[:0:-1] @ vals[:, :, : inc.modes]
     ms = table.grid.h * float(np.sum(inc.spec.cov.q[: inc.modes] * np.sum(M * M, axis=(0, 1))))
-    return ConvolutionPath(
-        grid=table.grid,
-        values=values,
-        scheme=table.scheme,
-        provenance=PathProvenance(
-            table=f"{table.kernel.label()}|{table.quadrature_id}",
-            psi=psi.label(),
-            path_id=inc.path_id,
-        ),
-        mean_square_at_T=ms,
-    )
+    return ConvolutionPath(table.grid, values, table.scheme, ms)
 
 
 def mild_solution(table, X0, psi, inc):
@@ -270,9 +252,9 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
 class IdentityReport:
     """Node-wise identity residuals of one path.
 
-    `exact_regime` is True when the path came from a ``conv`` table and the
-    verifying weights match it, the case in which the discrete rearrangement
-    is exact and the sup residual sits at machine level.
+    `exact_regime` is the path's scheme being ``conv``, and nothing more.  The
+    discrete rearrangement is exact, and the sup residual at machine level, only
+    when the verifier's kernel is also the one the path's table was marched with.
     """
 
     residuals: np.ndarray
@@ -318,8 +300,9 @@ def verify_volterra_identity(path, kernel, psi, inc):
 
     The kernel's cell weights are recomputed here; when they coincide with
     the ones the path's table used and the table scheme is ``conv``, the
-    residual is machine zero.  Mismatched weights downgrade the check to a
-    first-order-convergent one.
+    residual is machine zero.  A ``product`` table of the same kernel leaves a
+    first-order defect; another kernel's weights leave one that does not shrink
+    with h.
     """
     defect = _path_defect(path, kernel, psi, inc)
     return IdentityReport.of(np.linalg.norm(defect, axis=1), path.scheme)

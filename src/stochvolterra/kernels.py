@@ -148,16 +148,16 @@ class FractionalKernel(ScalarKernel):
 
 
 class ExponentialKernel(ScalarKernel):
-    """a(t) = c * exp(-b t), c > 0, b >= 0."""
+    """a(t) = c * exp(-b t), c > 0, b >= 0, both finite."""
 
     differentiable = True
 
     def __init__(self, c=1.0, b=1.0):
         c, b = float(c), float(b)
-        if not c > 0.0:  # also true for nan
-            raise ValueError(f"c must be positive, got {c}")
-        if not b >= 0.0:
-            raise ValueError(f"b must be >= 0, got {b}")
+        if not 0.0 < c < math.inf:  # false for nan
+            raise ValueError(f"c must be positive and finite, got {c}")
+        if not 0.0 <= b < math.inf:
+            raise ValueError(f"b must be >= 0 and finite, got {b}")
         self.c, self.b = c, b
 
     def _value(self, t):
@@ -176,14 +176,14 @@ class ExponentialKernel(ScalarKernel):
 
 
 class ConstantKernel(ScalarKernel):
-    """a(t) = c >= 0."""
+    """a(t) = c >= 0, finite."""
 
     differentiable = True
 
     def __init__(self, c=1.0):
         c = float(c)
-        if not c >= 0.0:
-            raise ValueError(f"c must be >= 0, got {c}")
+        if not 0.0 <= c < math.inf:  # false for nan
+            raise ValueError(f"c must be >= 0 and finite, got {c}")
         self.c = c
 
     def _value(self, t):

@@ -195,14 +195,11 @@ class DiffusionProcess(ABC):
         """Squared time-integrated Hilbert-Schmidt norm, sum_m h |value(t_m)|^2.
 
         `modes` restricts the covariance to its first K eigenvalues, matching
-        a truncated simulation.
+        a truncated simulation; it is an integer in [1, cov.dim].
         """
-        q = cov.q if modes is None else cov.q[:modes]
+        q = cov.q if modes is None else cov.q[: _integer_in(modes, "modes", 1, cov.dim)]
         vals = self.values_on_grid(grid)[:, :, : q.size]
         return float(grid.h * np.sum(q * np.sum(vals * vals, axis=1)))
-
-    def label(self):
-        return type(self).__name__
 
 
 class ConstantDiffusion(DiffusionProcess):
@@ -220,9 +217,6 @@ class ConstantDiffusion(DiffusionProcess):
 
     def values_on_grid(self, grid):
         return np.broadcast_to(self.B, (grid.N,) + self.B.shape)
-
-    def label(self):
-        return f"constant({self.shape[0]}x{self.shape[1]})"
 
 
 class StepDiffusion(DiffusionProcess):
@@ -253,9 +247,6 @@ class StepDiffusion(DiffusionProcess):
     def shape(self):
         return self.values[0].shape
 
-    def label(self):
-        return f"step({len(self.values)} pieces)"
-
 
 class RuleDiffusion(DiffusionProcess):
     """Integrand given by an arbitrary deterministic evaluation rule."""
@@ -274,9 +265,6 @@ class RuleDiffusion(DiffusionProcess):
     @property
     def shape(self):
         return self._shape
-
-    def label(self):
-        return f"rule({self._shape[0]}x{self._shape[1]})"
 
 
 # ---------------------------------------------------------------------------

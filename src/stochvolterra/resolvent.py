@@ -134,9 +134,6 @@ class ScalarTypeKernel(OperatorKernel):
             raise SmoothnessError(f"{self.a.label()} is singular at t = 0")
         return float(self.a(0.0)) * self.A
 
-    def label(self):
-        return f"scalar-type[{self.a.label()}, {self.dim}x{self.dim}]"
-
 
 class NonscalarKernel(OperatorKernel):
     """A general matrix-valued kernel given by an evaluation rule.
@@ -191,9 +188,6 @@ class NonscalarKernel(OperatorKernel):
         values = self.value(grid.nodes()[1:])
         return float(np.max(np.abs(values - self._A0 - np.cumsum(dot_cells, axis=0))))
 
-    def label(self):
-        return f"nonscalar[{self.dim}x{self.dim}]"
-
 
 def _gauss_cells(f, grid):
     """(N, d, d) 6-point Gauss cell integrals of f, one call on all 6N times; terms in order."""
@@ -232,7 +226,6 @@ class ResolventTable:
     U: np.ndarray
     kernel: OperatorKernel
     scheme: str
-    quadrature_id: str
     cell_weights: np.ndarray
     lam: np.ndarray | None = None
     V: np.ndarray | None = None
@@ -317,7 +310,7 @@ def compute_resolvent(kernel, grid, scheme="product"):
         S, U = ((V * x[:, None, :]) @ V.T for x in (s, _trapezoid(s, grid.h)))
         S[0], U[0] = np.eye(kernel.dim), 0.0  # V V' is I, and V 0 V' is 0, only to roundoff
         channels = (lam, V, s)
-    return ResolventTable(grid, S, U, kernel, scheme, f"{scheme}/cell-exact/v1", W, *channels)
+    return ResolventTable(grid, S, U, kernel, scheme, W, *channels)
 
 
 @dataclass(frozen=True)

@@ -118,10 +118,11 @@ def hs_norm(B, Q):
 
     Because the canonical basis diagonalizes Q, the norm reduces to
     sqrt(sum_k q_k |column_k(B)|^2), which equals sqrt(Tr(B Q B')).
-    Zero exactly when B vanishes on the modes Q charges.
+    Zero exactly when B vanishes on the modes Q charges.  Q is a CovOperator or its
+    eigenvalues, checked as one.
     """
     m = as_matrix(B)
-    q = Q.q if isinstance(Q, CovOperator) else np.asarray(Q, dtype=float)
+    q = (Q if isinstance(Q, CovOperator) else CovOperator(Q)).q
     if m.shape[1] != q.size:
         raise DimensionMismatch("operator columns vs covariance modes", m.shape, (q.size,))
     return float(np.sqrt(np.sum(q * np.sum(m * m, axis=0))))

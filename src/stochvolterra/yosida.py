@@ -89,13 +89,14 @@ def make_yosida(A, lambdas, force=False):
     """Build the family by one linear solve per lam.
 
     Requires a dissipative A unless `force` is given (then unchecked); lam values must be
-    positive and strictly decreasing.  Fails naming the offending lam if a
+    positive, finite and strictly decreasing.  Fails naming the offending lam if a
     regularized matrix is singular (impossible in the dissipative case).
     """
     A = _square(A, "A")
     lambdas = np.asarray([float(l) for l in lambdas])
-    if lambdas.size == 0 or not (np.all(lambdas > 0) and np.all(np.diff(lambdas) < 0)):
-        raise ValueError("lambdas must be positive and strictly decreasing")
+    decreasing = lambdas.size and np.all(np.diff(lambdas) < 0)
+    if not (decreasing and 0 < lambdas[-1] and lambdas[0] < np.inf):  # false for any nan
+        raise ValueError("lambdas must be positive, finite and strictly decreasing")
     if not force and not (report := accretivity_check(A)).dissipative:
         raise ValueError(
             f"A is not dissipative (max symmetric eigenvalue "

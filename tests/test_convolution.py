@@ -99,7 +99,6 @@ def test_convolution_starts_at_zero_and_is_deterministic():
     b = stochastic_convolution(table, psi, inc)
     assert a.values[0, 0] == 0.0
     np.testing.assert_array_equal(a.values, b.values)
-    assert a.provenance.path_id == 3
 
 
 def test_tiled_batch_convolution_matches_single_paths():
@@ -360,6 +359,20 @@ def test_volterra_identity_exact_on_conv_tables(kernel):
     report = verify_volterra_identity(path, kernel, psi, inc)
     assert report.exact_regime
     assert report.sup_residual < 1e-10
+
+
+def test_exact_regime_reports_the_scheme_not_a_kernel_match():
+    # a conv path verified against another kernel: the flag reads the scheme alone,
+    # and the residual is far from machine level
+    grid = TimeGrid(1.0, 128)
+    A = -np.diag([1.0, 2.0])
+    table = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), A), grid, scheme="conv")
+    psi = ConstantDiffusion(np.eye(2))
+    inc = sample_wiener(unit_spec(2, seed=5), grid, path_id=0)
+    path = stochastic_convolution(table, psi, inc)
+    report = verify_volterra_identity(path, ScalarTypeKernel(FractionalKernel(0.5), A), psi, inc)
+    assert report.exact_regime
+    assert report.sup_residual > 1e-3
 
 
 def test_volterra_identity_exact_nonscalar_noncommuting():

@@ -76,6 +76,22 @@ def test_fractional_alpha_range():
         FractionalKernel(2.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExponentialKernel(c=math.inf),
+        lambda: ExponentialKernel(b=math.inf),
+        lambda: ConstantKernel(math.inf),
+    ],
+    ids=["exponential-c", "exponential-b", "constant-c"],
+)
+def test_infinite_parameters_are_refused_at_construction(build):
+    # accepted, each would give a resolvent that overflows to nan, and
+    # ExponentialKernel(1, inf).cell_moments(0.125, 3) would be [nan, 0, 0]
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_exponential_at_zero():
     assert ExponentialKernel(1.0, 1.0)(0.0) == pytest.approx(1.0)
     assert ExponentialKernel(2.0, 0.0)(5.0) == pytest.approx(2.0)

@@ -242,6 +242,16 @@ def test_integrated_hs_norm_of_constant():
     assert psi.integrated_hs_norm_sq(grid, cov, modes=1) == pytest.approx(2.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("modes", [-1, 0, 1.5, 4, True])
+def test_integrated_hs_norm_refuses_modes_outside_the_covariance(modes):
+    # unchecked, modes=-1 would read 4.0 and modes=0 would read 0.0 where all 3 modes
+    # give 6.0, and modes=1.5 would raise a TypeError from the slice
+    psi, cov = ConstantDiffusion(np.ones((2, 3))), CovOperator(np.ones(3))
+    assert psi.integrated_hs_norm_sq(TimeGrid(1.0, 4), cov, modes=3) == 6.0
+    with pytest.raises(ValueError, match="modes"):
+        psi.integrated_hs_norm_sq(TimeGrid(1.0, 4), cov, modes=modes)
+
+
 # --- the elementary integral ------------------------------------------------------
 
 

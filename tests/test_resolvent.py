@@ -426,8 +426,7 @@ def test_channel_residuals_match_the_marched_matrix_table(d, scheme):
     table = compute_resolvent(kernel, grid, scheme)
     S = grids.march(kernel.cell_weights(grid), scheme)
     matrix = ResolventTable(
-        grid, S, stacked_trapezoid(S, grid.h), kernel, scheme, table.quadrature_id,
-        table.cell_weights,
+        grid, S, stacked_trapezoid(S, grid.h), kernel, scheme, table.cell_weights,
     )
     channel, marched, scale = resolvent_residuals(table), resolvent_residuals(matrix), np.max(S)
     assert abs(channel.res_first - marched.res_first) <= 1e-13 * scale
@@ -482,7 +481,7 @@ def test_march_tables_carry_no_channels():
 
 def test_a_table_holds_all_three_channel_arrays_or_none():
     table = compute_resolvent(diag5_kernel(), TimeGrid(1.0, 16))
-    fields = (table.grid, table.S, table.U, table.kernel, table.scheme, "q", table.cell_weights)
+    fields = (table.grid, table.S, table.U, table.kernel, table.scheme, table.cell_weights)
     with pytest.raises(ValueError, match="come together"):
         ResolventTable(*fields, lam=table.lam, V=table.V)
 

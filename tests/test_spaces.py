@@ -69,6 +69,17 @@ def test_hs_norm_zero_iff_vanishing_on_support():
     assert hs_norm(B, CovOperator(q)) > 0.0
 
 
+def test_hs_norm_takes_raw_eigenvalues():
+    assert hs_norm(np.eye(2), [1.0, 2.0]) == pytest.approx(np.sqrt(3.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("q", [[-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [[1.0, 1.0]]])
+def test_hs_norm_checks_raw_eigenvalues_as_a_covariance(q):
+    # unchecked, the identity's norm would read 0.0, nan, inf and 1.414 for these
+    with pytest.raises(ValueError):
+        hs_norm(np.eye(2), q)
+
+
 def test_cov_operator_validation():
     with pytest.raises(ValueError):
         CovOperator(np.array([1.0, -0.5]))

@@ -30,7 +30,6 @@ from stochvolterra import (
     compute_resolvent,
     make_yosida,
 )
-from stochvolterra.convolution import PathProvenance
 
 GRID = TimeGrid(1.0, 4)
 TABLE = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), -np.eye(2)), GRID)
@@ -45,7 +44,7 @@ def _table(name):
         arrays[name] = a
         channels = {n: arrays[n] for n in ("lam", "V", "s")}
         t = ResolventTable(
-            GRID, arrays["S"], arrays["U"], TABLE.kernel, "product", "q", arrays["cell_weights"],
+            GRID, arrays["S"], arrays["U"], TABLE.kernel, "product", arrays["cell_weights"],
             **channels,
         )
         return getattr(t, name)
@@ -95,7 +94,7 @@ CASES = [
     (
         "ConvolutionPath.values",
         np.ones((5, 2)),
-        lambda a: ConvolutionPath(GRID, a, "conv", PathProvenance("t", "p", 0), 1.0).values,
+        lambda a: ConvolutionPath(GRID, a, "conv", 1.0).values,
     ),
     (
         "MildSolutionPath.values",

@@ -123,6 +123,14 @@ def test_family_validation():
     assert fam.J.shape == (1, 2, 2)
 
 
+@pytest.mark.parametrize("lambdas", [[np.inf, 1.0], [np.inf]])
+def test_an_infinite_lambda_is_refused(lambdas):
+    # accepted, J = (I - inf A)^-1 would fill the family with nan and the identity
+    # check would fail with "defect nan out of tolerance"
+    with pytest.raises(ValueError, match="finite"):
+        make_yosida(-np.eye(2), lambdas)
+
+
 def test_singular_regularization_named():
     with pytest.raises(NumericalFailure, match="lam=0.5"):
         make_yosida(np.array([[2.0]]), [0.5], force=True)
