@@ -43,14 +43,13 @@ from .convolution import (
 from .errors import ConfigError, StochVolterraError
 from .grids import TimeGrid
 from .kernels import (
-    DEFAULT_MU_GRID,
     ConstantKernel,
     ExponentialKernel,
     FractionalKernel,
     LinearKernel,
     TabulatedKernel,
+    _probe_settings,
     check_complete_positivity,
-    default_cp_tolerance,
     solve_scalar_resolvent,
 )
 from .noise import ConstantDiffusion, NoiseSpec, StepDiffusion, _check_integrand, sample_wiener
@@ -64,7 +63,7 @@ from .resolvent import (
     resolvent_residuals,
 )
 from .spaces import CovOperator, _integer_in, _square, _vector
-from .yosida import yosida_convergence_study
+from .yosida import _check_lambdas, yosida_convergence_study
 
 BENCHMARK_OPERATORS = {
     "ou1": [[-1.0]],
@@ -250,14 +249,10 @@ def _resolve(config, seed_override):
     if "mu" in echo:
         args["mu"] = echo["mu"] = _number(echo["mu"], "mu")
     if "mu_list" in exp.optional:
-        mus = _array(echo.get("mu_list", DEFAULT_MU_GRID), "mu_list", 1)
-        if not mus.size or np.any(mus < 0):
-            raise ConfigError("mu_list must be a nonempty list of numbers >= 0")
-        args["mu_list"] = echo["mu_list"] = mus.tolist()
-        tol = _number(echo.get("tol", default_cp_tolerance(grid.h)), "tol")
-        args["tol"] = echo["tol"] = tol
-        if tol < 0:
-            raise ConfigError(f"tol must be >= 0, got {tol}")
+        mus = _array(echo["mu_list"], "mu_list", 1) if "mu_list" in echo else None
+        tol = _number(echo["tol"], "tol") if "tol" in echo else None
+        mus, tol = _section("cp_check", _probe_settings, mus, tol, grid.h)
+        args["mu_list"], args["tol"] = echo["mu_list"], echo["tol"] = mus, tol
     if "operator" in echo:
         A = args["operator"] = _section("operator", _operator, echo["operator"])
         d = A.shape[0]
@@ -285,9 +280,7 @@ def _resolve(config, seed_override):
     if "path_id" in echo:
         args["path_id"] = echo["path_id"] = _integer(echo["path_id"], "path_id", 0, 2**64 - 1)
     if "lambdas" in echo:
-        lams = _array(echo["lambdas"], "lambdas", 1)
-        if not lams.size or np.any(lams <= 0) or np.any(np.diff(lams) >= 0):
-            raise ConfigError("lambdas must be positive and decrease strictly")
+        lams = _section("lambdas", _check_lambdas, _array(echo["lambdas"], "lambdas", 1))
         args["lambdas"] = echo["lambdas"] = lams.tolist()
     return echo, args
 

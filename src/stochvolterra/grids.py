@@ -199,18 +199,13 @@ def march_channels(w, mu, scheme):
     return march(-np.multiply.outer(w, mu)[:, :, None, None], scheme)[:, :, 0, 0]
 
 
-def _check_steps(w0, ops, scheme):
-    """Raise NumericalFailure naming mu = -lam for a real eigenvalue lam of ops with step
-    coefficient 1 - implicit_share lam w0 <= 0, whose eigenvector carries a sign-alternating
-    scalar channel.  ops holds eigenvalues, or d x d operators solved only if implicit_share
-    |w0| ||A||_inf >= 1 (as |lam| <= ||A||_inf); complex eigenvalues pass unchecked."""
-    theta, lam = implicit_share(scheme), np.asarray(ops, dtype=float)
-    if lam.ndim > 1:
-        if theta * abs(w0) * np.max(np.sum(np.abs(lam), axis=-1)) < 1.0:
-            return
-        lam = np.linalg.eigvals(lam).ravel()
-        lam = lam.real[lam.imag == 0.0]
-    denom = 1.0 - theta * w0 * lam
+def _check_steps(w0, eigenvalues, scheme):
+    """Raise NumericalFailure naming mu = -lam for a real lam in eigenvalues (any shape) with
+    step coefficient 1 - implicit_share lam w0 <= 0, whose eigenvector carries a
+    sign-alternating scalar channel; complex eigenvalues pass unchecked."""
+    lam = np.ravel(eigenvalues)
+    lam = lam.real[lam.imag == 0.0]
+    denom = 1.0 - implicit_share(scheme) * w0 * lam
     if np.any(denom <= 0.0):
         i = int(np.argmax(denom <= 0.0))
         raise NumericalFailure(f"nonpositive diagonal coefficient {denom[i]} at mu={-lam[i]}")

@@ -403,15 +403,8 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
     `product`, whose first step s[1] = (1 - mu w0 / 2) / (1 + mu w0 / 2) rings whatever the
     kernel: below -tol it raises NumericalFailure, as a witness there would be the scheme's.
     """
-    mu_list = [float(m) for m in (DEFAULT_MU_GRID if mu_list is None else mu_list)]
-    if not mu_list:
-        raise ValueError("mu_list must be nonempty")
-    if not all(0.0 <= m < np.inf for m in mu_list):  # false for nan
-        raise ValueError(f"complete positivity is defined over finite mu >= 0, got {mu_list}")
     grid = TimeGrid(float(T), N)
-    tol = default_cp_tolerance(grid.h) if tol is None else float(tol)
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    mu_list, tol = _probe_settings(mu_list, tol, grid.h)
     probes = []
     t_nodes = grid.nodes()
     for path in _relaxation_paths(kernel, mu_list, grid, "product"):
@@ -422,6 +415,21 @@ def check_complete_positivity(kernel, mu_list=None, T=1.0, N=1024, tol=None):
         first = float(t_nodes[np.argmax(below)]) if np.any(below) else None
         probes.append(MuProbe(path.mu, float(path.s[i_min]), float(t_nodes[i_min]), first, path))
     return CompletePositivityReport(grid=grid, tol=float(tol), probes=tuple(probes))
+
+
+def _probe_settings(mu_list, tol, h):
+    """`check_complete_positivity`'s mu_list and tol as floats, None giving DEFAULT_MU_GRID
+    and `default_cp_tolerance(h)`; ValueError unless mu_list is nonempty, finite and >= 0
+    and tol is finite and >= 0."""
+    mu_list = [float(m) for m in (DEFAULT_MU_GRID if mu_list is None else mu_list)]
+    if not mu_list:
+        raise ValueError("mu_list must be nonempty")
+    if not all(0.0 <= m < np.inf for m in mu_list):  # false for nan
+        raise ValueError(f"complete positivity is defined over finite mu >= 0, got {mu_list}")
+    tol = default_cp_tolerance(h) if tol is None else float(tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return mu_list, tol
 
 
 # ---------------------------------------------------------------------------

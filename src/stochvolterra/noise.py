@@ -63,7 +63,6 @@ class WienerIncrements:
 
     grid: TimeGrid
     dW: np.ndarray
-    path_id: int
     spec: NoiseSpec
 
     def __post_init__(self):
@@ -109,7 +108,7 @@ def sample_wiener(spec, grid, path_id=0):
     (seed, path_id, grid) reproduces the array bit for bit.
     """
     dW = sample_wiener_batch(spec, grid, [path_id])[0]
-    return WienerIncrements(grid=grid, dW=dW, path_id=path_id, spec=spec)
+    return WienerIncrements(grid=grid, dW=dW, spec=spec)
 
 
 def ThreadPoolExecutor(max_workers):

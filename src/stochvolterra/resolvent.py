@@ -39,8 +39,8 @@ symmetric only to roundoff takes the matrix march: pass (A + A') / 2 to take the
 channels.  Any other kernel marches the full d x d table.  A channel table keeps lam,
 V and s: its norms and U-Lipschitz estimate cost O(N d) instead of N SVDs, and its
 residuals d FFT columns an equation instead of d^2, plus an N d^3 rotation of each.
-Operator 2-norms are exact (singular values), one batched call per stack, except on
-channel tables, whose norms are max_k |s_k|.
+One rule, `_table_norm`, gives the operator 2-norm of a table's entries: max_k |s_k| on
+channel values, exact singular values (one batched call per stack) on d x d stacks.
 """
 
 from abc import ABC, abstractmethod
@@ -250,24 +250,18 @@ class ResolventTable:
         return self.S.shape[1]
 
     def norms(self):
-        """Operator 2-norms of S(t_n), one per node: max_k |s_k(t_n)| on a channel
-        table, the largest singular value otherwise."""
-        if self.s is None:
-            return operator_2norm(self.S)
-        return np.max(np.abs(self.s), axis=1)
+        """Operator 2-norms of S(t_n), one per node (`_table_norm`)."""
+        return _table_norm(self.S if self.s is None else self.s, self.s is not None)
 
     def sup_norm(self):
         """max_n of the operator 2-norm of S(t_n)."""
         return float(np.max(self.norms()))
 
     def u_lipschitz(self):
-        """Discrete Lipschitz estimate of U: max_n |U(t_{n+1}) - U(t_n)| / h."""
-        h = self.grid.h
-        if self.s is None:
-            steps = operator_2norm(np.diff(self.U, axis=0))
-        else:  # U(t_{n+1}) - U(t_n) = (h / 2) V diag(s[n+1] + s[n]) V'
-            steps = 0.5 * h * np.max(np.abs(self.s[1:] + self.s[:-1]), axis=1)
-        return float(np.max(steps)) / h
+        """Discrete Lipschitz estimate of U, max_n |U(t_{n+1}) - U(t_n)| / h: U is the
+        trapezoid integral of S, so this is max_n |S(t_{n+1}) + S(t_n)| / 2."""
+        x = self.S if self.s is None else self.s
+        return 0.5 * float(np.max(_table_norm(x[1:] + x[:-1], self.s is not None)))
 
 
 def _trapezoid(x, h):
@@ -291,9 +285,8 @@ def compute_resolvent(kernel, grid, scheme="product"):
     rotated back as V diag(s_n) V', its U as V diag(u_n) V' with u the channels'
     trapezoid sums, and the table keeps lam, V and s.  Any other kernel goes through
     `grids.march`.  A scalar-type kernel raises NumericalFailure for a real eigenvalue of A
-    with step coefficient 1 - theta lam w[0] <= 0 (`grids._check_steps`); complex
-    eigenvalues and nonscalar kernels are not checked.  With the zero kernel the table is
-    identically the identity under either scheme.
+    with a nonpositive step (`grids._check_steps`); nonscalar kernels are not checked.  With
+    the zero kernel the table is identically the identity under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
@@ -301,7 +294,7 @@ def compute_resolvent(kernel, grid, scheme="product"):
     eig = _symmetric_eigh(kernel.A) if isinstance(kernel, ScalarTypeKernel) else None
     if eig is None:
         if isinstance(kernel, ScalarTypeKernel):  # march_channels checks the channels' steps
-            _check_steps(kernel.a.cell_moments(grid.h, 1)[0], kernel.A, scheme)
+            _check_steps(kernel.a.cell_moments(grid.h, 1)[0], np.linalg.eigvals(kernel.A), scheme)
         S = march(W, scheme)
         U, channels = _trapezoid(S, grid.h), ()
     else:
@@ -364,6 +357,12 @@ def operator_2norm(M):
     return out if out.ndim else float(out)
 
 
+def _table_norm(x, channels):
+    """Operator 2-norm of each entry of a table: max_k |x_k| over the last axis of channel
+    values x (the norm of V diag(x) V'), `operator_2norm` of a d x d stack x otherwise."""
+    return np.max(np.abs(x), axis=-1) if channels else operator_2norm(x)
+
+
 @dataclass(frozen=True)
 class ExponentialBound:
     """Constants of a bound |S(t_n)| <= M exp(w t_n) verified, as evaluated, at every node."""
@@ -378,9 +377,8 @@ def exponential_bound_fit(table):
     Least squares of log |S(t_n)| against t_n over the tail half of the grid
     gives the rate; the prefactor is then inflated minimally so the bound
     holds at every node as evaluated, eta_n <= M * exp(w t_n) in floating point
-    on the norms eta = `table.norms()` (max_k |s_k(t_n)| on a channel table,
-    singular values otherwise), and never below one, which S(0) = I forces
-    anyway; NumericalFailure when a few ulps of M do not suffice (exp(w t)
+    on the norms eta = `table.norms()`, and never below one, which S(0) = I
+    forces anyway; NumericalFailure when a few ulps of M do not suffice (exp(w t)
     underflowing).
     """
     return _bound_fit(table.grid.nodes(), table.norms())

@@ -31,7 +31,7 @@ from .errors import NumericalFailure
 from .grids import _TILE, _check_steps, _toeplitz_strip, march, march_channels
 from .kernels import check_complete_positivity
 from .noise import _check_integrand, _left_point_products
-from .resolvent import _bound_fit, _check_fit_cells, _symmetric_eigh, operator_2norm
+from .resolvent import _bound_fit, _check_fit_cells, _symmetric_eigh, _table_norm, operator_2norm
 from .spaces import _integer_in, _readonly_fields, _square
 
 __all__ = [
@@ -93,10 +93,7 @@ def make_yosida(A, lambdas, force=False):
     regularized matrix is singular (impossible in the dissipative case).
     """
     A = _square(A, "A")
-    lambdas = np.asarray([float(l) for l in lambdas])
-    decreasing = lambdas.size and np.all(np.diff(lambdas) < 0)
-    if not (decreasing and 0 < lambdas[-1] and lambdas[0] < np.inf):  # false for any nan
-        raise ValueError("lambdas must be positive, finite and strictly decreasing")
+    lambdas = _check_lambdas(lambdas)
     if not force and not (report := accretivity_check(A)).dissipative:
         raise ValueError(
             f"A is not dissipative (max symmetric eigenvalue "
@@ -119,6 +116,15 @@ def make_yosida(A, lambdas, force=False):
     if not defect <= tol:  # also true for nan
         raise NumericalFailure(f"resolvent identity defect {defect} out of tolerance")
     return family
+
+
+def _check_lambdas(lambdas):
+    """lambdas as a float array; ValueError unless positive, finite and strictly decreasing."""
+    lambdas = np.asarray([float(l) for l in lambdas])
+    decreasing = lambdas.size and np.all(np.diff(lambdas) < 0)
+    if not (decreasing and 0 < lambdas[-1] and lambdas[0] < np.inf):  # false for any nan
+        raise ValueError("lambdas must be positive, finite and strictly decreasing")
+    return lambdas
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +161,9 @@ def yosida_convergence_study(
     One march solves the base and every A_lam table on the cell moments w of a:
     `march_channels` on the (L + 1, d) channel values of a symmetric A, otherwise one
     batched `grids.march` on the weights w (x) [A, A_lam1, ...], refusing a real eigenvalue
-    with a nonpositive step as `compute_resolvent` does.  e_S and the growth fits read one
-    norm of the tables, and e = max over nodes of the route's path sums / P; paths stream
-    through `convolution._path_blocks`, one block (common noise) alive at a time.
+    with a nonpositive step as `compute_resolvent` does.  e_S and the growth fits read
+    `resolvent._table_norm`, and e = max over nodes of the route's path sums / P; paths
+    stream through `convolution._path_blocks`, one block (common noise) alive at a time.
     """
     A = _square(A, "A")
     _check_integrand(psi, A.shape[0], spec.cov)
@@ -177,22 +183,21 @@ def yosida_convergence_study(
     eig, w = _symmetric_eigh(family.A), a.cell_moments(grid.h, grid.N)
     if eig is None:  # (N + 1, L + 1, d, d) tables of [A, A_lam1, ...]
         ops = np.concatenate([family.A[None], family.A_lam])
-        _check_steps(w[0], ops, scheme)
-        tables, norm = march(w[:, None, None, None] * ops, scheme), operator_2norm
+        _check_steps(w[0], np.linalg.eigvals(ops), scheme)
+        tables = march(w[:, None, None, None] * ops, scheme)
         route = partial(_matrix_route, tables, ops)
     else:  # (N + 1, L + 1, d) channels of [A, A_lam1, ...] = V diag(ops[i]) V'
         mu, V = eig
         ops = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])
         tables = march_channels(w, -ops.ravel(), scheme).reshape((grid.N + 1,) + ops.shape)
-        norm = partial(np.linalg.norm, ord=np.inf, axis=-1)  # |V diag(x) V'| = max_k |x_k|
         route = partial(_channel_route, tables, ops, V)
     with _path_blocks(spec, grid, n_paths, threads) as blocks:
         sums = route(psi.values_on_grid(grid), blocks)  # psi evaluated once per stream
-    fits = [_bound_fit(grid.nodes(), eta) for eta in norm(tables).T]
+    fits = [_bound_fit(grid.nodes(), eta) for eta in _table_norm(tables, eig is not None).T]
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(
         lambdas=family.lambdas,
-        e_S=np.max(norm(tables[:, 1:] - tables[:, :1]), axis=0),
+        e_S=np.max(_table_norm(tables[:, 1:] - tables[:, :1], eig is not None), axis=0),
         e_W=e_W,
         e_AW=e_AW,
         bound_M=max(f.M for f in fits),

@@ -301,6 +301,50 @@ def test_malformed_config_exits_3_before_running(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def _cp_probe(**kwargs):
+    return stochvolterra.check_complete_positivity(stochvolterra.LinearKernel(), N=16, **kwargs)
+
+
+def _yosida_family(lambdas):
+    return stochvolterra.make_yosida([[-1.0]], lambdas)
+
+
+# (experiment, key, value, the section named in the message, the library call refusing it)
+@pytest.mark.parametrize(
+    "experiment, key, value, section, library",
+    [
+        ("yosida", "lambdas", [0.1, 0.2], "lambdas", _yosida_family),
+        ("yosida", "lambdas", [0.2, 0.0], "lambdas", _yosida_family),
+        ("cp_check", "mu_list", [], "cp_check", lambda v: _cp_probe(mu_list=v)),
+        ("cp_check", "mu_list", [1.0, -0.5], "cp_check", lambda v: _cp_probe(mu_list=v)),
+        ("cp_check", "tol", -1, "cp_check", lambda v: _cp_probe(tol=v)),
+    ],
+    ids=["lambdas-increasing", "lambdas-zero", "mu_list-empty", "mu_list-negative", "tol-negative"],
+)
+def test_lambda_mu_and_tol_faults_exit_3_with_the_library_message(
+    tmp_path, capsys, experiment, key, value, section, library
+):
+    with pytest.raises(ValueError) as refused:
+        library(value)
+    code, out = run(tmp_path, edited(SMALL[experiment], None, key, value))
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == f"error: validation: invalid {section}: {refused.value}\n"
+
+
+def test_a_top_level_that_is_not_an_object_exits_3(tmp_path, capsys):
+    code, out = run(tmp_path, [SMALL["cp_check"]])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (
+        "error: validation: top-level configuration must be an object\n"
+    )
+
+
+def test_a_manifest_without_config_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, {"manifest_version": 1, "experiment": "cp_check"})
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: parse: manifest file has no 'config' section\n"
+
+
 # each kernel and psi variant with its own keys, in a config that runs, and a key that only
 # another variant of the same section takes
 VARIANTS = {

@@ -11,6 +11,7 @@ import pytest
 from stochvolterra import (
     ConstantDiffusion,
     ConstantKernel,
+    ConvolutionPath,
     CovOperator,
     ExponentialKernel,
     FractionalKernel,
@@ -53,13 +54,26 @@ def unit_spec(dim=1, seed=42):
     return NoiseSpec(cov=CovOperator(np.ones(dim)), truncation=dim, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "values, mean_square, match",
+    [
+        ([[0.0], [np.nan]], 1.0, "nonfinite values"),
+        ([[0.0], [-np.inf]], 1.0, "nonfinite values"),
+        ([[0.0], [1.0]], np.inf, "mean-square finiteness condition failed"),
+        ([[0.0], [1.0]], np.nan, "mean-square finiteness condition failed"),
+    ],
+    ids=["nan-value", "inf-value", "inf-mean-square", "nan-mean-square"],
+)
+def test_a_directly_built_path_with_nonfinite_numbers_is_refused(values, mean_square, match):
+    with pytest.raises(NumericalFailure, match=match):
+        ConvolutionPath(TimeGrid(1.0, 1), np.array(values), "conv", mean_square)
+
+
 def coarsen(inc, factor):
     """Fold fine increments into a coarser grid of the same horizon."""
     K, N = inc.dW.shape
     dW = inc.dW.reshape(K, N // factor, factor).sum(axis=2)
-    return WienerIncrements(
-        grid=TimeGrid(inc.grid.T, N // factor), dW=dW, path_id=inc.path_id, spec=inc.spec
-    )
+    return WienerIncrements(grid=TimeGrid(inc.grid.T, N // factor), dW=dW, spec=inc.spec)
 
 
 # --- stochastic convolution ----------------------------------------------------
@@ -164,9 +178,7 @@ def test_convolution_linear_in_integrand_and_noise():
     # linear in the increments as well, with the integrand held fixed
     spec_b = unit_spec(2, seed=62)
     inc_b = sample_wiener(spec_b, table.grid, path_id=0)
-    summed = WienerIncrements(
-        grid=table.grid, dW=inc.dW + inc_b.dW, path_id=0, spec=spec
-    )
+    summed = WienerIncrements(grid=table.grid, dW=inc.dW + inc_b.dW, spec=spec)
     lhs = stochastic_convolution(table, ConstantDiffusion(B1), summed).values
     rhs = (
         stochastic_convolution(table, ConstantDiffusion(B1), inc).values
@@ -979,7 +991,7 @@ def inf_increments(spec, grid):
     """Increments of path 0 with one entry set to inf, as a WienerIncrements."""
     dW = sample_wiener(spec, grid).dW.copy()
     dW[0, 5] = np.inf
-    return WienerIncrements(grid=grid, dW=dW, path_id=0, spec=spec)
+    return WienerIncrements(grid=grid, dW=dW, spec=spec)
 
 
 # each routine that takes one path's increments, called on increments holding an inf; at

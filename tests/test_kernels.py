@@ -11,6 +11,7 @@ from stochvolterra import (
     KernelDomainError,
     LinearKernel,
     NumericalFailure,
+    SmoothnessError,
     TabulatedKernel,
     TimeGrid,
     check_complete_positivity,
@@ -241,6 +242,39 @@ def test_march_guard_on_vanishing_diagonal():
         march_channels(w, np.array([1.0]), "simpson")
 
 
+def test_kernel_derivatives_where_they_exist_and_refusals_where_they_do_not():
+    t = np.array([0.0, 0.5, 2.0])
+    np.testing.assert_array_equal(FractionalKernel(1.0).deriv(t), np.zeros(3))
+    np.testing.assert_array_equal(LinearKernel().deriv(t), np.ones(3))
+    for alpha in (0.5, 1.5):
+        with pytest.raises(SmoothnessError, match="unbounded near t = 0"):
+            FractionalKernel(alpha).deriv(t)
+    # through the base class's rule: interpolated tables give no derivative
+    with pytest.raises(SmoothnessError, match=r"tabulated\(2 points\) has no usable"):
+        TabulatedKernel([0.0, 1.0], [1.0, 0.5]).deriv(t)
+
+
+def test_exponential_kernel_without_decay_has_primitive_c_t():
+    t = np.array([0.0, 0.25, 3.0])
+    np.testing.assert_array_equal(ExponentialKernel(c=2.0, b=0.0).primitive(t), 2.0 * t)
+
+
+@pytest.mark.parametrize(
+    "times, values, match",
+    [
+        ([0.0, 1.0], [1.0, 0.5, 0.25], "matching 1-d tables"),
+        ([[0.0, 1.0]], [[1.0, 0.5]], "matching 1-d tables"),
+        ([0.0], [1.0], "at least two entries"),
+        ([0.0, 1.0], [1.0, np.inf], "tabulated values must be finite"),
+        ([0.0, 1.0], [np.nan, 1.0], "tabulated values must be finite"),
+    ],
+    ids=["lengths", "2-d", "one-entry", "inf", "nan"],
+)
+def test_tabulated_kernel_refuses_mismatched_short_or_nonfinite_tables(times, values, match):
+    with pytest.raises(ValueError, match=match):
+        TabulatedKernel(times, values)
+
+
 # --- kernel classification ---------------------------------------------------
 
 
@@ -253,6 +287,13 @@ def test_monotonicity_reports():
     rep = check_nonneg_nonincreasing(FractionalKernel(1.5), grid)
     assert not rep.ok and rep.first_violation_t is not None
     assert check_nonneg_nonincreasing(FractionalKernel(0.5), grid).ok
+
+
+def test_monotonicity_report_names_the_first_negative_node():
+    # 1 - 2t down to t = 1, then held at -1: nonincreasing, first below zero at node 0.75
+    rep = check_nonneg_nonincreasing(TabulatedKernel([0.0, 1.0], [1.0, -1.0]), TimeGrid(2.0, 8))
+    assert not rep.ok and not rep.nonnegative and rep.nonincreasing
+    assert rep.first_violation_t == 0.75
 
 
 def test_exponential_kernel_consistent_with_cp():

@@ -188,8 +188,8 @@ def test_increments_of_another_shape_are_refused(shape):
     # two modes on 8 cells: K x 8 increments with K <= 2 (a truncation) and nothing else
     grid, spec = TimeGrid(1.0, 8), spec_with([1.0, 2.0])
     with pytest.raises(DimensionMismatch, match="increments"):
-        noise.WienerIncrements(grid=grid, dW=np.zeros(shape), path_id=0, spec=spec)
-    assert noise.WienerIncrements(grid=grid, dW=np.zeros((1, 8)), path_id=0, spec=spec).modes == 1
+        noise.WienerIncrements(grid=grid, dW=np.zeros(shape), spec=spec)
+    assert noise.WienerIncrements(grid=grid, dW=np.zeros((1, 8)), spec=spec).modes == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -198,7 +198,7 @@ def test_nonfinite_increments_are_refused(bad):
     dW = sample_wiener(spec, grid).dW.copy()
     dW[1, 7] = bad
     with pytest.raises(ValueError, match="increments must be finite"):
-        noise.WienerIncrements(grid=grid, dW=dW, path_id=0, spec=spec)
+        noise.WienerIncrements(grid=grid, dW=dW, spec=spec)
 
 
 # --- integrands -----------------------------------------------------------------
@@ -221,6 +221,13 @@ def test_step_diffusion_validation():
         StepDiffusion([0.0, 0.0], [np.ones((1, 1))] * 2)
     with pytest.raises(DimensionMismatch):
         StepDiffusion([0.0, 0.5], [np.ones((1, 1)), np.ones((2, 1))])
+    with pytest.raises(ValueError, match="one value per breakpoint"):
+        StepDiffusion([0.0, 0.5], [np.ones((1, 1))])
+
+
+def test_constant_diffusion_value_is_its_matrix():
+    psi = ConstantDiffusion([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(psi.value(0.3), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_rule_diffusion_shape_guard():

@@ -9,6 +9,7 @@ from stochvolterra import (
     LinearKernel,
     NonscalarKernel,
     NumericalFailure,
+    OperatorKernel,
     ResolventTable,
     ScalarTypeKernel,
     SmoothnessError,
@@ -119,7 +120,7 @@ def test_real_eigenvalue_with_a_nonpositive_step_is_refused_without_symmetry(sch
         compute_resolvent(kern, TimeGrid(1.0, 8), scheme=scheme)
 
 
-def test_step_check_solves_eigenvalues_only_when_a_step_can_be_nonpositive(monkeypatch):
+def test_step_check_solves_complex_eigenvalues_but_does_not_check_them(monkeypatch):
     solved, eigvals = [], np.linalg.eigvals
 
     def spy(a):
@@ -127,14 +128,65 @@ def test_step_check_solves_eigenvalues_only_when_a_step_can_be_nonpositive(monke
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    # theta h |A|_inf = 0.5 * 1/16 * 2.5 < 1: no eigenvalue can make a step nonpositive
-    kern = ScalarTypeKernel(ConstantKernel(1.0), [[-1.0, 0.5], [0.0, -2.0]])
-    compute_resolvent(kern, TimeGrid(1.0, 16))
-    assert solved == []
     # +-50i: complex eigenvalues are solved but not checked
     rotation = ScalarTypeKernel(ConstantKernel(1.0), [[0.0, 50.0], [-50.0, 0.0]])
     compute_resolvent(rotation, TimeGrid(1.0, 8))
     assert solved == [(2, 2)]
+
+
+def one_by_one_table(S, U=None):
+    """A 1 x 1 ResolventTable built directly from S (and U, zero by default) on N = len(S) - 1."""
+    S = np.asarray(S, dtype=float).reshape(-1, 1, 1)
+    grid, kernel = TimeGrid(1.0, len(S) - 1), ScalarTypeKernel(ConstantKernel(1.0), [[-1.0]])
+    U = np.zeros_like(S) if U is None else np.asarray(U, dtype=float).reshape(-1, 1, 1)
+    return ResolventTable(grid, S, U, kernel, "product", kernel.cell_weights(grid))
+
+
+@pytest.mark.parametrize(
+    "S, U, match",
+    [
+        ([2.0, 1.0, 1.0], None, "does not start at the identity"),
+        ([1.0, 1.0, 1.0], [1e-300, 0.5, 1.0], "integrated family does not start at zero"),
+        ([1.0, 2e100, 1.0], None, "overflowed: sup entry 2e"),
+        ([1.0, np.nan, 1.0], None, "overflowed: sup entry nan"),
+    ],
+    ids=["S0", "U0", "overflow", "nan"],
+)
+def test_a_directly_built_table_that_breaks_an_invariant_is_refused(S, U, match):
+    with pytest.raises(NumericalFailure, match=match):
+        one_by_one_table(S, U)
+
+
+def test_bound_fit_fails_when_exp_w_t_underflows_below_a_positive_norm():
+    # norm 1 up to t = 1/2, then 1e-300: the tail fit's rate w is about -1105, so exp(w t)
+    # underflows to 0 at t = 1 and no M bounds the norm there (with overflow warnings)
+    table = one_by_one_table([1.0] * 5 + [1e-300] * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="no M near inf bounds the table"):
+            exponential_bound_fit(table)
+
+
+class ZeroKernel(OperatorKernel):
+    """The least an OperatorKernel must give: its dimension, cell weights and values."""
+
+    dim = 1
+
+    def cell_weights(self, grid):
+        return np.zeros((grid.N, 1, 1))
+
+    def value(self, t):
+        return np.zeros(np.shape(t) + (1, 1))
+
+
+def test_operator_kernel_defaults_give_no_derivative_and_no_value_at_zero():
+    kern = ZeroKernel()
+    assert kern.smoothness == "L1loc" and kern.label() == "ZeroKernel"
+    with pytest.raises(SmoothnessError, match="ZeroKernel provides no time derivative"):
+        kern.derivative(0.5)
+    with pytest.raises(SmoothnessError, match="ZeroKernel provides no value at t = 0"):
+        kern.value_at_zero()
+    table = compute_resolvent(kern, TimeGrid(1.0, 4))
+    np.testing.assert_array_equal(table.S, np.ones((5, 1, 1)))
 
 
 def test_rejects_unknown_scheme_and_tiny_grid():

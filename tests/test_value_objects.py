@@ -90,7 +90,7 @@ CASES = [
     ("ResolventTable.lam", TABLE.lam, _table("lam")),
     ("ResolventTable.V", TABLE.V, _table("V")),
     ("ResolventTable.s", TABLE.s, _table("s")),
-    ("WienerIncrements.dW", np.ones((2, 4)), lambda a: WienerIncrements(GRID, a, 0, SPEC).dW),
+    ("WienerIncrements.dW", np.ones((2, 4)), lambda a: WienerIncrements(GRID, a, SPEC).dW),
     (
         "ConvolutionPath.values",
         np.ones((5, 2)),

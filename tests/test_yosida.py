@@ -77,6 +77,16 @@ def test_study_checks_dissipativity_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_make_yosida_refuses_an_identity_defect_past_its_tolerance():
+    # eigenvalues 1 - 1e-10 and -1 in a rotated basis: at lam = 1, I - lam A is nearly
+    # singular and the solve loses far more than the 1e-12 (1 + max|A|) allowance
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    A = R @ np.diag([1.0 - 1e-10, -1.0]) @ R.T
+    with pytest.raises(NumericalFailure, match="resolvent identity defect .* out of tolerance"):
+        make_yosida(A, [1.0], force=True)
+
+
 def test_scalar_family_closed_form():
     fam = make_yosida(np.array([[-1.0]]), [1.0])
     assert fam.J[0][0, 0] == pytest.approx(0.5)
