@@ -360,13 +360,14 @@ def _run_verify_volterra(kernel, operator, grid, noise, psi, n_paths, scheme, th
     vals = psi.values_on_grid(grid)  # once per stream, not per block
     sups = _per_path(lambda dw: _volterra_sups(table, vals, dw), noise, grid, n_paths, threads)
     results = {"max_sup_residual": float(np.max(sups))}
-    return {"verify_volterra.csv": (["path_id", "sup_residual"], enumerate(sups))}, results
+    rows = enumerate(sups.tolist())
+    return {"verify_volterra.csv": (["path_id", "sup_residual"], rows)}, results
 
 
 def _run_verify_ito(kernel, operator, grid, noise, psi, xi, x0, n_paths, scheme, threads):
     table = _table(kernel, operator, grid, scheme)
     stats = ito_identity_statistics(table, psi.B, xi, x0, noise, n_paths, threads=threads)
-    rows = enumerate(stats.final_residuals)
+    rows = enumerate(stats.final_residuals.tolist())
     results = {"mean": stats.mean, "std_error": stats.std_error, "rms": stats.rms}
     return {"verify_ito.csv": (["path_id", "final_residual"], rows)}, results
 

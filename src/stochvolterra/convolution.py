@@ -19,7 +19,7 @@ consumers fold `_path_blocks` of about `_MC_BLOCK` = 2^17 increments (1 MiB, so 
 and its consumer's arrays stay near a 2 MiB L2 cache) into running results one block at
 a time; a threaded stream samples all its blocks on one worker pool.  The covariance and
 the Ito statistics read one linear functional of each path's increments, built once per
-call (node weights; the final residual's adjoint, two lag sums of one path), so a block
+call (node weights; the final residual's adjoint, two FFT lag sums), so a block
 costs one product, P K N d or P K N multiply-adds; the Yosida study and the CLI's
 Volterra check (`_volterra_sups`) convolve each block's left-point products (psi's grid
 values taken once per stream), `grids._TILE` nodes per product (roundoff-level reordering).
@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, lag_convolve
+from .grids import TimeGrid, _add_lag_sum_fft, cell_values, lag_convolve
 from .noise import ConstantDiffusion, _check_integrand, _increments, _left_point_products
 from .noise import _pool, _workers, sample_wiener_batch
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
@@ -424,8 +424,8 @@ def _ito_final_weights(table, B, xi, X0):
 
     r[n] is the coefficient vector of X_n in the final residual and y[m] =
     sum_{n>m} S[n-m]' r[n] that of B dW_m through X; both anti-causal lag sums
-    are `lag_convolve` calls on time-reversed arrays.  About N^2 d^2 / 2
-    multiply-adds, once per call, whatever the number of paths.
+    are `grids._add_lag_sum_fft` products on time-reversed arrays, O(N log N d^2)
+    work once per call, whatever the number of paths.
     """
     grid, S, xi0 = table.grid, table.S, xi.xi0
     N, d = grid.N, table.dim
@@ -438,13 +438,13 @@ def _ito_final_weights(table, B, xi, X0):
     r[0] -= phi[0] * xi0
     # the drift's inner convolution: X_n (n >= 1) meets lag j - n of every node j >= n,
     # X_0 half of lag j >= 1
-    drift = np.zeros((1, N, d))
-    lag_convolve(u[:, :, None], wphi[:0:-1, None][None], drift)
-    r[:0:-1] -= drift[0]
+    drift = np.zeros((N, d, 1))
+    _add_lag_sum_fft(u[:N, :, None], wphi[:0:-1, None, None], drift, 0)
+    r[:0:-1] -= drift[..., 0]
     r[0] -= 0.5 * (wphi[1:] @ u[1:])
-    y = np.zeros((1, N, d))
-    lag_convolve(S[1:].swapaxes(1, 2), r[:0:-1][None], y)
-    g = (y[0, ::-1] - np.outer(phi[:-1], xi0)) @ B
+    y = np.zeros((N, d, 1))
+    _add_lag_sum_fft(S[1:].swapaxes(1, 2), r[:0:-1, :, None], y, 0)
+    g = (y[::-1, :, 0] - np.outer(phi[:-1], xi0)) @ B
     return g.T.ravel(), float(np.vdot(r, S @ X0))
 
 
@@ -489,11 +489,11 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     errors at P = 1000), where c0 / SE grows as sqrt(P) and does not fall with N.
 
     The final residual of the path driven by increments dW is c0 + <g, dW>, g and
-    c0 taken once by `_ito_final_weights` (about N^2 d^2 / 2 multiply-adds, none
-    per path).  Paths stream through `_path_blocks`, and each block is one product
-    with g, P K N multiply-adds in all.  Scratch is one block of about 2^17
-    increments whatever P is, and the final residuals go into one array of P
-    doubles (`_per_path`).  Every input check raises before the first path is drawn.
+    c0 taken once by `_ito_final_weights` (two FFT lag sums, none per path).  Paths
+    stream through `_path_blocks`, and each block is one product with g, P K N
+    multiply-adds in all.  Scratch is one block of about 2^17 increments whatever P
+    is, and the final residuals go into one array of P doubles (`_per_path`).  Every
+    input check raises before the first path is drawn.
     """
     n_paths = _integer_in(n_paths, "n_paths", MIN_ITO_PATHS)
     _check_ito_inputs(table.kernel, xi, table.dim)

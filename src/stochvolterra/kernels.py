@@ -444,8 +444,11 @@ def mittag_leffler(alpha, z):
     that are deliberately not implemented.  Raises NumericalFailure when the
     terms have not become negligible within 200 terms (small alpha: the
     terms grow like |z|^k / Gamma(alpha k + 1) for many k, and cancellation
-    leaves nothing of the sum) or when the sum is not finite.
+    leaves nothing of the sum) or when the sum is not finite; raises ValueError
+    for alpha <= 0 or nan.
     """
+    if not alpha > 0:  # true for nan
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     if abs(z) > 2.0:
         raise ValueError("series evaluation is restricted to |z| <= 2")
     total = 0.0

@@ -4,9 +4,10 @@ Streams are derived counter-based: the Philox generator is keyed with the
 pair (master seed, path index), so every path is an independent stream that
 can be regenerated bit-identically in any order.  A batch reuses one Philox
 generator per worker thread and re-keys it before each path by assigning the
-state a fresh Philox with that key starts in, which costs a few microseconds
-instead of building a new generator.  Each worker fills its own contiguous
-range of paths, so a batch is the same bit for bit on any number of threads.
+state a fresh Philox with that key starts in, held in lists: 0.65 us a path
+(1.8 us with the state's arrays; 2-vCPU x86, numpy 2.4) instead of building a
+new generator.  Each worker fills its own contiguous range of paths, so a
+batch is the same bit for bit on any number of threads.
 `sample_wiener_batch` builds a pool for its call; `_increments` fills on a pool its
 caller holds, so a stream of batches (`convolution._path_blocks`) builds one in all.
 """
@@ -90,10 +91,13 @@ def _fill_normals(out, seed, path_ids):
 
     One generator serves every path: before each path its Philox state is reset
     to the one Philox(key=(seed, path_id)) starts in (counter 0, empty buffer).
+    The state holds lists, which the setter reads faster than arrays.
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     for row, pid in zip(out, path_ids):
         key[1] = pid

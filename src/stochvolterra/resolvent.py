@@ -397,7 +397,9 @@ def _bound_fit(t, eta):
     half = (t.size - 1) // 2
     design = np.vstack([t[half:], np.ones(t.size - half)]).T
     (w, log_M), *_ = np.linalg.lstsq(design, log_eta[half:], rcond=None)
-    M = float(max(np.exp(log_M), np.max(eta * np.exp(-w * t)), 1.0))
+    eta = np.asarray(eta, dtype=float)
+    pos = eta > 0  # a zero norm needs no M, and 0 exp(-w t) is nan where exp overflows
+    M = float(max(np.exp(log_M), np.max(eta[pos] * np.exp(-w * t[pos]), initial=1.0)))
     for _ in range(8):  # eta exp(-w t) exp(w t) may round an ulp or two below eta
         if np.all(eta <= M * np.exp(w * t)):
             return ExponentialBound(M=M, w=float(w))

@@ -763,15 +763,26 @@ def ito_final_per_path(table, B, xi, X0, spec, n_paths):
     return convolution._ito_residual_batch(table.kernel, xi, table.grid, X, c)[:, -1]
 
 
-@pytest.mark.parametrize("truncation", [3, 2])
-@pytest.mark.parametrize("scheme", ["product", "conv"])
-@pytest.mark.parametrize("kernel", ["scalar-type", "nonscalar"])
-def test_ito_statistics_match_the_per_path_residuals(kernel, scheme, truncation):
+# every kernel, scheme and truncation on 40 cells; both schemes on 512 cells, where the
+# adjoint's FFT lag sums meet the per-path convolutions on a long history
+ITO_PER_PATH_CASES = [
+    pytest.param(kernel, scheme, truncation, 40, id=f"{kernel}-{scheme}-{truncation}")
+    for truncation in (3, 2)
+    for scheme in ("product", "conv")
+    for kernel in ("scalar-type", "nonscalar")
+] + [
+    pytest.param("scalar-type", scheme, 3, 512, id=f"scalar-type-{scheme}-3-N512")
+    for scheme in ("product", "conv")
+]
+
+
+@pytest.mark.parametrize("kernel, scheme, truncation, n", ITO_PER_PATH_CASES)
+def test_ito_statistics_match_the_per_path_residuals(kernel, scheme, truncation, n):
     kern = {
         "scalar-type": ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0, 0.4], [0.0, -2.0]])),
         "nonscalar": nonscalar_w11_kernel(),
     }[kernel]
-    table = compute_resolvent(kern, TimeGrid(1.0, 40), scheme=scheme)
+    table = compute_resolvent(kern, TimeGrid(1.0, n), scheme=scheme)
     spec = NoiseSpec(cov=CovOperator(np.array([1.0, 0.5, 0.25])), truncation=truncation, seed=9)
     B = np.array([[0.8, 0.1, -0.4], [0.3, 0.5, 0.2]])  # truncation 2 cuts its last column
     xi = ItoTestFunction(
@@ -846,23 +857,24 @@ def test_ito_statistics_blocks_match_one_block(monkeypatch, paths_per_block, blo
 
 
 def test_ito_statistics_lag_sums_do_not_grow_with_paths(monkeypatch):
-    # the residual's adjoint is summed once; each block of paths costs one product
+    # the residual's adjoint is summed once, by FFT; each block of paths costs one product
     table, B, xi, X0, spec = ito_problem(n=16)
     sampled = count_blocks(monkeypatch, 8, 2, 16)
     calls = []
-    original = convolution.lag_convolve
+    original = convolution._add_lag_sum_fft
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(convolution, "lag_convolve", counted)
+    monkeypatch.setattr(convolution, "_add_lag_sum_fft", counted)
     counts = []
     for n_paths in (8, 800):
         calls.clear()
         ito_identity_statistics(table, B, xi, X0, spec, n_paths)
         counts.append(len(calls))
     assert len(sampled) == 1 + 100
+    assert counts[0] > 0
     assert counts[0] == counts[1]
 
 

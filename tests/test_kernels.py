@@ -401,6 +401,13 @@ def test_mittag_leffler_range_guard():
         mittag_leffler(0.5, 2.5)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, -1.0000001, math.nan])
+def test_mittag_leffler_refuses_a_nonpositive_alpha(alpha):
+    # before the check: a math domain error at -0.5 and a ZeroDivisionError at -1.0000001
+    with pytest.raises(ValueError, match=f"alpha must be positive, got {alpha!r}"):
+        mittag_leffler(alpha, -0.5)
+
+
 @pytest.mark.parametrize("z", [-2.0, 2.0])
 def test_mittag_leffler_refuses_unconverged_series(z):
     # E_0.1(-2) ~ 0.3198 and E_0.1(2) ~ 10 e^1024: 200 terms give -2.7e41 and 1.4e42

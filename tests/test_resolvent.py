@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,18 @@ def test_bound_fit_fails_when_exp_w_t_underflows_below_a_positive_norm():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalFailure, match="no M near inf bounds the table"):
             exponential_bound_fit(table)
+
+
+def test_bound_fit_skips_zero_norms_where_exp_overflows():
+    # the same tail rate w about -1105 over norms that are exactly 0 from t = 5/8: exp(-w t)
+    # overflows there, and a zero norm needs no M; the norm 1 at t = 1/2 sets M = e^552
+    table = one_by_one_table([1.0] * 5 + [0.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = exponential_bound_fit(table)
+    t = table.grid.nodes()
+    assert fit.w < -1000.0 and fit.M > 1e239
+    assert np.all(table.norms() <= fit.M * np.exp(fit.w * t))
 
 
 class ZeroKernel(OperatorKernel):
