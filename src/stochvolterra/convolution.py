@@ -11,18 +11,18 @@ Volterra and weak-form identities hold per path to machine precision; on
 first order in the step.  Both read `_volterra_defect`, the node defect of a batch
 of paths: the Volterra check its norm, the weak form its pairing with the functional.
 
-Every history sum of P paths (path convolution, the defect's kernel convolution,
-Ito drift) is one `grids.lag_convolve` call, about P N^2 d^2 / 2 multiply-adds.  A
-single path is summed in ascending source node, so node 0 is exactly zero and the
-identity table reduces to the elementary Ito sum bit for bit.  The Monte Carlo
-consumers fold `_path_blocks` of about `_MC_BLOCK` = 2^17 increments (1 MiB, so a block
-and its consumer's arrays stay near a 2 MiB L2 cache) into running results one block at
-a time; a threaded stream samples all its blocks on one worker pool.  The covariance and
-the Ito statistics read one linear functional of each path's increments, built once per
-call (node weights; the final residual's adjoint, two FFT lag sums), so a block
-costs one product, P K N d or P K N multiply-adds; the Yosida study and the CLI's
-Volterra check (`_volterra_sups`) convolve each block's left-point products (psi's grid
-values taken once per stream), `grids._TILE` nodes per product (roundoff-level reordering).
+Every history sum of P paths is one `grids.lag_convolve` call, whose shapes pick the
+route: strips for a block of many paths on a short grid, P N^2 d^2 / 2 multiply-adds,
+else one FFT product, O(N log N d^2) a path.  Node 0 is exactly zero; the identity
+table gives the elementary Ito sum up to the FFT's roundoff.  The Monte Carlo consumers
+fold `_path_blocks` of about `_MC_BLOCK` = 2^17 increments (1 MiB, so a block and its
+consumer's arrays stay near a 2 MiB L2 cache) into running results one block at a time;
+a threaded stream samples all its blocks on one worker pool.  The covariance and the Ito
+statistics read one linear functional of each path's increments, built once per call
+(node weights; the final residual's adjoint, two FFT lag sums), so a block costs one
+product, P K N d or P K N multiply-adds; the Yosida study and the CLI's Volterra check
+(`_volterra_sups`) convolve each block's left-point products (psi's grid values taken
+once per stream).
 """
 
 from contextlib import contextmanager
@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, _add_lag_sum_fft, cell_values, lag_convolve
+from .grids import TimeGrid, cell_values, lag_convolve
 from .noise import ConstantDiffusion, _check_integrand, _increments, _left_point_products
 from .noise import _pool, _workers, sample_wiener_batch
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
@@ -100,7 +100,7 @@ def _convolve_paths(S, c_batch):
     P, N, d = c_batch.shape
     out = np.zeros((P, N + 1, d))
     with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite path raises below
-        lag_convolve(S[1:], c_batch, out[:, 1:])
+        lag_convolve(S[1:], c_batch[..., None], out[:, 1:, :, None])
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("convolution path contains nonfinite values")
     return out
@@ -161,8 +161,8 @@ class MildSolutionPath:
 def stochastic_convolution(table, psi, inc):
     """Convolve one increment path against the resolvent table.
 
-    With the identity table (zero kernel) this reduces exactly to the
-    elementary Ito integral of the integrand.
+    With the identity table (zero kernel) this reduces to the elementary Ito
+    integral of the integrand, up to the roundoff of one FFT lag sum.
     """
     _check_integrand(psi, table.dim, inc.spec.cov, table.grid, inc.grid)
     vals = psi.values_on_grid(table.grid)
@@ -269,9 +269,10 @@ class IdentityReport:
 def _volterra_defect(X, W, c, scheme):
     """(P, N+1, d) defect X_n - sum_{m<n} W[n-1-m] x_m - sum_{m<n} c_m of a batch of paths X,
     x their cell values under the scheme and c (P, N, d) their `_left_point_products` (the
-    Ito sum's terms); for P = 1, `lag_convolve` sums in ascending m."""
+    Ito sum's terms): one `lag_convolve` call, whose route the batch's shape picks."""
     conv = np.zeros_like(X)
-    lag_convolve(W, cell_values(X.swapaxes(0, 1), scheme).swapaxes(0, 1), conv[:, 1:])
+    x = cell_values(X.swapaxes(0, 1), scheme).swapaxes(0, 1)
+    lag_convolve(W, x[..., None], conv[:, 1:, :, None])
     defect = X - conv
     defect[:, 1:] -= np.cumsum(c, axis=1)
     return defect
@@ -401,7 +402,7 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     # with xi0 first: lag weights u, halved on X[:, 0]
     rate = np.zeros((X.shape[0], grid.N + 1))
     rate[:, 1:] = X[:, 0] @ (0.5 * u[1:, 0].T)
-    lag_convolve(u, X[:, 1:], rate[:, 1:, None])
+    lag_convolve(u, X[:, 1:, :, None], rate[:, 1:, None, None])
     rate += X @ (kernel.value_at_zero().T @ xi.xi0)
 
     # deterministic rate of <X, xi>: drift * phi + <X, xi0> * phi_dot, updated
@@ -424,8 +425,8 @@ def _ito_final_weights(table, B, xi, X0):
 
     r[n] is the coefficient vector of X_n in the final residual and y[m] =
     sum_{n>m} S[n-m]' r[n] that of B dW_m through X; both anti-causal lag sums
-    are `grids._add_lag_sum_fft` products on time-reversed arrays, O(N log N d^2)
-    work once per call, whatever the number of paths.
+    are `grids.lag_convolve` calls on time-reversed arrays of one column (so FFT
+    products), O(N log N d^2) work once per call, whatever the number of paths.
     """
     grid, S, xi0 = table.grid, table.S, xi.xi0
     N, d = grid.N, table.dim
@@ -438,12 +439,10 @@ def _ito_final_weights(table, B, xi, X0):
     r[0] -= phi[0] * xi0
     # the drift's inner convolution: X_n (n >= 1) meets lag j - n of every node j >= n,
     # X_0 half of lag j >= 1
-    drift = np.zeros((N, d, 1))
-    _add_lag_sum_fft(u[:N, :, None], wphi[:0:-1, None, None], drift, 0)
-    r[:0:-1] -= drift[..., 0]
+    lag_convolve(-u[:N, :, None], wphi[:0:-1, None, None], r[:0:-1, :, None])
     r[0] -= 0.5 * (wphi[1:] @ u[1:])
     y = np.zeros((N, d, 1))
-    _add_lag_sum_fft(S[1:].swapaxes(1, 2), r[:0:-1, :, None], y, 0)
+    lag_convolve(S[1:].swapaxes(1, 2), r[:0:-1, :, None], y)
     g = (y[::-1, :, 0] - np.outer(phi[:-1], xi0)) @ B
     return g.T.ravel(), float(np.vdot(r, S @ X0))
 

@@ -1,13 +1,12 @@
 """Uniform time grids, the causal lag sum evaluated on them, and the resolvent solver.
 
-Both share one block-Toeplitz strip of the lag weights (`_toeplitz_strip`), so a
-product with it applies every lag to a tile of nodes.  `lag_convolve` adds the lag
-sum of known inputs, _TILE nodes per BLAS product for a batch of paths and one node
-(ascending order) for a single path; `_add_lag_sum_fft` adds it whole by FFT.  `march`
-solves the discrete resolvent equation by recursive halving, pushing cell values through
-the lag weights: FFT products for the far history, strip products inside zones of
-_ZONE nodes and one product with a precomputed inverse per leaf of `_leaf_nodes` nodes.
-An FFT product's error scales with its block's norm, not with each entry.
+`lag_convolve` is the one lag sum of known inputs; the array shapes alone pick its route
+(`_STRIPS`).  A causal sum of many rows and few nodes takes BLAS products with strips of
+the lags (`_toeplitz_strip`), about rows n_out^2 a b / 2 multiply-adds; any other sum, a
+single path's too, one zero-padded FFT product, O(n log n) a row and column, whose error
+scales with the norms of its inputs, not with each entry.  `march` solves the discrete
+resolvent equation by recursive halving: `lag_convolve` for the far history, strip
+products in zones of _ZONE nodes and one product with each leaf's precomputed inverse.
 """
 
 import math
@@ -21,8 +20,10 @@ from .spaces import _integer_in
 
 __all__ = ["TimeGrid"]
 
-_LAG_BLOCK = 1 << 16  # doubles (0.5 MiB) in lag_convolve's product of one block of paths
-_TILE = 16  # input nodes per lag_convolve product on a batch of paths (a single path: 1)
+_TILE = 16  # input nodes per strip product
+# strips for start 0, unbatched weights, >= _STRIPS[0] rows (batch times columns) and
+# n_out (max(a, b) + 1) <= _STRIPS[1], else FFT: measured on blocks of 2^17 doubles
+_STRIPS = (32, 1920)
 
 _ZONE = 256  # nodes per block that `march` sums leaf by leaf; longer blocks halve by FFT
 _LEAF_COND = 1e3  # above it a product with the leaf inverse loses cond * eps: substitute
@@ -53,34 +54,39 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.N + 1)
 
 
-def lag_convolve(w, x, out):
-    """Add the causal lag sum  sum_{m<=n} w[n-m] @ x[:, m]  into out[:, n] for every n.
+def lag_convolve(k, x, out, start=0):
+    """Add  sum_m k[..., start + i - m] @ x[..., m]  into out[..., i] for every i < n_out.
 
-    w is (L, a, b) (scalar weights enter as 1x1 matrices), x is (P, M, b) and
-    out is (P, n_out, a) with n_out <= L; x may be shorter than out.  Each block of paths
-    pushes `tile` input nodes per product through the transposed strip: _TILE for a batch,
-    1 for a single path, whose out[0, n] then gains its terms in ascending m, so identity
-    weights reproduce np.cumsum bit for bit.  Cost: about P min(M, n_out) (n_out + tile)
-    a b / 2 multiply-adds; temporaries hold about (1 + b / a) max(2**16, n_out a)
-    doubles and the strip.  `_add_lag_sum_fft` takes the whole sum by FFT instead.
+    k is (..., L, a, b) (scalar weights enter as 1x1 matrices), x (..., M, b, c) and out
+    (..., n_out, a, c) with start + n_out <= L; x and out share their leading axes, which
+    k has or lacks, so a batch of paths enters as x[..., None] and out[..., None].  The
+    shapes alone pick the route (`_STRIPS`).  The strips read the first n_out nodes of x,
+    _TILE a product; the FFT transforms all M on n >= max(L + M - 1 - start, start + n_out)
+    points, the least power of two, so its circular product does not wrap.
     """
-    L, a, b = w.shape
-    P, n_out, _ = out.shape
-    if x.shape[0] != P or x.shape[2] != b or out.shape[2] != a or n_out > L:
-        raise DimensionMismatch("lag weights, input and output", w.shape, x.shape, out.shape)
-    M = min(n_out, x.shape[1])
-    if not M:
+    L, a, b = k.shape[-3:]
+    n_out, c, batch = out.shape[-3], out.shape[-1], out.shape[:-3]
+    if (x.shape[:-3] != batch or k.shape[:-3] not in ((), batch) or x.shape[-2:] != (b, c)
+            or out.shape[-2] != a or start + n_out > L):
+        raise DimensionMismatch("lag weights, input and output", k.shape, x.shape, out.shape)
+    M, rows, size = x.shape[-3], math.prod(batch) * c, n_out * (max(a, b) + 1)
+    if start == 0 and k.ndim == 3 and rows >= _STRIPS[0] and 0 < size <= _STRIPS[1]:
+        tile = min(_TILE, n_out)
+        # row t b + j, column i a + l: entry (l, j) of k[i - t], the lags shifted by t nodes
+        flat = np.ascontiguousarray(_toeplitz_strip(k, n_out, tile).swapaxes(-1, -2))
+        src = np.ascontiguousarray(np.moveaxis(x[..., :n_out, :, :], -1, -3)).reshape(rows, -1)
+        dst = np.moveaxis(out, -1, -3).reshape(rows, n_out * a)
+        block = max(1, (1 << 16) // (n_out * a))  # rows whose out fits 0.5 MiB: a block in L2
+        for p in range(0, rows, block):
+            for m in range(0, min(M, n_out), tile):
+                x_m = src[p : p + block, m * b : (m + tile) * b]
+                dst[p : p + block, m * a :] += x_m @ flat[: x_m.shape[1], : (n_out - m) * a]
+        if not np.may_share_memory(dst, out):
+            np.moveaxis(out, -1, -3)[...] = dst.reshape(np.moveaxis(out, -1, -3).shape)
         return
-    tile = min(1 if P == 1 else _TILE, n_out)
-    # row t b + k, column j a + i: entry (i, k) of w[j - t], the lag columns shifted by t nodes
-    flat = np.ascontiguousarray(_toeplitz_strip(w, n_out, tile).swapaxes(-1, -2))
-    block = max(1, _LAG_BLOCK // max(1, n_out * a))
-    for p in range(0, P, block):
-        dst = out[p : p + block]
-        src = np.ascontiguousarray(x[p : p + block, :n_out]).reshape(len(dst), -1)
-        for m in range(0, M, tile):
-            x_m = src[:, m * b : (m + tile) * b]
-            dst[:, m:] += (x_m @ flat[: x_m.shape[1], : (n_out - m) * a]).reshape(len(dst), -1, a)
+    n = 1 << (max(L + M - 1 - start, start + n_out) - 1).bit_length()
+    y = np.einsum("...fab,...fbc->...fac", np.fft.rfft(k, n, axis=-3), np.fft.rfft(x, n, axis=-3))
+    out += np.fft.irfft(y, n, axis=-3)[..., start : start + n_out, :, :]
 
 
 def march(W, scheme):
@@ -155,7 +161,7 @@ def _solve(W, S, leaf_inv, implicit, lo, size):
         _solve(W, S, leaf_inv, implicit, lo, size // 2)
         if mid <= N:
             c = _cells(rows, lo, mid, d, implicit).reshape(S.shape[:-3] + (mid - lo, d, d))
-            _add_lag_sum_fft(W[..., 1 : hi - lo, :, :], c, S[..., mid:hi, :, :], mid - lo - 1)
+            lag_convolve(W[..., 1 : hi - lo, :, :], c, S[..., mid:hi, :, :], mid - lo - 1)
             _solve(W, S, leaf_inv, implicit, mid, size // 2)
         return
     step = leaf_inv.shape[-1] // d
@@ -170,23 +176,6 @@ def _solve(W, S, leaf_inv, implicit, lo, size):
         if q < hi:
             push = strip[..., (q - p) * d : (hi - p) * d, :] @ _cells(rows, p, q, d, implicit)
             rows[..., q * d : hi * d, :] += push
-
-
-def _add_lag_sum_fft(k, x, out, start):
-    """out[..., i, :, c] += sum_m k[start + i - m] @ x[..., m, :, c] for every i < len(out)
-    and column c, the lags running over k, by zero-padded rfft/irfft.
-
-    A transform of length n >= max(len(k) + len(x) - 1 - start, start + len(out)), the
-    least power of two, does not wrap; taking one column of x at a time keeps the
-    temporaries at about one transform of k.  The error scales with the norms of k and
-    of the column, not with each entry.
-    """
-    n = 1 << (max(k.shape[-3] + x.shape[-3] - 1 - start, start + out.shape[-3]) - 1).bit_length()
-    k_hat = np.fft.rfft(k, n, axis=-3)
-    for c in range(x.shape[-1]):
-        x_hat = np.fft.rfft(x[..., c], n, axis=-2)
-        y = np.fft.irfft(np.einsum("...fab,...fb->...fa", k_hat, x_hat), n, axis=-2)
-        out[..., c] += y[..., start : start + out.shape[-3], :]
 
 
 def march_channels(w, mu, scheme):

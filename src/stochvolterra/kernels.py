@@ -20,7 +20,9 @@ Two marching schemes are provided.  ``product`` approximates the unknown on
 each cell by the average of its endpoint values against the exact kernel
 moments (empirically second order on smooth kernels); ``conv`` is the
 left-rectangle convolution quadrature whose lag weights never touch s(0),
-the form under which the discrete stochastic identities hold exactly.
+the form under which the discrete stochastic identities hold exactly.  The
+residuals of C channels are one `grids.lag_convolve` call of C columns, which costs
+O(N log N) a channel by FFT, or N^2 / 2 by strips when many channels share a short grid.
 """
 
 import math
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, _add_lag_sum_fft, cell_values, march_channels
+from .grids import TimeGrid, cell_values, lag_convolve, march_channels
 from .spaces import _readonly, _readonly_fields
 
 __all__ = [
@@ -278,11 +280,11 @@ class ScalarResolventPath:
 
 def _channel_defects(s, lags, x, mu):
     """(N, C) defects s[n] + mu[c] sum_{m<n} lags[n-1-m] x[m, c] - 1, n = 1..N, of the (N+1,
-    C) channel table s: the scalar lags against every channel as a column of one FFT lag sum
-    (`_add_lag_sum_fft`), scaled by mu after the sum.  With lags the cell moments of a and x
-    the cell values of s, the relaxation equation s + mu (a * s) = 1."""
+    C) channel table s: the scalar lags against every channel as a column of one
+    `grids.lag_convolve` call, scaled by mu after the sum.  With lags the cell moments of a
+    and x the cell values of s, the relaxation equation s + mu (a * s) = 1."""
     conv = np.zeros((lags.size, 1, s.shape[1]))
-    _add_lag_sum_fft(lags[:, None, None], x[:, None, :], conv, 0)
+    lag_convolve(lags[:, None, None], x[:, None, :], conv)
     return s[1:] + mu * conv[:, 0] - 1.0
 
 

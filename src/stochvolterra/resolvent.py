@@ -25,10 +25,10 @@ Schemes
 Tables are solved by `grids.march`, recursive halving with FFT products for the
 far history and one product with a precomputed inverse per leaf of 4 to 16 nodes
 (`grids._leaf_nodes`): O(N log^2 N) for a d x d table.  `resolvent_residuals` sums
-both equations' histories by FFT (`grids._add_lag_sum_fft`, node-first), in another
-order than the solver, so the second residual reads 1e-16 to 1e-14, not zero.  On a
-channel table it checks the channel march by `kernels._channel_defects`, the relaxation
-paths' check; the rotation to S adds roundoff of its own that the residuals do not see.
+both equations' histories as one FFT lag sum (`grids.lag_convolve` on batched weights),
+in another order than the solver, so the second residual reads 1e-16 to 1e-14, not
+zero.  On a channel table it checks the channel march by `kernels._channel_defects`, the
+relaxation paths' check; the rotation to S adds roundoff that the residuals do not see.
 
 `compute_resolvent` is the one constructor.  A scalar-type kernel a(t) A with exactly
 symmetric A (`_symmetric_eigh`: `np.array_equal(A, A.T)`, no tolerance) splits along
@@ -50,7 +50,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
-from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, _add_lag_sum_fft, cell_values
+from .grids import OVERFLOW_LIMIT, SCHEMES, TimeGrid, cell_values, lag_convolve
 from .grids import _check_steps, march, march_channels
 from .kernels import ScalarKernel, _channel_defects
 from .spaces import _readonly_fields, _square
@@ -322,7 +322,7 @@ class ResolventResiduals:
 
 
 def resolvent_residuals(table):
-    """`ResolventResiduals` of the table.  Both equations' history sums are taken by FFT,
+    """`ResolventResiduals` of the table.  Both equations' history sums are one FFT lag sum,
     O(N log N) per column of S, so the second residual checks the march by an independent
     summation: up to about 1e-14 max|S|, growing with N (not zero).  A channel table is d
     scalar equations, each equation's channels the columns of one `kernels._channel_defects`
@@ -333,7 +333,7 @@ def resolvent_residuals(table):
     if table.s is None:  # each column of S is one sum's: sums[e][n-1] is equation e's at node n
         S, sums = table.S, np.zeros((2, N) + table.S.shape[1:])
         lags = np.stack([table.cell_weights, table.kernel.value(nodes)])
-        _add_lag_sum_fft(lags, np.stack([cell_values(S, table.scheme), S[:N]]), sums, 0)
+        lag_convolve(lags, np.stack([cell_values(S, table.scheme), S[:N]]), sums)
         gap = S[1:] - np.eye(table.dim)
         res = (gap - sums[0], gap - grid.h * sums[1])
     else:

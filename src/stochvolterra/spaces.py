@@ -6,11 +6,12 @@ diagonalizes the covariance operator.  In finite dimensions all operators are
 bounded and the smoothness space G is H itself, so no grading is modeled.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericalFailure
 
 __all__ = [
     "CovOperator",
@@ -67,7 +68,11 @@ class CovOperator:
 
     @property
     def trace(self):
-        return float(np.sum(self.q))
+        with np.errstate(over="ignore"):
+            trace = float(np.sum(self.q))
+        if not np.isfinite(trace):
+            raise NumericalFailure(f"covariance trace past the float range: {self.q.size} modes")
+        return trace
 
     @classmethod
     def cylindrical_truncation(cls, modes):
@@ -117,12 +122,16 @@ def hs_norm(B, Q):
     """Hilbert-Schmidt norm of B with respect to the covariance Q.
 
     Because the canonical basis diagonalizes Q, the norm reduces to
-    sqrt(sum_k q_k |column_k(B)|^2), which equals sqrt(Tr(B Q B')).
-    Zero exactly when B vanishes on the modes Q charges.  Q is a CovOperator or its
-    eigenvalues, checked as one.
+    sqrt(sum_k q_k |column_k(B)|^2), which equals sqrt(Tr(B Q B')), summed by `math.hypot`
+    without overflow.  Zero exactly when B vanishes on the modes Q charges.  Q is a
+    CovOperator or its eigenvalues, checked as one; NumericalFailure past the float range.
     """
     m = as_matrix(B)
     q = (Q if isinstance(Q, CovOperator) else CovOperator(Q)).q
     if m.shape[1] != q.size:
         raise DimensionMismatch("operator columns vs covariance modes", m.shape, (q.size,))
-    return float(np.sqrt(np.sum(q * np.sum(m * m, axis=0))))
+    with np.errstate(over="ignore"):  # an entry past the float range puts the norm past it
+        norm = math.hypot(*(m * np.sqrt(q)).ravel())
+    if not math.isfinite(norm):
+        raise NumericalFailure(f"Hilbert-Schmidt norm past the float range: {m.shape} entries")
+    return norm

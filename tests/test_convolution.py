@@ -86,7 +86,15 @@ def test_identity_table_reduces_to_ito_integral():
     inc = sample_wiener(spec, table.grid)
     psi = ConstantDiffusion(np.array([[1.0, 0.5], [0.0, 2.0]]))
     conv = stochastic_convolution(table, psi, inc)
-    np.testing.assert_array_equal(conv.values, stochastic_integral(psi, inc))
+    ito = stochastic_integral(psi, inc)
+    assert np.all(conv.values[0] == 0.0)
+    # a single path's lag sum is one FFT product of n = 128 points: each of its three
+    # transforms errs by about 7 eps log2(n) in norm (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 24), scaled by the identity lags' l1 norm N and by the
+    # l2 norm of the Ito terms c, so |error| <= 25 eps log2(n) N |c|_2 entrywise
+    c = _left_point_products(psi.values_on_grid(table.grid), inc.dW[None])[0]
+    bound = 25 * np.finfo(float).eps * np.log2(128) * 64 * np.linalg.norm(c)
+    assert np.max(np.abs(conv.values - ito)) <= bound
 
 
 def test_zero_integrand_gives_zero_path():
@@ -116,14 +124,14 @@ def test_convolution_starts_at_zero_and_is_deterministic():
 
 
 def test_tiled_batch_convolution_matches_single_paths():
-    # a batch pushes grids._TILE = 16 nodes per product; every row must equal the
-    # single-path convolution, summed node by node, up to roundoff
+    # a batch of 40 paths takes the strips, grids._TILE = 16 nodes per product, and a
+    # single path the FFT; every row must equal its path's convolution up to roundoff
     rng = np.random.default_rng(4)
     kern = ScalarTypeKernel(ExponentialKernel(), -np.eye(3) - 0.3 * rng.standard_normal((3, 3)))
     table = compute_resolvent(kern, TimeGrid(1.0, 100))  # six tiles of 16 and a ragged 4
     spec = unit_spec(2, seed=17)
     psi = ConstantDiffusion(rng.standard_normal((3, 2)))
-    dw = sample_wiener_batch(spec, table.grid, range(7))
+    dw = sample_wiener_batch(spec, table.grid, range(40))
     c = _left_point_products(psi.values_on_grid(table.grid), dw).swapaxes(1, 2)
     paths = convolution._convolve_paths(table.S, c)
     for p in range(7):
@@ -763,21 +771,52 @@ def ito_final_per_path(table, B, xi, X0, spec, n_paths):
     return convolution._ito_residual_batch(table.kernel, xi, table.grid, X, c)[:, -1]
 
 
+def ito_final_longdouble(table, B, xi, X0, spec, n_paths):
+    """ito_final_per_path summed in np.longdouble from the same float64 inputs (table,
+    increments, kernel and profile values): each path's convolution node by node, and its
+    final residual by the trapezoid and left-point sums of `ito_residual_per_node`."""
+    ld, grid, N = np.longdouble, table.grid, table.grid.N
+    h, t = ld(grid.h), grid.nodes()
+    dw = sample_wiener_batch(spec, grid, range(n_paths)).astype(ld)
+    bdw = np.einsum("ik,pkm->pmi", B[:, : spec.truncation].astype(ld), dw)  # (P, N, d)
+    S = table.S.astype(ld)
+    X = np.einsum("nij,j->ni", S, X0.astype(ld)) + np.zeros((n_paths, 1, 1), dtype=ld)
+    for n in range(1, N + 1):
+        X[:, n] += np.einsum("mij,pmj->pi", S[n:0:-1], bdw[:, :n])
+    xi0 = xi.xi0.astype(ld)
+    v = np.einsum("nab,a->nb", table.kernel.derivative(t).astype(ld), xi0)  # xi0' dA/dt
+    phi = np.array([xi.phi(s) for s in t]).astype(ld)
+    phi_dot = np.array([xi.phi_dot(s) for s in t]).astype(ld)
+    g = np.zeros((n_paths, N + 1), dtype=ld)  # xi0' of the drift's inner trapezoid sum
+    for i in range(1, N + 1):
+        full = np.einsum("jb,pjb->p", v[i::-1], X[:, : i + 1])
+        g[:, i] = h * (full - 0.5 * (X[:, 0] @ v[i] + X[:, i] @ v[0]))
+    x_xi = X @ xi0
+    drift = (g + X @ (table.kernel.value_at_zero().T.astype(ld) @ xi0)) * phi
+    rate = drift + x_xi * phi_dot
+    trapezoid = h * (rate.sum(axis=1) - 0.5 * (rate[:, 0] + rate[:, -1]))
+    ito = (bdw @ xi0) @ phi[:-1]
+    return x_xi[:, -1] * phi[-1] - x_xi[:, 0] * phi[0] - trapezoid - ito
+
+
 # every kernel, scheme and truncation on 40 cells; both schemes on 512 cells, where the
-# adjoint's FFT lag sums meet the per-path convolutions on a long history
+# adjoint's FFT lag sums meet the per-path convolutions on a long history; and on 512 and
+# 1000 cells against the per-path sums in np.longdouble, since the float64 oracle's own
+# roundoff grows with the history (2.7e-12 of the scale at 1000 cells, past the gate)
 ITO_PER_PATH_CASES = [
-    pytest.param(kernel, scheme, truncation, 40, id=f"{kernel}-{scheme}-{truncation}")
-    for truncation in (3, 2)
-    for scheme in ("product", "conv")
-    for kernel in ("scalar-type", "nonscalar")
-] + [
-    pytest.param("scalar-type", scheme, 3, 512, id=f"scalar-type-{scheme}-3-N512")
+    pytest.param(kernel, scheme, truncation, n, oracle, id=f"{kernel}-{scheme}-{truncation}{tag}")
+    for kernel, truncation, n, oracle, tag in [
+        *[(k, t, 40, ito_final_per_path, "") for t in (3, 2) for k in ("scalar-type", "nonscalar")],
+        ("scalar-type", 3, 512, ito_final_per_path, "-N512"),
+        ("scalar-type", 3, 512, ito_final_longdouble, "-N512-longdouble"),
+        ("scalar-type", 3, 1000, ito_final_longdouble, "-N1000-longdouble"),
+    ]
     for scheme in ("product", "conv")
 ]
 
 
-@pytest.mark.parametrize("kernel, scheme, truncation, n", ITO_PER_PATH_CASES)
-def test_ito_statistics_match_the_per_path_residuals(kernel, scheme, truncation, n):
+@pytest.mark.parametrize("kernel, scheme, truncation, n, oracle", ITO_PER_PATH_CASES)
+def test_ito_statistics_match_the_per_path_residuals(kernel, scheme, truncation, n, oracle):
     kern = {
         "scalar-type": ScalarTypeKernel(ExponentialKernel(), np.array([[-1.0, 0.4], [0.0, -2.0]])),
         "nonscalar": nonscalar_w11_kernel(),
@@ -790,9 +829,9 @@ def test_ito_statistics_match_the_per_path_residuals(kernel, scheme, truncation,
     )
     X0 = np.array([2.0, -1.5])
     stats = ito_identity_statistics(table, B, xi, X0, spec, 30)
-    oracle = ito_final_per_path(table, B, xi, X0, spec, 30)
-    assert np.max(np.abs(oracle)) > 1e-6
-    assert close(stats.final_residuals, oracle)
+    expected = np.asarray(oracle(table, B, xi, X0, spec, 30), dtype=float)
+    assert np.max(np.abs(expected)) > 1e-6
+    assert close(stats.final_residuals, expected)
 
 
 # --- the Monte Carlo path-block loop ------------------------------------------------
@@ -857,17 +896,17 @@ def test_ito_statistics_blocks_match_one_block(monkeypatch, paths_per_block, blo
 
 
 def test_ito_statistics_lag_sums_do_not_grow_with_paths(monkeypatch):
-    # the residual's adjoint is summed once, by FFT; each block of paths costs one product
+    # the residual's adjoint is summed once; each block of paths costs one product
     table, B, xi, X0, spec = ito_problem(n=16)
     sampled = count_blocks(monkeypatch, 8, 2, 16)
     calls = []
-    original = convolution._add_lag_sum_fft
+    original = convolution.lag_convolve
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(convolution, "_add_lag_sum_fft", counted)
+    monkeypatch.setattr(convolution, "lag_convolve", counted)
     counts = []
     for n_paths in (8, 800):
         calls.clear()

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,42 +8,34 @@ from hypothesis import strategies as st
 
 from stochvolterra import DimensionMismatch, ExponentialKernel, FractionalKernel, NumericalFailure
 from stochvolterra import grids
-from stochvolterra.grids import OVERFLOW_LIMIT, _add_lag_sum_fft, lag_convolve, march
+from stochvolterra.grids import OVERFLOW_LIMIT, lag_convolve, march
 from stochvolterra.grids import march_channels
 
 
-def double_loop(w, x, out):
-    """out[:, n] + sum_{m <= n, m < M} w[n-m] @ x[:, m], one term at a time."""
+def double_loop(k, x, out, start=0):
+    """out[..., i, :, :] + sum_m k[..., start + i - m] @ x[..., m], one term at a time."""
     expected = out.copy()
-    for p in range(out.shape[0]):
-        for n in range(out.shape[1]):
-            for m in range(min(n + 1, x.shape[1])):
-                expected[p, n] += w[n - m] @ x[p, m]
+    k = np.broadcast_to(k, out.shape[:-3] + k.shape[-3:])  # weights with or without the batch
+    for idx in np.ndindex(out.shape[:-3]):
+        for i in range(out.shape[-3]):
+            for m in range(min(start + i + 1, x.shape[-3])):
+                expected[idx + (i,)] += k[idx + (start + i - m,)] @ x[idx + (m,)]
     return expected
 
 
-def lag_sum(w, x, out, tile):
-    """lag_convolve with a batch tile of `tile` nodes, or at tile None the whole sum by
-    `_add_lag_sum_fft`, each path a column of the node-first layout."""
-    M = min(out.shape[1], x.shape[1])
-    if tile is not None:
-        with_tile(tile, lambda: lag_convolve(w, x, out))
-    elif M:
-        _add_lag_sum_fft(w[: out.shape[1]], x[:, :M].transpose(1, 2, 0), out.transpose(1, 2, 0), 0)
-
-
-def with_block(block, fn):
-    """Run fn with lag_convolve's path block budget set to `block` doubles."""
-    saved = grids._LAG_BLOCK
-    grids._LAG_BLOCK = block
+def with_route(route, fn):
+    """Run fn with lag_convolve sent down one route: "strips" wherever the strips may
+    take the sum (start 0, unbatched weights), "fft" everywhere."""
+    saved = grids._STRIPS
+    grids._STRIPS = {"strips": (0, math.inf), "fft": (math.inf, 0)}[route]
     try:
         fn()
     finally:
-        grids._LAG_BLOCK = saved
+        grids._STRIPS = saved
 
 
 def with_tile(tile, fn):
-    """Run fn with lag_convolve's batch tile set to `tile` input nodes a product."""
+    """Run fn with the strips' tile set to `tile` input nodes a product."""
     saved = grids._TILE
     grids._TILE = tile
     try:
@@ -51,36 +44,43 @@ def with_tile(tile, fn):
         grids._TILE = saved
 
 
-blocks = st.sampled_from([1, 7, 1 << 16])
-# 2 and 3 leave ragged last tiles; 16 may exceed n_out; None is the whole product by FFT
-tiles = st.sampled_from([1, 2, 3, 16, None])
+# 2 and 3 leave ragged last tiles; 16 may exceed n_out
+tiles = st.sampled_from([1, 2, 3, 16])
+routes = st.sampled_from(["strips", "fft"])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    P=st.integers(1, 6),
+    P=st.integers(1, 4),
     n_out=st.integers(0, 12),
-    short=st.integers(0, 4),
+    short=st.integers(-2, 4),
     extra_lags=st.integers(0, 3),
     a=st.integers(1, 3),
     b=st.integers(1, 3),
+    c=st.integers(1, 2),
     scalar=st.booleans(),
-    block=blocks,
     tile=tiles,
+    route=routes,
+    start=st.integers(0, 3),
+    batched=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
 def test_lag_convolve_matches_double_loop(
-    P, n_out, short, extra_lags, a, b, scalar, block, tile, seed
+    P, n_out, short, extra_lags, a, b, c, scalar, tile, route, start, batched, seed
 ):
+    # x shorter (or longer) than out and more lags than nodes on both routes; a start
+    # past 0 and weights batched with the paths, which only the FFT takes, on the FFT
     if scalar:
         a = b = 1
+    if route == "strips":
+        start, batched = 0, False
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=(n_out + extra_lags, a, b))
-    x = rng.normal(size=(P, max(n_out - short, 0), b))
-    out = rng.normal(size=(P, n_out, a))
-    expected = double_loop(w, x, out)
-    with_block(block, lambda: lag_sum(w, x, out, tile))
-    # at most 12 * 3 products of unit normals per entry: a few hundred eps
+    k = rng.normal(size=(P,) * batched + (start + n_out + extra_lags, a, b))
+    x = rng.normal(size=(P, max(start + n_out - short, 0), b, c))
+    out = rng.normal(size=(P, n_out, a, c))
+    expected = double_loop(k, x, out, start)
+    with_route(route, lambda: with_tile(tile, lambda: lag_convolve(k, x, out, start)))
+    # at most 15 * 3 products of unit normals per entry: a few hundred eps
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
@@ -89,10 +89,10 @@ def test_lag_convolve_matches_double_loop(
 def test_lag_convolve_fft_matches_tile_one(a, b, n_out, M, L):
     # general (non-symmetric, non-square) weights, x shorter than out, extra lags
     rng = np.random.default_rng(a * 1000 + b * 100 + n_out)
-    w, x = rng.normal(size=(L, a, b)), rng.normal(size=(3, M, b))
-    direct, fft = np.zeros((3, n_out, a)), np.zeros((3, n_out, a))
-    with_tile(1, lambda: lag_convolve(w, x, direct))
-    _add_lag_sum_fft(w, x.transpose(1, 2, 0), fft.transpose(1, 2, 0), 0)  # each path a column
+    k, x = rng.normal(size=(L, a, b)), rng.normal(size=(3, M, b, 1))
+    direct, fft = np.zeros((3, n_out, a, 1)), np.zeros((3, n_out, a, 1))
+    with_route("strips", lambda: with_tile(1, lambda: lag_convolve(k, x, direct)))
+    with_route("fft", lambda: lag_convolve(k, x, fft))
     np.testing.assert_allclose(fft, direct, rtol=0, atol=1e-12)
 
 
@@ -102,42 +102,55 @@ def test_lag_convolve_fft_matches_tile_one(a, b, n_out, M, L):
     n_out=st.integers(1, 20),
     a=st.integers(1, 3),
     b=st.integers(1, 3),
-    block=blocks,
     tile=tiles,
+    route=routes,
     short=st.integers(0, 5),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_lag_convolve_zero_input_gives_exact_zeros(P, n_out, a, b, block, tile, short, seed):
-    w = np.random.default_rng(seed).normal(size=(n_out, a, b))
-    out = np.zeros((P, n_out, a))
-    x = np.zeros((P, max(n_out - short, 0), b))
-    with_block(block, lambda: lag_sum(w, x, out, tile))
+def test_lag_convolve_zero_input_gives_exact_zeros(P, n_out, a, b, tile, route, short, seed):
+    k = np.random.default_rng(seed).normal(size=(n_out, a, b))
+    out = np.zeros((P, n_out, a, 1))
+    x = np.zeros((P, max(n_out - short, 0), b, 1))
+    with_route(route, lambda: with_tile(tile, lambda: lag_convolve(k, x, out)))
     assert np.all(out == 0.0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    P=st.integers(1, 5),
-    n_out=st.integers(1, 40),
-    d=st.integers(1, 4),
-    block=blocks,
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_lag_convolve_identity_weights_reproduce_cumsum_bit_for_bit(P, n_out, d, block, seed):
-    x = np.random.default_rng(seed).normal(size=(P, n_out, d))
-    w = np.broadcast_to(np.eye(d), (n_out, d, d))
-    out = np.zeros((P, n_out, d))
-    with_block(block, lambda: with_tile(1, lambda: lag_convolve(w, x, out)))
-    np.testing.assert_array_equal(out, np.cumsum(x, axis=1))
-    # a single path takes one node a product at the default tile: the order callers rely on
-    single = np.zeros((1, n_out, d))
-    with_block(block, lambda: lag_convolve(w, x[:1], single))
-    np.testing.assert_array_equal(single, np.cumsum(x[:1], axis=1))
+@pytest.mark.parametrize("d", [1, 2])
+def test_lag_convolve_routes_agree_at_the_crossover(d, monkeypatch):
+    # the fewest rows the strips take, and more rows than one 0.5 MiB product holds, at
+    # the most nodes the strips take and one node on either side: the shapes alone pick
+    # the route, and both routes agree
+    fewest, size = grids._STRIPS
+    taken, strip = [], grids._toeplitz_strip  # built by the strips route alone
+    monkeypatch.setattr(grids, "_toeplitz_strip", lambda *args: taken.append(1) or strip(*args))
+    crossover = size // (d + 1)
+    for rows in (fewest, 3 * fewest + 1):
+        for n_out in (crossover - 1, crossover, crossover + 1):
+            rng = np.random.default_rng(n_out)
+            k = rng.normal(size=(n_out, d, d)) / np.sqrt(n_out * d)  # O(1) sums
+            x = rng.normal(size=(rows, n_out, d, 1))
+            by_shape, fft = np.zeros((rows, n_out, d, 1)), np.zeros((rows, n_out, d, 1))
+            taken.clear()
+            lag_convolve(k, x, by_shape)
+            assert taken == ([1] if n_out <= crossover else [])
+            with_route("fft", lambda: lag_convolve(k, x, fft))
+            np.testing.assert_allclose(by_shape, fft, rtol=0, atol=1e-12)
 
 
 def test_lag_convolve_rejects_too_few_lags():
+    x, out = np.ones((2, 4, 1, 1)), np.zeros((2, 4, 1, 1))
     with pytest.raises(DimensionMismatch):
-        lag_convolve(np.ones((3, 1, 1)), np.ones((2, 4, 1)), np.zeros((2, 4, 1)))
+        lag_convolve(np.ones((3, 1, 1)), x, out)
+    with pytest.raises(DimensionMismatch):  # start + n_out > L
+        lag_convolve(np.ones((4, 1, 1)), x, out, 1)
+
+
+def test_lag_convolve_rejects_shapes_that_disagree():
+    x, out = np.ones((2, 4, 1, 1)), np.zeros((2, 4, 1, 1))
+    with pytest.raises(DimensionMismatch):  # x's batch is not out's
+        lag_convolve(np.ones((4, 1, 1)), np.ones((3, 4, 1, 1)), out)
+    with pytest.raises(DimensionMismatch):  # columns of x and out disagree
+        lag_convolve(np.ones((4, 1, 1)), x, np.zeros((2, 4, 1, 2)))
 
 
 # --- the marcher -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from stochvolterra import (
     solve_scalar_resolvent,
 )
 from stochvolterra import grids
-from stochvolterra.grids import _add_lag_sum_fft, cell_values, lag_convolve
+from stochvolterra.grids import cell_values, lag_convolve
 
 
 def ou_kernel():
@@ -244,17 +245,19 @@ def test_second_equation_residual_scales_with_a_growing_table(scheme):
 
 @pytest.mark.parametrize("scheme", ["product", "conv"])
 def test_fft_history_sums_match_direct_sums(scheme, monkeypatch):
-    # the residuals' two sums by FFT against the per-node sums in ascending order
+    # the residuals' two sums by FFT, the route five columns take, against the strips
+    # at one node a product
     grid = TimeGrid(1.0, 1024)
     table = compute_resolvent(diag5_fractional_kernel(), grid, scheme=scheme)
     S, N = table.S, grid.N
-    monkeypatch.setattr(grids, "_TILE", 1)  # the direct sums one node at a time
     A_vals = table.kernel.value(grid.nodes()[1:]) * grid.h
     for w, x in ((table.cell_weights, cell_values(S, scheme)), (A_vals, S[:N])):
-        direct, fft = np.zeros((5, N, 5)), np.zeros((N, 5, 5))
-        lag_convolve(w, x.transpose(2, 0, 1), direct)
-        _add_lag_sum_fft(w, x, fft, 0)  # node-first: each column of S a path
-        fft = fft.transpose(2, 0, 1)
+        direct, fft = np.zeros((N, 5, 5)), np.zeros((N, 5, 5))
+        lag_convolve(w, x, fft)
+        monkeypatch.setattr(grids, "_STRIPS", (0, math.inf))
+        monkeypatch.setattr(grids, "_TILE", 1)
+        lag_convolve(w, x, direct)
+        monkeypatch.undo()
         # sums of O(1) size; measured differences 2.4e-15
         assert np.max(np.abs(fft - direct)) <= 1e-13
 
@@ -436,13 +439,13 @@ def test_one_ulp_off_symmetric_takes_the_matrix_march(monkeypatch):
 
 def matrix_diagnostics(table):
     """The d x d formulas on S alone: SVD norms of S and of U's steps, and both residuals
-    with every column of S summed by `_add_lag_sum_fft`."""
+    with every column of S summed by `lag_convolve`."""
     grid, S, N, d = table.grid, table.S, table.grid.N, table.dim
     norms = operator_2norm(S)
     u_lip = np.max(operator_2norm(np.diff(table.U, axis=0))) / grid.h
     conv1, conv2 = np.zeros((2, N, d, d))
-    _add_lag_sum_fft(table.cell_weights, cell_values(S, table.scheme), conv2, 0)
-    _add_lag_sum_fft(table.kernel.value(grid.nodes()[1:]), S[:N], conv1, 0)
+    lag_convolve(table.cell_weights, cell_values(S, table.scheme), conv2)
+    lag_convolve(table.kernel.value(grid.nodes()[1:]), S[:N], conv1)
     gap = S[1:] - np.eye(d)
     return norms, u_lip, np.max(np.abs(gap - grid.h * conv1)), np.max(np.abs(gap - conv2))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochvolterra import CovOperator, DimensionMismatch, HSOperator, hs_norm
+from stochvolterra import CovOperator, DimensionMismatch, HSOperator, NumericalFailure, hs_norm
 
 
 def test_identity_case():
@@ -104,3 +104,20 @@ def test_values_are_immutable():
     B = HSOperator(np.ones((2, 2)))
     with pytest.raises(ValueError):
         B.matrix[0, 0] = 3.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_hs_norm_scales_before_squaring():
+    # squares past the float range, norms inside it: scaled before squaring, no warning
+    assert hs_norm([[1e200]], [1.0]) == 1e200
+    assert hs_norm([[3e200, 4e200]], [1.0, 1.0]) == pytest.approx(5e200, rel=1e-15)
+    assert hs_norm([[2.0, 2.0]], [1e308, 1e308]) == pytest.approx(np.sqrt(8.0) * 1e154, rel=1e-15)
+    with pytest.raises(NumericalFailure):  # past the float range
+        hs_norm([[1e300]], [1e300])
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_trace_refuses_an_overflowing_sum():
+    with pytest.raises(NumericalFailure):
+        CovOperator([1e308, 1e308]).trace
+    assert CovOperator([1e308, 0.5e308]).trace == 1.5e308
