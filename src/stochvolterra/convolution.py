@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, lag_convolve
+from .grids import TimeGrid, cell_values, lag_convolve, trapezoid, trapezoid_weights
 from .noise import ConstantDiffusion, _check_integrand, _increments, _left_point_products
 from .noise import _pool, _workers, sample_wiener_batch
 from .spaces import _integer_in, _readonly_fields, _vector, as_matrix
@@ -95,14 +95,19 @@ def _per_path(block_fn, spec, grid, n_paths, threads):
     return out
 
 
+def _check_finite(what, *values):
+    """Raise NumericalFailure, "<what> contains nonfinite values", unless all values are finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NumericalFailure(f"{what} contains nonfinite values")
+
+
 def _convolve_paths(S, c_batch):
     """Running sums sum_{m<n} S[n-m] c[m] of each path; a nonfinite one raises NumericalFailure."""
     P, N, d = c_batch.shape
     out = np.zeros((P, N + 1, d))
     with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite path raises below
         lag_convolve(S[1:], c_batch[..., None], out[:, 1:, :, None])
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure("convolution path contains nonfinite values")
+    _check_finite("convolution path", out)
     return out
 
 
@@ -191,19 +196,20 @@ def covariance_quadrature(table, B, Q, t_index):
 
     Integrand S(tau) B Q B' S(tau)' over [0, t_index * h]; the result is
     symmetrized exactly.  With the identity table the rule is exact and gives
-    t * B Q B'.
+    t * B Q B'.  A result past the float range raises NumericalFailure.
     """
     t_index = _integer_in(t_index, "t_index", 0, table.grid.N)
     Bm = _check_integrand(as_matrix(B), table.dim, Q)
-    BQBt = (Bm * Q.q) @ Bm.T
     if t_index == 0:
         return np.zeros((table.dim, table.dim))
-    S = table.S[: t_index + 1]
-    weights = np.full(t_index + 1, table.grid.h)
-    weights[[0, -1]] *= 0.5
-    # sum_j weights[j] S_j BQB' S_j', summed over (j, column) in one product
-    out = np.tensordot(weights[:, None, None] * (S @ BQBt), S, axes=([0, 2], [0, 2]))
-    return 0.5 * (out + out.T)
+    S, weights = table.S[: t_index + 1], trapezoid_weights(t_index, table.grid.h)
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite result raises below
+        BQBt = (Bm * Q.q) @ Bm.T
+        # sum_j weights[j] S_j BQB' S_j', summed over (j, column) in one product
+        out = np.tensordot(weights[:, None, None] * (S @ BQBt), S, axes=([0, 2], [0, 2]))
+        out = 0.5 * (out + out.T)
+    _check_finite("covariance quadrature", out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +232,8 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     each block is folded into X(t_n) by one GEMM, the (b, K n) increments times
     the (K n, d) weights of `_node_weights`: P K n d multiply-adds in all.
     Scratch is about 2^17 doubles (twice that when n < N) whatever P is, plus X
-    itself, P d doubles (`_per_path`), centred in place.
+    itself, P d doubles (`_per_path`), centred in place.  An estimate or standard error
+    past the float range raises NumericalFailure.
     """
     n_paths = _integer_in(n_paths, "n_paths", MIN_COVARIANCE_PATHS)
     if not np.array_equal(Q.q, spec.cov.q):
@@ -235,11 +242,13 @@ def covariance_monte_carlo(table, B, Q, spec, n_paths, t_index, threads=1):
     Bm = _check_integrand(as_matrix(B), table.dim, spec.cov)
     G = _node_weights(table.S, Bm[:, : spec.truncation], t_index)
     X = _per_path(partial(_convolve_at, G, n=t_index), spec, table.grid, n_paths, threads)
-    X -= X.mean(axis=0)
-    C = (X.T @ X) / (n_paths - 1)
-    C = 0.5 * (C + C.T)
-    var = np.diag(C)
-    se = np.sqrt((np.outer(var, var) + C**2) / n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite result raises below
+        X -= X.mean(axis=0)
+        C = (X.T @ X) / (n_paths - 1)
+        C = 0.5 * (C + C.T)
+        var = np.diag(C)
+        se = np.sqrt((np.outer(var, var) + C**2) / n_paths)
+    _check_finite("sample covariance", C, se)
     return CovarianceEstimate(sample_cov=C, std_error=se, n_paths=n_paths)
 
 
@@ -394,7 +403,6 @@ def _ito_profile(kernel, xi, grid):
 
 def _ito_residual_batch(kernel, xi, grid, X, bdw):
     """(P, N+1) signed residuals; X is (P, N+1, d), bdw is (P, d, N) (`_left_point_products`)."""
-    h = grid.h
     u, phi, phi_dot = _ito_profile(kernel, xi, grid)
     u = u[:, None, :]
 
@@ -410,10 +418,9 @@ def _ito_residual_batch(kernel, xi, grid, X, bdw):
     x_xi = X @ xi.xi0
     rate *= phi
     rate += x_xi * phi_dot
-    rate = 0.5 * h * (rate[:, :-1] + rate[:, 1:])
     res = x_xi * phi
     res -= res[:, :1]
-    res[:, 1:] -= np.cumsum(rate, axis=1)
+    res -= trapezoid(rate.T, grid.h).T
     res[:, 1:] -= np.cumsum((xi.xi0 @ bdw) * phi[:-1], axis=1)
     return res
 
@@ -431,8 +438,7 @@ def _ito_final_weights(table, B, xi, X0):
     grid, S, xi0 = table.grid, table.S, xi.xi0
     N, d = grid.N, table.dim
     u, phi, phi_dot = _ito_profile(table.kernel, xi, grid)
-    w = np.full(N + 1, grid.h)  # trapezoid weights
-    w[[0, -1]] *= 0.5
+    w = trapezoid_weights(N, grid.h)
     wphi = w * phi
     r = -np.outer(wphi, table.kernel.value_at_zero().T @ xi0) - np.outer(w * phi_dot, xi0)
     r[-1] += phi[-1] * xi0
@@ -452,14 +458,17 @@ def verify_ito_identity(x_path, kernel, B, xi, inc):
 
     Requires a kernel of W11 smoothness and a constant integrand (the
     identity's hypothesis); deterministic integrals use the trapezoid rule
-    and the stochastic one the left-point sum.
+    and the stochastic one the left-point sum.  Residuals past the float range raise
+    NumericalFailure.
     """
     d = x_path.values.shape[1]
     _check_ito_inputs(kernel, xi, d)
     Bm = _check_integrand(as_matrix(B), d, inc.spec.cov, x_path.grid, inc.grid)
     xi.check_consistency(x_path.grid.T)
     bdw = _left_point_products(ConstantDiffusion(Bm).values_on_grid(x_path.grid), inc.dW[None])
-    res = _ito_residual_batch(kernel, xi, x_path.grid, x_path.values[None], bdw)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # nonfinite residuals raise below
+        res = _ito_residual_batch(kernel, xi, x_path.grid, x_path.values[None], bdw)[0]
+    _check_finite("Ito identity residual", res)
     return ItoIdentityReport(
         residuals=res,
         final_residual=float(res[-1]),
@@ -492,19 +501,23 @@ def ito_identity_statistics(table, B, xi, X0, spec, n_paths, threads=1):
     stream through `_path_blocks`, and each block is one product with g, P K N
     multiply-adds in all.  Scratch is one block of about 2^17 increments whatever P
     is, and the final residuals go into one array of P doubles (`_per_path`).  Every
-    input check raises before the first path is drawn.
+    input check raises before the first path is drawn; a statistic past the float range
+    raises NumericalFailure.
     """
     n_paths = _integer_in(n_paths, "n_paths", MIN_ITO_PATHS)
     _check_ito_inputs(table.kernel, xi, table.dim)
     Bm = _check_integrand(as_matrix(B), table.dim, spec.cov)
     xi.check_consistency(table.grid.T)
     X0 = _vector(X0, "X0", table.dim)
-    g, c0 = _ito_final_weights(table, Bm[:, : spec.truncation], xi, X0)
-    final = _per_path(partial(_convolve_at, g, n=table.grid.N), spec, table.grid, n_paths, threads)
-    final += c0
-    mean = float(np.mean(final))
-    se = float(np.std(final, ddof=1) / np.sqrt(n_paths))
-    rms = float(np.sqrt(np.mean(final**2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # nonfinite statistics raise below
+        g, c0 = _ito_final_weights(table, Bm[:, : spec.truncation], xi, X0)
+        at_T = partial(_convolve_at, g, n=table.grid.N)
+        final = _per_path(at_T, spec, table.grid, n_paths, threads)
+        final += c0
+        mean = float(np.mean(final))
+        se = float(np.std(final, ddof=1) / np.sqrt(n_paths))
+        rms = float(np.sqrt(np.mean(final**2)))
+    _check_finite("Ito identity summary", final, mean, se, rms)
     return ItoStatistics(
         mean=mean, std_error=se, rms=rms, n_paths=n_paths, final_residuals=final
     )

@@ -1,4 +1,4 @@
-"""Uniform time grids, the causal lag sum evaluated on them, and the resolvent solver.
+"""Uniform time grids, the trapezoid rule and causal lag sum on them, and the resolvent solver.
 
 `lag_convolve` is the one lag sum of known inputs; the array shapes alone pick its route
 (`_STRIPS`).  A causal sum of many rows and few nodes takes BLAS products with strips of
@@ -218,3 +218,18 @@ def implicit_share(scheme):
 def cell_values(values, scheme):
     """What each cell weight multiplies: right endpoints (conv) or endpoint averages."""
     return values[1:] if scheme == "conv" else 0.5 * (values[1:] + values[:-1])
+
+
+def trapezoid(x, dx):
+    """Running trapezoid integrals of x along axis 0, 0 at node 0; dx a step or cell widths.
+    A cell adds dx (x[i+1] / 2 + x[i] / 2), which overflows only where the integral does."""
+    out = np.zeros_like(x)
+    out[1:] = np.cumsum(dx * (0.5 * x[1:] + 0.5 * x[:-1]), axis=0)
+    return out
+
+
+def trapezoid_weights(n, h):
+    """The n + 1 node weights of `trapezoid`'s integral over n cells of step h."""
+    w = np.full(n + 1, h)
+    w[[0, -1]] *= 0.5
+    return w

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainError, NumericalFailure, SmoothnessError
-from .grids import TimeGrid, cell_values, lag_convolve, march_channels
+from .grids import TimeGrid, cell_values, lag_convolve, march_channels, trapezoid
 from .spaces import _readonly, _readonly_fields
 
 __all__ = [
@@ -240,14 +240,11 @@ class TabulatedKernel(ScalarKernel):
         return np.interp(t, self.times, self.values)
 
     def _primitive(self, t):
-        # exact integral of the interpolant: accumulate full table cells, then
-        # the partial cell that t lands in (past the table, the last cell,
-        # where np.interp holds the last value)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * np.diff(self.times) * (self.values[1:] + self.values[:-1]))]
-        )
+        # the whole cells before t, then the partial cell t lands in (past the table, the
+        # last cell, where np.interp holds the last value), each halving before the sum
+        cum = trapezoid(self.values, np.diff(self.times))
         idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 1)
-        head = 0.5 * (self.values[idx] + np.interp(t, self.times, self.values))
+        head = 0.5 * self.values[idx] + 0.5 * np.interp(t, self.times, self.values)
         return cum[idx] + head * (t - self.times[idx])
 
     def label(self):
@@ -447,7 +444,7 @@ def mittag_leffler(alpha, z):
     terms have not become negligible within 200 terms (small alpha: the
     terms grow like |z|^k / Gamma(alpha k + 1) for many k, and cancellation
     leaves nothing of the sum) or when the sum is not finite; raises ValueError
-    for alpha <= 0 or nan.
+    for alpha <= 0 or nan.  A term whose Gamma(alpha k + 1) overflows counts as 0.
     """
     if not alpha > 0:  # true for nan
         raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -455,7 +452,10 @@ def mittag_leffler(alpha, z):
         raise ValueError("series evaluation is restricted to |z| <= 2")
     total = 0.0
     for k in range(200):
-        term = z**k / math.gamma(alpha * k + 1.0)
+        try:
+            term = z**k / math.gamma(alpha * k + 1.0)
+        except OverflowError:  # |z^k| <= 2^199 against Gamma past 1.8e308: 0 in the sum
+            term = 0.0
         total += term
         if k > 10 and abs(term) < 1e-18 * max(1.0, abs(total)):
             break

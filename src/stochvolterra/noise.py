@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch
+from .errors import DimensionMismatch, GridMismatch, NumericalFailure
 from .grids import TimeGrid
 from .spaces import CovOperator, _integer_in, _readonly, _readonly_fields, as_matrix
 
@@ -136,7 +136,14 @@ def _pool(workers):
 def _increments(spec, grid, path_ids, pool, workers):
     """(P, K, N) increments of path_ids: the normals of `workers` contiguous ranges of paths,
     filled on the pool, or here for one worker (pool None), so the bytes do not depend on
-    the split; then each mode is scaled by sqrt(h q_k)."""
+    the split; then each mode is scaled by sqrt(h q_k), NumericalFailure naming the first
+    mode where that is past the float range (a finite scale keeps every increment finite)."""
+    q = spec.cov.q[: spec.truncation]
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(grid.h * q)
+    if not np.all(np.isfinite(scale)):
+        k = int(np.argmin(np.isfinite(scale)))
+        raise NumericalFailure(f"sqrt(h q_k) overflows at mode {k}: h={grid.h:g}, q_k={q[k]:g}")
     out = np.empty((len(path_ids), spec.truncation, grid.N))
     if pool is None:
         _fill_normals(out, spec.seed, path_ids)
@@ -144,7 +151,7 @@ def _increments(spec, grid, path_ids, pool, workers):
         cuts = [len(path_ids) * w // workers for w in range(workers + 1)]
         jobs = [(out[a:b], spec.seed, path_ids[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
         list(pool.map(lambda job: _fill_normals(*job), jobs))
-    out *= np.sqrt(grid.h * spec.cov.q[: spec.truncation])[:, None]
+    out *= scale[:, None]
     return out
 
 
@@ -287,8 +294,8 @@ def _check_integrand(psi, d, cov, *grids):
 def _left_point_products(vals, dw_batch):
     """(P, dim_H, N) products Psi(t_m) dW_m of a (P, K, N) batch of increments, one per run
     of equal grid values vals (`values_on_grid`, taken once per call or stream; K columns).
-    Nonfinite increments give nonfinite products, unwarned: `WienerIncrements` refuses them,
-    sampled blocks have none, and `convolution._convolve_paths` refuses a nonfinite path."""
+    Increments are finite (`WienerIncrements` and `_increments` refuse others), but a product
+    past the float range is inf, unwarned: `convolution._convolve_paths` refuses such a path."""
     P, K, N = dw_batch.shape
     cuts = [0, *(np.flatnonzero(np.any(vals[1:] != vals[:-1], axis=(1, 2))) + 1), N]
     out = np.empty((P, vals.shape[1], N))

@@ -542,6 +542,38 @@ def test_fuzzed_config_exits_cleanly(data):
             assert not out.exists()
 
 
+def _sweep(config):
+    """(label, config) for each key of the top level and of each section deleted in turn,
+    and for each such key's value swapped for each other key's value."""
+    keys = [(k,) for k in config]
+    keys += [(k, j) for k, v in config.items() if isinstance(v, dict) for j in v]
+
+    def parent(node, key):
+        return node if len(key) == 1 else node[key[0]]
+
+    for key in keys:
+        out = json.loads(json.dumps(config))
+        del parent(out, key)[key[-1]]
+        yield f"del {'.'.join(key)}", out
+        for other in keys:
+            if other != key:
+                out = json.loads(json.dumps(config))
+                parent(out, key)[key[-1]] = parent(config, other)[other[-1]]
+                yield f"{'.'.join(key)} = {'.'.join(other)}", out
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_swept_small_config_exits_0_3_or_4_with_one_error_line(tmp_path, capsys, name):
+    for i, (label, config) in enumerate(_sweep(SMALL[name])):
+        cfg = write_config(tmp_path, config, name=f"{i}.json")
+        code = main(["--config", cfg, "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), label
+        assert "Traceback" not in err, label
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (label, err)
+
+
 def test_memory_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     # an array too large for the machine: numpy raises MemoryError (_ArrayMemoryError)
     def exhausted(self, h, n):
@@ -815,6 +847,13 @@ def test_verify_volterra_overflowing_path_exits_4(tmp_path, capsys):
     assert code == 4
     assert capsys.readouterr().err == "error: numerical: convolution path contains nonfinite values\n"
     assert not out.exists()
+
+
+def test_covariance_past_the_float_range_exits_4(tmp_path, capsys):
+    # B Q B' = 1e400: both covariances were [[inf]], written with exit 0
+    code, out = run(tmp_path, edited(SMALL["covariance"], "psi", "matrix", [[1e200]]))
+    assert code == 4 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: numerical: covariance quadrature contains")
 
 
 def test_verify_ito_experiment(tmp_path):

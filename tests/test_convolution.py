@@ -1180,3 +1180,46 @@ def test_euler_timestepping_approaches_mild_solution():
         sup[inc.grid.N] = float(np.max(np.abs(euler(inc) - xm.values[:, 0])))
     assert sup[128] / sup[256] >= 2**0.5
     assert sup[256] / sup[512] >= 2**0.5
+
+
+# --- results past the float range --------------------------------------------------
+
+
+def exp_table16():
+    return compute_resolvent(ScalarTypeKernel(ExponentialKernel(), [[-1.0]]), TimeGrid(1.0, 16))
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_quadrature_refuses_a_result_past_the_float_range():
+    # B Q B' = 1e400: the trapezoid sum was [[inf]]
+    table = exp_table16()
+    with pytest.raises(NumericalFailure, match="covariance quadrature contains nonfinite"):
+        covariance_quadrature(table, [[1e200]], CovOperator([1.0]), 16)
+    assert np.all(np.isfinite(covariance_quadrature(table, [[1e150]], CovOperator([1.0]), 16)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_monte_carlo_refuses_a_result_past_the_float_range():
+    # paths near 1e200, their sample covariance near 1e400: it was [[inf]]
+    table, spec = exp_table16(), unit_spec()
+    with pytest.raises(NumericalFailure, match="sample covariance contains nonfinite"):
+        covariance_monte_carlo(table, [[1e200]], spec.cov, spec, 100, 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_ito_identity_refuses_residuals_past_the_float_range():
+    # X0 = 1e308: the drift's sums overflow, and the residuals were nan
+    table, spec = exp_table16(), unit_spec()
+    inc, xi = sample_wiener(spec, table.grid), ItoTestFunction.constant([1.0])
+    path = mild_solution(table, [1e308], ConstantDiffusion([[1.0]]), inc)
+    with pytest.raises(NumericalFailure, match="Ito identity residual contains nonfinite"):
+        verify_ito_identity(path, table.kernel, [[1.0]], xi, inc)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ito_identity_statistics_refuse_a_statistic_past_the_float_range():
+    # X0 = 1e308: the final residuals near 1e304 square past the float range in the rms
+    table, spec = exp_table16(), unit_spec()
+    xi = ItoTestFunction.constant([1.0])
+    with pytest.raises(NumericalFailure, match="Ito identity summary contains nonfinite"):
+        ito_identity_statistics(table, [[1.0]], xi, [1e308], spec, 10)

@@ -427,3 +427,36 @@ def test_march_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
         march_channels(W[:, 0, 0], np.array([1.0]), "simpson")
     assert grids.SCHEMES == ("product", "conv")
+
+
+# --- the trapezoid rule ----------------------------------------------------------------
+
+NORMAL = st.floats(-1e290, 1e290).filter(lambda v: v == 0.0 or abs(v) >= 1e-290)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NORMAL, min_size=2, max_size=8), st.sampled_from([1e-3, 0.1, 0.3, 1.0, 7.0]))
+def test_trapezoid_has_the_bits_of_the_add_then_halve_form(values, h):
+    # halving before the sum only differs where a value or half a sum is subnormal
+    x = np.array(values)
+    old = np.concatenate([[0.0], np.cumsum(0.5 * h * (x[1:] + x[:-1]))])
+    np.testing.assert_array_equal(grids.trapezoid(x, h), old)
+    widths = np.full(x.size - 1, h)
+    np.testing.assert_array_equal(grids.trapezoid(x, widths), old)
+
+
+def test_trapezoid_weights_give_the_last_running_integral():
+    x = np.random.default_rng(3).standard_normal((9, 2, 3))
+    for n in (1, 2, 8):
+        w = grids.trapezoid_weights(n, 0.25)
+        assert w.shape == (n + 1,) and w[0] == w[-1] == 0.125 and np.all(w[1:-1] == 0.25)
+        want = grids.trapezoid(x[: n + 1], 0.25)[-1]
+        np.testing.assert_allclose(np.tensordot(w, x[: n + 1], 1), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_trapezoid_overflows_only_past_the_float_range():
+    x = np.full((3, 2), 1e308)
+    want = [[0.0, 0.0], [5e307, 5e307], [1e308, 1e308]]
+    np.testing.assert_array_equal(grids.trapezoid(x, 0.5), want)
+    np.testing.assert_array_equal(grids.trapezoid(x[:, 0], [0.25, 1.5]), [0.0, 2.5e307, 1.75e308])

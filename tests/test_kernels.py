@@ -275,6 +275,13 @@ def test_tabulated_kernel_refuses_mismatched_short_or_nonfinite_tables(times, va
         TabulatedKernel(times, values)
 
 
+def test_tabulated_kernel_primitive_halves_before_adding():
+    # 1e308 + 1e308 overflows; the integrals 5e307 and 1e308 do not
+    k = TabulatedKernel([0.0, 1.0], [1e308, 1e308])
+    np.testing.assert_array_equal(k.primitive([0.5, 1.0]), [5e307, 1e308])
+    assert k.primitive(1.0) == 1e308
+
+
 # --- kernel classification ---------------------------------------------------
 
 
@@ -406,6 +413,13 @@ def test_mittag_leffler_refuses_a_nonpositive_alpha(alpha):
     # before the check: a math domain error at -0.5 and a ZeroDivisionError at -1.0000001
     with pytest.raises(ValueError, match=f"alpha must be positive, got {alpha!r}"):
         mittag_leffler(alpha, -0.5)
+
+
+@pytest.mark.parametrize("alpha", [171.0, 200.0])
+@pytest.mark.parametrize("z", [-2.0, 1.0, 2.0])
+def test_mittag_leffler_counts_terms_past_gamma_overflow_as_zero(alpha, z):
+    # Gamma(alpha + 1) > 1.8e308 already at k = 1, where math.gamma raises OverflowError
+    assert mittag_leffler(alpha, z) == 1.0
 
 
 @pytest.mark.parametrize("z", [-2.0, 2.0])

@@ -10,10 +10,15 @@ from stochvolterra import (
     ConstantDiffusion,
     CovOperator,
     DimensionMismatch,
+    ExponentialKernel,
     NoiseSpec,
+    NumericalFailure,
     RuleDiffusion,
+    ScalarTypeKernel,
     StepDiffusion,
     TimeGrid,
+    compute_resolvent,
+    covariance_monte_carlo,
     hs_norm,
     sample_wiener,
     sample_wiener_batch,
@@ -199,6 +204,27 @@ def test_nonfinite_increments_are_refused(bad):
     dW[1, 7] = bad
     with pytest.raises(ValueError, match="increments must be finite"):
         noise.WienerIncrements(grid=grid, dW=dW, spec=spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, grid: noise.sample_wiener_batch(spec, grid, [0, 1]),
+        lambda spec, grid: noise.sample_wiener_batch(spec, grid, [0, 1], threads=2),
+        lambda spec, grid: sample_wiener(spec, grid),
+        lambda spec, grid: covariance_monte_carlo(
+            compute_resolvent(ScalarTypeKernel(ExponentialKernel(), [[-1.0]]), grid),
+            [[1.0]], spec.cov, spec, 100, grid.N,
+        ),
+    ],
+    ids=["batch", "batch-2-threads", "single-path", "covariance-monte-carlo"],
+)
+def test_an_overflowing_noise_scale_is_refused_naming_the_mode(call):
+    # sqrt(h q_0) with h = 2.5e9 and q_0 = 1e308: h q_0 is past the float range
+    spec, grid = spec_with([1e308], seed=0), TimeGrid(1e10, 4)
+    with pytest.raises(NumericalFailure, match=r"overflows at mode 0: h=2.5e\+09, q_k=1e\+308"):
+        call(spec, grid)
 
 
 # --- integrands -----------------------------------------------------------------
