@@ -23,6 +23,7 @@ from stochvolterra import (
     CovOperator,
     ExponentialKernel,
     ItoTestFunction,
+    LinearKernel,
     NoiseSpec,
     NonscalarKernel,
     ScalarTypeKernel,
@@ -43,7 +44,7 @@ psi = ConstantDiffusion(np.array([[1.0, 0.0], [0.3, 0.7]]))
 
 R = np.array([[0.0, 1.0], [-1.0, 0.0]])
 M = np.array([[-1.0, 0.0], [0.5, -2.0]])
-kern = NonscalarKernel(lambda t: R + t * M)
+kern = NonscalarKernel([ScalarTypeKernel(ConstantKernel(), R), ScalarTypeKernel(LinearKernel(), M)])
 inc = sample_wiener(spec, grid, path_id=0)
 
 print("convolution identity, noncommuting nonscalar kernel A(t) = R + tM:")

@@ -7,9 +7,9 @@ resolvent equation
 
 together with its running integral U(t_n).  Tables are built by marching a
 discrete convolution; the kernel enters through one weight matrix per grid
-cell, which is exact for scalar-type kernels (cell moments of a times the
-operator) and Gauss-quadrature-exact for smooth nonscalar kernels (one `value`
-call on all 6N Gauss nodes: kernels answer for arrays of times, t.shape + (d, d)).
+cell, which is exact: cell moments of a times the operator for a scalar-type
+kernel, and the sum of its terms' weights for a nonscalar kernel.  Kernels answer
+for arrays of times, t.shape + (d, d).
 
 Schemes
 -------
@@ -45,7 +45,7 @@ channel values, exact singular values (one batched call per stack) on d x d stac
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class OperatorKernel(ABC):
 
     @abstractmethod
     def cell_weights(self, grid):
-        """(N, d, d) stack of exact (or quadrature-exact) cell integrals of A."""
+        """(N, d, d) stack of exact cell integrals of A."""
 
     @abstractmethod
     def value(self, t):
@@ -136,72 +136,42 @@ class ScalarTypeKernel(OperatorKernel):
 
 
 class NonscalarKernel(OperatorKernel):
-    """A general matrix-valued kernel given by an evaluation rule.
+    """A(t) = sum_j a_j(t) A_j, a nonempty sum of operator kernels of one dimension: in
+    practice `ScalarTypeKernel`s on non-commuting A_j (Pruss 1993), so the weights are exact.
+    Each method adds the terms' answers left to right from the first, so one term gives its
+    bytes; it is W11 when every term is, and a term without a derivative or a value at zero
+    raises its SmoothnessError.  A continuous matrix kernel enters entrywise, as terms
+    `ScalarTypeKernel(TabulatedKernel(...), E_ij)` on the matrix units E_ij."""
 
-    The rule must be evaluable on the whole horizon (weakly singular kernels
-    belong in :class:`ScalarTypeKernel`, where exact moments absorb the
-    singularity).  Supplying a derivative rule together with the value at
-    zero upgrades the smoothness class; :meth:`w11_residual` measures their
-    mutual consistency.
-    """
-
-    def __init__(self, A_of_t, A_dot=None, A_at_zero=None):
-        self.A_of_t = A_of_t
-        self.A_dot = A_dot
-        self._A0 = _square(A_of_t(0.0) if A_at_zero is None else A_at_zero, "A(0)")
-        self._explicit_zero = A_at_zero is not None
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        if not self.terms:
+            raise ValueError("a nonscalar kernel needs at least one term")
+        if dims := [term.dim for term in self.terms if term.dim != self.dim]:
+            raise DimensionMismatch("kernel term vs first term", dims[0], self.dim)
 
     @property
     def dim(self):
-        return self._A0.shape[0]
+        return self.terms[0].dim
 
-    def _at(self, rule, t):
-        """The user rule at each time of t, one call a time: a t.shape + (d, d) array."""
-        t, shape = np.asarray(t, dtype=float), self._A0.shape
-        values = [np.asarray(rule(s), dtype=float) for s in t.flat]
-        if any(v.shape != shape for v in values):
-            raise DimensionMismatch("kernel values vs A(0)", {v.shape for v in values}, shape)
-        return np.array(values).reshape(t.shape + shape)
+    def _fold(self, method, *args):
+        return reduce(np.add, (getattr(term, method)(*args) for term in self.terms))
 
     def cell_weights(self, grid):
-        return _gauss_cells(self.value, grid)
+        return self._fold("cell_weights", grid)
 
     def value(self, t):
-        return self._at(self.A_of_t, t)
+        return self._fold("value", t)
 
     @property
     def smoothness(self):
-        return "W11" if (self.A_dot is not None and self._explicit_zero) else "L1loc"
+        return "W11" if all(term.smoothness == "W11" for term in self.terms) else "L1loc"
 
     def derivative(self, t):
-        if self.A_dot is None:
-            raise SmoothnessError("no derivative rule was supplied")
-        return self._at(self.A_dot, t)
+        return self._fold("derivative", t)
 
     def value_at_zero(self):
-        return self._A0
-
-    def w11_residual(self, T):
-        """max_t |A(t) - A(0) - integral of the derivative| over 64 checkpoints in (0, T]."""
-        grid = TimeGrid(float(T), 64)
-        dot_cells = _gauss_cells(self.derivative, grid)  # SmoothnessError without A_dot
-        values = self.value(grid.nodes()[1:])
-        return float(np.max(np.abs(values - self._A0 - np.cumsum(dot_cells, axis=0))))
-
-
-def _gauss_cells(f, grid):
-    """(N, d, d) 6-point Gauss cell integrals of f, one call on all 6N times; terms in order."""
-    nodes, weights = _gauss_rule()
-    half = 0.5 * grid.h
-    t = ((np.arange(grid.N) + 0.5) * grid.h)[:, None] + half * nodes
-    return sum(np.moveaxis((half * weights)[:, None, None] * f(t), 1, 0))
-
-
-@cache
-def _gauss_rule():
-    """6-point Gauss-Legendre nodes and weights on [-1, 1], built on first use: importing
-    `numpy.polynomial` costs about 5 ms that only nonscalar kernels need."""
-    return np.polynomial.legendre.leggauss(6)
+        return self._fold("value_at_zero")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +248,9 @@ def compute_resolvent(kernel, grid, scheme="product"):
     rotated back as V diag(s_n) V', its U as V diag(u_n) V' with u the channels'
     trapezoid sums, and the table keeps lam, V and s.  Any other kernel goes through
     `grids.march`.  A scalar-type kernel raises NumericalFailure for a real eigenvalue of A
-    with a nonpositive step (`grids._check_steps`); nonscalar kernels are not checked.  With
-    the zero kernel the table is identically the identity under either scheme.
+    with a nonpositive step (`grids._check_steps`); a `NonscalarKernel` sum is unguarded,
+    even when each of its terms would pass.  With the zero kernel the table is identically
+    the identity under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .convolution import _convolve_paths, _path_blocks
+from .convolution import _check_finite, _convolve_paths, _path_blocks
 from .errors import NumericalFailure
 from .grids import _TILE, _check_steps, _toeplitz_strip, march, march_channels
 from .kernels import check_complete_positivity
@@ -194,13 +194,16 @@ def yosida_convergence_study(
         ops = np.vstack([mu, mu / (1.0 - family.lambdas[:, None] * mu)])
         tables = march_channels(w, -ops.ravel(), scheme).reshape((grid.N + 1,) + ops.shape)
         route = partial(_channel_route, tables, ops, V)
-    with _path_blocks(spec, grid, n_paths, threads) as blocks:
-        sums = route(psi.values_on_grid(grid), blocks)  # psi evaluated once per stream
+    with np.errstate(over="ignore", invalid="ignore"):  # nonfinite gaps raise below
+        with _path_blocks(spec, grid, n_paths, threads) as blocks:
+            sums = route(psi.values_on_grid(grid), blocks)  # psi evaluated once per stream
+        e_S = np.max(_table_norm(tables[:, 1:] - tables[:, :1], eig is not None), axis=0)
+    _check_finite("Yosida study gaps", sums, e_S)
     fits = [_bound_fit(grid.nodes(), eta) for eta in _table_norm(tables, eig is not None).T]
     e_W, e_AW = np.max(sums / n_paths, axis=2)
     return YosidaStudy(
         lambdas=family.lambdas,
-        e_S=np.max(_table_norm(tables[:, 1:] - tables[:, :1], eig is not None), axis=0),
+        e_S=e_S,
         e_W=e_W,
         e_AW=e_AW,
         bound_M=max(f.M for f in fits),

@@ -180,7 +180,9 @@ def test_criterion_06_convolution_identity():
 
         R = np.array([[0.0, 1.0], [-1.0, 0.0]])
         M = np.array([[-1.0, 0.0], [0.5, -2.0]])
-        kern = NonscalarKernel(lambda t: R + t * M)
+        kern = NonscalarKernel(
+            [ScalarTypeKernel(ConstantKernel(), R), ScalarTypeKernel(LinearKernel(), M)]
+        )
         table2 = compute_resolvent(kern, grid, scheme="conv")
         psi2 = ConstantDiffusion(np.array([[1.0, 0.0], [0.3, 0.7]]))
         spec2 = NoiseSpec(cov=CovOperator(np.ones(2)), truncation=2, seed=707)

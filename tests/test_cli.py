@@ -856,6 +856,15 @@ def test_covariance_past_the_float_range_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical: covariance quadrature contains")
 
 
+@pytest.mark.filterwarnings("error")
+def test_yosida_gaps_past_the_float_range_exit_4(tmp_path, capsys):
+    # psi = 1e200: e_W and e_AW were written as nan with exit 0
+    code, out = run(tmp_path, edited(SMALL["yosida"], "psi", "matrices", [[[1e200]]] * 2))
+    assert code == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: numerical: Yosida study gaps contains nonfinite values\n"
+
+
 def test_verify_ito_experiment(tmp_path):
     config = {
         "experiment": "verify_ito",

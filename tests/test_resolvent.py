@@ -70,14 +70,23 @@ def test_decoupled_diagonal_channels():
 
 
 def test_nonscalar_matches_scalar_type_representation():
-    # same kernel through both code paths: tables agree to machine level
+    # a (A1 + A2) as the sum of a A1 and a A2: the kernels' answers agree to roundoff and
+    # the tables to machine level
     rng = np.random.default_rng(11)
-    A0 = rng.standard_normal((2, 2))
-    grid = TimeGrid(1.0, 256)
-    scalar = compute_resolvent(ScalarTypeKernel(ExponentialKernel(), A0), grid)
-    nonscalar = compute_resolvent(
-        NonscalarKernel(lambda t: np.exp(-t) * A0), grid
-    )
+    A1, A2 = rng.standard_normal((2, 2, 2))
+    a, grid = ExponentialKernel(2.0, 0.5), TimeGrid(1.0, 256)
+    whole = ScalarTypeKernel(a, A1 + A2)
+    kern = NonscalarKernel([ScalarTypeKernel(a, A1), ScalarTypeKernel(a, A2)])
+    t = grid.nodes()
+    pairs = [
+        (kern.cell_weights(grid), whole.cell_weights(grid)),
+        (kern.value(t), whole.value(t)),
+        (kern.derivative(t), whole.derivative(t)),
+        (kern.value_at_zero(), whole.value_at_zero()),
+    ]
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4e-16 * np.max(np.abs(want)))
+    scalar, nonscalar = compute_resolvent(whole, grid), compute_resolvent(kern, grid)
     assert np.max(np.abs(scalar.S - nonscalar.S)) < 1e-12
 
 
@@ -281,15 +290,16 @@ def test_fractional_table_residuals():
     ids=lambda a: a.label(),
 )
 def test_kernel_values_match_per_node_values(a):
-    # the vectorised stack against one value() call per node, for scalar-type and
-    # nonscalar kernels of the same A(t)
+    # the vectorised stack against one value() call per node, for scalar-type kernels
+    # and their one-term sums, which give the term's bytes either way
     A = np.array([[-1.0, 0.4], [0.2, -3.0]])
     t = TimeGrid(1.3, 50).nodes()[1:]
     kern = ScalarTypeKernel(a, A)
     per_node = np.array([kern.value(s) for s in t])
     np.testing.assert_allclose(kern.value(t), per_node, rtol=4e-16, atol=0.0)
-    nonscalar = NonscalarKernel(lambda s: a(s) * A, A_at_zero=A)
-    np.testing.assert_array_equal(nonscalar.value(t), per_node)
+    nonscalar = NonscalarKernel([kern])
+    np.testing.assert_array_equal(nonscalar.value(t), kern.value(t))
+    np.testing.assert_array_equal([nonscalar.value(s) for s in t], per_node)
 
 
 def test_kernels_answer_for_arrays_of_times():
@@ -300,7 +310,12 @@ def test_kernels_answer_for_arrays_of_times():
     t = TimeGrid(2.0, 12).nodes()[1:].reshape(3, 4)
     kernels = [
         ScalarTypeKernel(ExponentialKernel(2.0, 0.5), A),
-        NonscalarKernel(lambda s: A + np.sin(s) * M, lambda s: np.cos(s) * M, A),
+        NonscalarKernel(
+            [
+                ScalarTypeKernel(ConstantKernel(), A),
+                ScalarTypeKernel(ExponentialKernel(1.0, 3.0), M),
+            ]
+        ),
     ]
     for kern in kernels:
         for f in (kern.value, kern.derivative):
@@ -310,41 +325,73 @@ def test_kernels_answer_for_arrays_of_times():
             np.testing.assert_array_equal(stack, [[f(s) for s in row] for row in t])
 
 
-@pytest.mark.parametrize("bad", [np.ones(4), np.ones((1, 4)), np.ones((1, 1))])
-def test_nonscalar_rule_values_must_have_the_shape_of_a_at_zero(bad):
-    # a flat or 1x1 value would otherwise be reshaped or broadcast into a matrix
-    kern = NonscalarKernel(lambda t: -np.eye(2) if t == 0.0 else bad)
-    with pytest.raises(DimensionMismatch):
-        kern.cell_weights(TimeGrid(1.0, 4))
-    with pytest.raises(DimensionMismatch):
-        kern.value(np.array([0.5, 1.0]))
-    assert kern.value(np.empty((0, 3))).shape == (0, 3, 2, 2)
+def noncommuting_sum():
+    """e^-t A0 + t M + e^-3t M2 on three mutually non-commuting matrices."""
+    A0 = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    M = np.array([[0.5, -0.2], [0.7, 0.1]])
+    M2 = np.array([[0.0, -0.3], [0.4, 0.1]])
+    for X, Y in ((A0, M), (A0, M2), (M, M2)):
+        assert np.max(np.abs(X @ Y - Y @ X)) > 0.1
+    a = (ExponentialKernel(), LinearKernel(), ExponentialKernel(1.0, 3.0))
+    return NonscalarKernel([ScalarTypeKernel(*term) for term in zip(a, (A0, M, M2))])
 
 
 def test_nonscalar_cell_weights_are_the_gauss_sums_cell_by_cell():
-    A0 = np.array([[-1.0, 0.3], [0.0, -2.0]])
-    kern = NonscalarKernel(lambda s: A0 * np.exp(-s) + s * s * np.eye(2))
+    # the exact weights against 6-point Gauss sums of the values, cell by cell: the rule
+    # integrates t exactly and e^-t, e^-3t on these cells to about 1e-18 relative
+    kern = noncommuting_sum()
     grid = TimeGrid(1.5, 7)
     nodes, weights = np.polynomial.legendre.leggauss(6)
     half = 0.5 * grid.h
     expected = np.zeros((grid.N, 2, 2))
     for j in range(grid.N):
         for x, wt in zip(nodes, weights):
-            expected[j] += (half * wt) * kern.A_of_t((j + 0.5) * grid.h + half * x)
-    np.testing.assert_array_equal(kern.cell_weights(grid), expected)
+            expected[j] += (half * wt) * kern.value((j + 0.5) * grid.h + half * x)
+    W = kern.cell_weights(grid)
+    assert W.shape == (grid.N, 2, 2)
+    assert np.max(np.abs(W - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
-def test_w11_residual_evaluates_the_derivative_inside_the_cells_only():
-    # the derivative rule is never called at t = 0, where this one is undefined
-    M = np.array([[-1.0, 0.0], [0.5, -2.0]])
+def test_one_term_sum_gives_the_bytes_of_its_term():
+    A = np.array([[-1.0, 0.4], [0.2, -3.0]])  # not symmetric: both take grids.march
+    term = ScalarTypeKernel(ExponentialKernel(2.0, 0.5), A)
+    kern = NonscalarKernel([term])
+    grid = TimeGrid(1.0, 64)
+    t = grid.nodes().reshape(5, 13)
+    assert kern.dim == 2 and kern.smoothness == "W11"
+    for f, g in ((kern.value, term.value), (kern.derivative, term.derivative)):
+        assert f(t).tobytes() == g(t).tobytes()
+    assert kern.value_at_zero().tobytes() == term.value_at_zero().tobytes()
+    assert kern.cell_weights(grid).tobytes() == term.cell_weights(grid).tobytes()
+    for scheme in ("product", "conv"):
+        tables = [compute_resolvent(k, grid, scheme) for k in (kern, term)]
+        for name in ("S", "U", "cell_weights"):
+            assert getattr(tables[0], name).tobytes() == getattr(tables[1], name).tobytes()
 
-    def rule(t):
-        if t <= 0.0:
-            raise ZeroDivisionError("derivative undefined at 0")
-        return 1.5 * np.sqrt(t) * M
 
-    kern = NonscalarKernel(lambda t: t**1.5 * M, A_dot=rule, A_at_zero=np.zeros((2, 2)))
-    assert kern.w11_residual(1.0) < 1e-4
+def test_nonscalar_kernel_needs_terms_of_one_dimension():
+    with pytest.raises(ValueError, match="at least one term"):
+        NonscalarKernel([])
+    two = ScalarTypeKernel(ConstantKernel(), -np.eye(2))
+    one = ScalarTypeKernel(LinearKernel(), [[1.0]])
+    with pytest.raises(DimensionMismatch, match="kernel term vs first term: 1 vs 2"):
+        NonscalarKernel([two, one])
+
+
+def test_a_fractional_term_makes_the_sum_l1loc():
+    # the term's own SmoothnessError: singular at zero and without a derivative
+    M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    singular = ScalarTypeKernel(FractionalKernel(0.5), M)
+    kern = NonscalarKernel([ScalarTypeKernel(ExponentialKernel(), -np.eye(2)), singular])
+    assert kern.smoothness == "L1loc"
+    with pytest.raises(SmoothnessError, match="singular at t = 0"):
+        kern.value_at_zero()
+    with pytest.raises(SmoothnessError):
+        kern.derivative(0.5)
+    # the exact moments absorb the singularity: the weights are finite and the table marches
+    table = compute_resolvent(kern, TimeGrid(1.0, 64))
+    assert np.all(np.isfinite(table.cell_weights))
+    assert resolvent_residuals(table).res_second < 1e-14
 
 
 @pytest.mark.parametrize("make", [ou_kernel, diag5_kernel])
@@ -540,7 +587,7 @@ def test_march_tables_carry_no_channels():
     kernels = [
         ScalarTypeKernel(ExponentialKernel(), [[-1.0, 0.4], [0.0, -2.0]]),
         ScalarTypeKernel(ExponentialKernel(), A_off),
-        NonscalarKernel(lambda t: np.exp(-t) * A),
+        NonscalarKernel([ScalarTypeKernel(ExponentialKernel(), A)]),
     ]
     for kernel in kernels:
         table = compute_resolvent(kernel, grid)
@@ -631,16 +678,24 @@ def test_scalar_type_smoothness_flags():
 
 
 def test_nonscalar_w11_consistency():
+    # A0 + t M: the value at zero and the derivative integrate back to the values
     A0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     M = np.array([[-1.0, 0.0], [0.5, -2.0]])
-    kern = NonscalarKernel(
-        lambda t: A0 + t * M, A_dot=lambda t: M, A_at_zero=A0
-    )
+    constant = ScalarTypeKernel(ConstantKernel(), A0)
+    kern = NonscalarKernel([constant, ScalarTypeKernel(LinearKernel(), M)])
     assert kern.smoothness == "W11"
-    assert kern.w11_residual(1.0) < 1e-12
-    assert NonscalarKernel(lambda t: A0 + t * M).smoothness == "L1loc"
+    t = TimeGrid(1.0, 64).nodes()[1:]
+    np.testing.assert_array_equal(kern.value_at_zero(), A0)
+    np.testing.assert_array_equal(kern.derivative(t), np.broadcast_to(M, (64, 2, 2)))
+    gap = kern.value(t) - kern.value_at_zero() - np.multiply.outer(t, M)
+    assert np.max(np.abs(gap)) < 1e-12
+    # a tabulated term is regular at zero but has no derivative
+    tabulated = ScalarTypeKernel(TabulatedKernel([0.0, 1.0], [1.0, 0.5]), M)
+    kern = NonscalarKernel([constant, tabulated])
+    assert kern.smoothness == "L1loc"
+    np.testing.assert_array_equal(kern.value_at_zero(), A0 + M)
     with pytest.raises(SmoothnessError):
-        NonscalarKernel(lambda t: A0).derivative(0.5)
+        kern.derivative(0.5)
 
 
 # --- operator norm ----------------------------------------------------------------

@@ -18,7 +18,6 @@ from stochvolterra import (
     ItoTestFunction,
     MildSolutionPath,
     NoiseSpec,
-    NonscalarKernel,
     ResolventTable,
     ScalarResolventPath,
     ScalarTypeKernel,
@@ -74,16 +73,6 @@ CASES = [
     ),
     ("StepDiffusion.values", [[1.0, 2.0]], lambda a: StepDiffusion([0.0], [a]).values[0]),
     ("ConstantDiffusion.B", [[1.0, 2.0]], lambda a: ConstantDiffusion(a).B),
-    (
-        "NonscalarKernel.value_at_zero",
-        -np.eye(2),
-        lambda a: NonscalarKernel(lambda t: a).value_at_zero(),
-    ),
-    (
-        "NonscalarKernel.value_at_zero(A_at_zero)",
-        -np.eye(2),
-        lambda a: NonscalarKernel(lambda t: -np.eye(2), A_at_zero=a).value_at_zero(),
-    ),
     ("ResolventTable.S", TABLE.S, _table("S")),
     ("ResolventTable.U", TABLE.U, _table("U")),
     ("ResolventTable.cell_weights", TABLE.cell_weights, _table("cell_weights")),

@@ -392,6 +392,19 @@ def test_nonsymmetric_operator_with_a_nonpositive_step_is_refused(scheme):
         )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A", [[[-1.0]], [[-1.0, 0.3], [0.0, -2.0]]], ids=["channels", "matrix"])
+def test_gaps_past_the_float_range_are_refused_on_both_routes(A):
+    # psi = 1e200: the paths' squared gaps pass the float range; e_W was nan on the
+    # channel route and inf on the matrix route, after RuntimeWarnings
+    d = len(A)
+    psi = ConstantDiffusion(1e200 * np.eye(d))
+    spec = NoiseSpec(cov=CovOperator(np.ones(d)), truncation=d, seed=3)
+    args = (ExponentialKernel(), A, psi, spec, [0.1, 0.05], TimeGrid(1.0, 16), 20)
+    with pytest.raises(NumericalFailure, match="Yosida study gaps contains nonfinite values"):
+        yosida_convergence_study(*args)
+
+
 def test_channel_route_threads_do_not_change_results(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # four workers on any machine
     psi = ConstantDiffusion(np.eye(5))
