@@ -4,9 +4,9 @@ One experiment per invocation: a JSON configuration file is validated
 strictly (unknown keys anywhere are errors), dispatched to the library, and
 the results are written as CSV files plus a manifest echoing the fully
 resolved configuration and the package version.  Runners return numbers; one
-writer streams them row by row, every cell to 17 significant digits, so
-identical configurations produce byte-identical CSV output, independent of
-the thread count.
+writer streams them a row or a chunk of rows at a time, every cell to 17
+significant digits, so identical configurations produce byte-identical CSV
+output, independent of the thread count.
 
 Validation is the only parsing pass: it builds each section once into the
 object the runner takes and checks sizes across sections, so every
@@ -433,13 +433,18 @@ def _check_out_dir(out_dir):
         raise NotADirectoryError(f"output location {place} is not a directory")
 
 
+_CSV_CELLS = 1 << 16  # varying cells of an array formatted by one `%` call and one write
+
+
 def _write_csv(path, header, rows):
     """Write the header line, then one line per row, each number to 17
     significant digits and None as an empty cell.  A row of numbers takes one
-    "%.17g,..." template, which prints each as format(x, ".17g") does; a row of
-    an array is formatted from Python floats (`tolist`), one row at a time.  In a
-    2-D float64 array of rows, each column whose entries all have row 0's bits
-    (-0.0 is not +0.0) is formatted once, into the template."""
+    "%.17g,..." template, which prints each as format(x, ".17g") does; an iterable
+    of rows is formatted one row at a time.  In a 2-D float64 array of rows, each
+    column whose entries all have row 0's bits (-0.0 is not +0.0) is formatted once,
+    into the template, and the rest go from Python floats (`tolist`) a chunk of rows
+    at a time: the template repeated once per row of the chunk, one `%` call and one
+    write for at most _CSV_CELLS varying cells, so memory stays bounded on any table."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     if isinstance(rows, np.ndarray) and len(rows):
         bits = rows.view(np.uint64)
@@ -449,6 +454,12 @@ def _write_csv(path, header, rows):
         rows = rows[:, ~const]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            step = max(1, _CSV_CELLS // max(1, rows.shape[1]))
+            for p in range(0, len(rows), step):
+                chunk = rows[p : p + step]
+                f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            return
         for row in rows:
             try:
                 f.write(line % tuple(row.tolist() if isinstance(row, np.ndarray) else row))

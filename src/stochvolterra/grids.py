@@ -7,6 +7,9 @@ single path's too, one zero-padded FFT product, O(n log n) a row and column, who
 scales with the norms of its inputs, not with each entry.  `march` solves the discrete
 resolvent equation by recursive halving: `lag_convolve` for the far history, strip
 products in zones of _ZONE nodes and one product with each leaf's precomputed inverse.
+A leaf holds 4 to 16 nodes of d x d blocks and 32 of 1 x 1 blocks (`_leaf_nodes`): on
+scalar channels each leaf's products are small and its Python steps dominate, so fewer,
+larger leaves are faster, up to where the leaf's own products grow (64 nodes was slower).
 """
 
 import math
@@ -125,8 +128,11 @@ def march(W, scheme):
 
 def _leaf_nodes(N, d):
     """Nodes per leaf of a d x d `march` on N cells: about 64 rows of the leaf block, from
-    4 to 16 nodes (16 for channels), so small problems take fewer, larger products."""
-    return min(N, 16, max(4, 64 // d))
+    4 to 16 nodes, and 32 for 1 x 1 blocks (every `march_channels` call), so small problems
+    take fewer, larger products.  Five fractional channels at N = 1024 took 4.3-4.7 ms on
+    16-node leaves, 3.4-3.6 ms on 32 and 3.5-3.7 ms on 64 (medians of 25 calls in three
+    rounds, 2 vCPUs, one OpenBLAS thread)."""
+    return min(N, 32 if d == 1 else 16, max(4, 64 // d))
 
 
 def _toeplitz_strip(K, rows, cols):

@@ -15,7 +15,8 @@ Schemes
 -------
 ``product``
     Exact kernel mass per cell against the endpoint average of the unknown.
-    Empirically second order on smooth kernels; the default.
+    Empirically second order on smooth kernels; the default.  A mode z = w0 lam with
+    Re z < 0 and |z| > 2 rings, and `compute_resolvent` refuses it (`_check_ring`).
 ``conv``
     Left-rectangle convolution quadrature: lag-j weight applied to S(t_{k-j}),
     j < k.  First order, but the stochastic convolution built on such a table
@@ -23,22 +24,24 @@ Schemes
     what the identity verifiers exploit.
 
 Tables are solved by `grids.march`, recursive halving with FFT products for the
-far history and one product with a precomputed inverse per leaf of 4 to 16 nodes
-(`grids._leaf_nodes`): O(N log^2 N) for a d x d table.  `resolvent_residuals` sums
-both equations' histories as one FFT lag sum (`grids.lag_convolve` on batched weights),
-in another order than the solver, so the second residual reads 1e-16 to 1e-14, not
-zero.  On a channel table it checks the channel march by `kernels._channel_defects`, the
-relaxation paths' check; the rotation to S adds roundoff that the residuals do not see.
+far history and one product with a precomputed inverse per leaf of 4 to 16 nodes, 32
+for scalar channels (`grids._leaf_nodes`): O(N log^2 N) for a d x d table.
+`resolvent_residuals` sums both equations' histories as one FFT lag sum
+(`grids.lag_convolve` on batched weights), in another order than the solver, so the
+second residual reads 1e-16 to 1e-14, not zero.  On a channel table it checks the
+channel march by `kernels._channel_defects`, the relaxation paths' check; the rotation
+to S adds roundoff that the residuals do not see.
 
 `compute_resolvent` is the one constructor.  A scalar-type kernel a(t) A with exactly
 symmetric A (`_symmetric_eigh`: `np.array_equal(A, A.T)`, no tolerance) splits along
 A's eigenvectors into d scalar channels on the same cell moments, all marched by one
-`grids.march_channels` call and rotated back in N d^3 multiply-adds (the d x d march
-spends about N 256 d^3 / 2 in its zones); the two tables agree at roundoff.  An A
-symmetric only to roundoff takes the matrix march: pass (A + A') / 2 to take the
-channels.  Any other kernel marches the full d x d table.  A channel table keeps lam,
-V and s: its norms and U-Lipschitz estimate cost O(N d) instead of N SVDs, and its
-residuals d FFT columns an equation instead of d^2, plus an N d^3 rotation of each.
+`grids.march_channels` call and rotated back in N d^3 multiply-adds, one (N+1, d) x
+(d, d^2) product (`_rotate`; the d x d march spends about N 256 d^3 / 2 in its zones);
+the two tables agree at roundoff.  An A symmetric only to roundoff takes the matrix
+march: pass (A + A') / 2 to take the channels.  Any other kernel marches the full d x d
+table.  A channel table keeps lam, V and s: its norms and U-Lipschitz estimate cost
+O(N d) instead of N SVDs, and its residuals d FFT columns an equation instead of d^2,
+plus an N d^3 rotation of each.
 One rule, `_table_norm`, gives the operator 2-norm of a table's entries: max_k |s_k| on
 channel values, exact singular values (one batched call per stack) on d x d stacks.
 """
@@ -240,17 +243,25 @@ def _symmetric_eigh(A):
     return np.linalg.eigh(A) if np.array_equal(A, A.T) else None
 
 
+def _rotate(V, x):
+    """V diag(x[n]) V' for each row n of the (n, d) channel values x, as one (n, d) x (d, d^2)
+    product with the outer products of V's columns: row k holds V[i, k] V[j, k] at i d + j."""
+    d = V.shape[0]
+    return (x @ (V.T[:, :, None] * V.T[:, None, :]).reshape(d, d * d)).reshape(-1, d, d)
+
+
 def compute_resolvent(kernel, grid, scheme="product"):
     """Build the resolvent table of the kernel on the grid.
 
     A scalar-type kernel with exactly symmetric A = V diag(lam) V' is marched in its
     eigenchannels (`march_channels` with mu = -lam on the cell moments of a) and
-    rotated back as V diag(s_n) V', its U as V diag(u_n) V' with u the channels'
-    trapezoid sums, and the table keeps lam, V and s.  Any other kernel goes through
-    `grids.march`.  A scalar-type kernel raises NumericalFailure for a real eigenvalue of A
-    with a nonpositive step (`grids._check_steps`); a `NonscalarKernel` sum is unguarded,
-    even when each of its terms would pass.  With the zero kernel the table is identically
-    the identity under either scheme.
+    rotated back as V diag(s_n) V' (`_rotate`), its U as V diag(u_n) V' with u the
+    channels' trapezoid sums, and the table keeps lam, V and s.  Any other kernel goes
+    through `grids.march`.  A scalar-type kernel raises NumericalFailure for a real
+    eigenvalue of A with a nonpositive step (`grids._check_steps`), and every kernel under
+    `product` for a mode that rings (`_check_ring` on z = w0 lam, or on the eigenvalues of
+    a sum's first cell weight).  With the zero kernel the table is identically the identity
+    under either scheme.
     """
     if grid.N < MIN_RESOLVENT_CELLS:
         raise ValueError(f"need at least {MIN_RESOLVENT_CELLS} cells, got {grid.N}")
@@ -258,16 +269,35 @@ def compute_resolvent(kernel, grid, scheme="product"):
     eig = _symmetric_eigh(kernel.A) if isinstance(kernel, ScalarTypeKernel) else None
     if eig is None:
         if isinstance(kernel, ScalarTypeKernel):  # march_channels checks the channels' steps
-            _check_steps(kernel.a.cell_moments(grid.h, 1)[0], np.linalg.eigvals(kernel.A), scheme)
+            w0, lam = kernel.a.cell_moments(grid.h, 1)[0], np.linalg.eigvals(kernel.A)
+            _check_steps(w0, lam, scheme)
+            _check_ring(w0 * lam, scheme)
+        elif np.all(np.isfinite(W[0])):  # an overflowed weight is the march's to refuse
+            _check_ring(np.linalg.eigvals(W[0]), scheme)
         S = march(W, scheme)
         U, channels = trapezoid(S, grid.h), ()
     else:
         lam, V = eig
-        s = march_channels(kernel.a.cell_moments(grid.h, grid.N), -lam, scheme)
-        S, U = ((V * x[:, None, :]) @ V.T for x in (s, trapezoid(s, grid.h)))
+        w = kernel.a.cell_moments(grid.h, grid.N)
+        _check_ring(w[0] * lam, scheme)
+        s = march_channels(w, -lam, scheme)
+        S, U = (_rotate(V, x) for x in (s, trapezoid(s, grid.h)))
         S[0], U[0] = np.eye(kernel.dim), 0.0  # V V' is I, and V 0 V' is 0, only to roundoff
         channels = (lam, V, s)
     return ResolventTable(grid, S, U, kernel, scheme, W, *channels)
+
+
+def _check_ring(z, scheme):
+    """Raise NumericalFailure under `product` for a mode z = w0 lam (w0 the first cell weight,
+    lam an eigenvalue of the operator; z a 1-D array) with Re z < 0 and |z| > 2: its first
+    step (1 + z/2) / (1 - z/2) has a negative real part, so the table rings where the
+    solution decays.  `conv` takes every Re z < 0 without ringing."""
+    size = np.abs(z[z.real < 0.0])
+    if scheme == "product" and np.any(size > 2.0):
+        raise NumericalFailure(
+            f"the product scheme rings on a mode z = w0 lam with |z| = {size.max():.4g} > 2 and"
+            " Re z < 0; refine the grid or use scheme 'conv'"
+        )
 
 
 @dataclass(frozen=True)
@@ -305,7 +335,7 @@ def resolvent_residuals(table):
         s, lam, a = table.s, table.lam, table.kernel.a
         w, cells = a.cell_moments(grid.h, N), cell_values(s, table.scheme)
         eqs = ((w, cells, -lam), (a(nodes), s[:N], -grid.h * lam))
-        res = ((table.V * _channel_defects(s, *eq)[:, None, :]) @ table.V.T for eq in eqs)
+        res = (_rotate(table.V, _channel_defects(s, *eq)) for eq in eqs)
     res2, res1 = (float(np.max(np.abs(r))) for r in res)
     return ResolventResiduals(res_first=res1, res_second=res2)
 

@@ -631,6 +631,27 @@ def test_cp_check_refuses_a_ringing_first_step(tmp_path, capsys, kernel, mu, N):
     assert err.startswith(f"error: numerical: product's first step -0.") and f"mu={mu:g}" in err
 
 
+@pytest.mark.parametrize(
+    "operator", [[[-1e4, 1e4], [-1e4, -1e4]], np.diag([-1.0, -30.0, -100.0])],
+    ids=["complex-pair", "diagonal"],
+)
+def test_resolvent_refuses_a_ringing_product_table(tmp_path, capsys, operator):
+    # on 256 cells |z| = w0 |lam| is 997 for the complex pair and 7.05 for mu = 100: the
+    # product table would alternate in sign; conv takes the same config
+    config = {
+        "experiment": "resolvent",
+        "kernel": {"variant": "fractional", "alpha": 0.5},
+        "operator": {"matrix": np.asarray(operator).tolist()},
+        "grid": {"T": 1.0, "N": 256},
+    }
+    code, out = run(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 4 and not out.exists()
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: numerical: the product scheme rings") and "'conv'" in err
+    assert run(tmp_path, dict(config, scheme="conv"))[0] == 0
+
+
 @pytest.mark.filterwarnings("ignore:A is not dissipative")
 @pytest.mark.parametrize("experiment", ["resolvent", "yosida"])
 def test_alternating_channel_of_a_nonsymmetric_operator_exits_4(tmp_path, capsys, experiment):
@@ -766,6 +787,45 @@ def test_array_rows_print_what_format_prints(tmp_path_factory, rows):
     header = [f"c{i}" for i in range(rows.shape[1])]
     cli._write_csv(path, header, rows)
     assert path.read_text() == reference_csv(header, rows)
+
+
+def per_row_csv(header, rows):
+    """The CSV text of an array of rows, each row through one "%.17g,..." template."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
+
+
+def chunk_rows(varying):
+    """Rows of the array body's chunks for an array with that many varying columns."""
+    return cli._CSV_CELLS // max(1, varying)
+
+
+def signed_table(n):
+    """n rows: a varying column, +0.0 and -0.0 alternating, a constant column, nan and
+    +-inf in turn, and a constant -0.0 column."""
+    i = np.arange(n, dtype=float)
+    special = np.array([math.nan, math.inf, -math.inf, 1.0 / 3.0])[np.arange(n) % 4]
+    zeros = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+    return np.column_stack([i / 7.0, zeros, np.full(n, 2.5), special, np.full(n, -0.0)])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        signed_table(0),
+        signed_table(1),
+        signed_table(5),
+        np.full((4, 3), math.nan),  # every column constant: the template alone
+        signed_table(3 * chunk_rows(3) + 11),  # 3 varying columns: 3 full chunks, a ragged 4th
+        np.random.default_rng(1).standard_normal((chunk_rows(40) * 2 + 1, 40)),
+    ],
+    ids=["0-rows", "1-row", "5-rows", "all-constant", "ragged-chunks", "wide"],
+)
+def test_chunked_array_rows_have_the_per_row_templates_bytes(tmp_path, rows):
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, header, rows)
+    assert path.read_bytes() == per_row_csv(header, rows).encode()
 
 
 def test_resolvent_rows_print_what_format_prints(tmp_path):

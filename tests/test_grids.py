@@ -290,6 +290,24 @@ def test_march_matches_einsum_march_at_leaf_and_zone_edges(scheme, N):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+L1 = grids._leaf_nodes(1 << 20, 1)  # a 1 x 1 march's leaf: 32 nodes
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("N", [L1, L1 + 1, 2 * L1 + 1])
+def test_scalar_march_matches_the_per_step_marchers_at_leaf_edges(scheme, N):
+    # one full leaf, a leaf and one node, two leaves and one node
+    rng = np.random.default_rng(N)
+    W = rng.normal(size=(N, 1, 1)) * (2.0 / N)
+    expected = einsum_march(W, scheme)
+    assert np.max(np.abs(march(W, scheme) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    w, mus = rng.uniform(0.0, 1.0 / N, size=N), np.array([-1.5, 0.0, 3.0, 10.0])
+    got = march_channels(w, mus, scheme)
+    for c, mu in enumerate(mus):
+        expected = dot_march_scalar(w, mu, scheme)
+        assert np.max(np.abs(got[:, c] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_march_substitutes_on_an_ill_conditioned_leaf_block():
     # S grows 1e10-fold in three steps; a product with this leaf block's inverse was
     # 2e-11 max|S| off, so the march takes the block a node at a time
@@ -385,7 +403,8 @@ def test_march_channels_match_single_channels_bit_for_bit_past_a_zone(scheme):
 @pytest.mark.parametrize("N", [512, 2048])
 def test_overflow_names_the_oracles_first_node_past_the_limit(scheme, N):
     # s' = 5 s over t = 50 passes 1e100 near t = 46; at N = 512 the leaf block of either
-    # scheme is past _LEAF_COND (a node at a time), at N = 2048 both go sixteen nodes per leaf
+    # scheme is past _LEAF_COND (a node at a time), at N = 2048 both go leaf by leaf: 16
+    # nodes for the 2 x 2 march, 32 for the channels (condition numbers up to 300)
     w = np.full(N, 5.0 * 50.0 / N)
     W = w[:, None, None] * np.diag([1.0, -1.0])
     first = int(np.argmax(node_sup(einsum_march(W, scheme)) > OVERFLOW_LIMIT))

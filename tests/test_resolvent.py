@@ -26,6 +26,8 @@ from stochvolterra import (
 )
 from stochvolterra import grids
 from stochvolterra.grids import cell_values, lag_convolve
+from stochvolterra.kernels import _channel_defects
+from stochvolterra.resolvent import _rotate
 
 
 def ou_kernel():
@@ -144,6 +146,51 @@ def test_step_check_solves_complex_eigenvalues_but_does_not_check_them(monkeypat
     rotation = ScalarTypeKernel(ConstantKernel(1.0), [[0.0, 50.0], [-50.0, 0.0]])
     compute_resolvent(rotation, TimeGrid(1.0, 8))
     assert solved == [(2, 2)]
+
+
+def viscoelastic_kernel(scale):
+    """Demo 03's model, shear e^-t + 0.5 e^-4t on G and bulk 2 e^(-t/2) on D, with both
+    operators multiplied by scale: a sum of non-commuting terms."""
+    G = -np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    v = np.array([1.0, 0.5, -0.5])
+    moduli = [(ExponentialKernel(1.0, 1.0), G), (ExponentialKernel(0.5, 4.0), G),
+              (ExponentialKernel(2.0, 0.5), -np.outer(v, v))]
+    return NonscalarKernel([ScalarTypeKernel(a, scale * A) for a, A in moduli])
+
+
+# each case's z = w0 lam past |z| = 2 with Re z < 0: the product table rings (demo 03's model
+# scaled by 100 read -0.559 on the diagonal of S(t_1)); conv takes them without ringing
+RINGING = {  # kernel, cells, |z| as the message prints it
+    "fractional": (ScalarTypeKernel(FractionalKernel(0.5), -np.diag([1.0, 30.0, 100.0])), 256,
+                   "7.052"),
+    "complex-pair": (ScalarTypeKernel(ConstantKernel(1.0), [[-1e4, 1e4], [-1e4, -1e4]]), 64,
+                     "221"),
+    "viscoelastic-x100": (viscoelastic_kernel(100.0), 64, "8.901"),
+}
+
+
+@pytest.mark.parametrize("case", RINGING)
+def test_a_ringing_product_table_is_refused_and_conv_takes_it(case):
+    kernel, N, size = RINGING[case]
+    grid = TimeGrid(1.0, N)
+    with pytest.raises(NumericalFailure, match=rf"\|z\| = {size} > 2 and Re z < 0.*'conv'"):
+        compute_resolvent(kernel, grid)
+    table = compute_resolvent(kernel, grid, scheme="conv")
+    assert np.all(np.diagonal(table.S[1], axis1=-2, axis2=-1) > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the weights overflow, the march meets inf
+def test_a_sum_whose_first_weight_overflows_is_refused_by_the_march():
+    # W[0] holds -inf: no eigenvalues to check, and the march refuses the table as before
+    kernel = NonscalarKernel([ScalarTypeKernel(ConstantKernel(1e300), np.diag([-1e300, -1.0]))])
+    with pytest.raises(NumericalFailure, match="overflow at step 1"):
+        compute_resolvent(kernel, TimeGrid(1.0, 8))
+
+
+def test_the_unscaled_viscoelastic_model_marches_under_product():
+    # |z| <= 0.089 at N = 64: far from ringing
+    table = compute_resolvent(viscoelastic_kernel(1.0), TimeGrid(1.0, 64))
+    assert resolvent_residuals(table).res_second < 1e-14
 
 
 def one_by_one_table(S, U=None):
@@ -549,11 +596,16 @@ def test_channel_residuals_match_the_marched_matrix_table(d, scheme):
     assert max(channel.res_second, marched.res_second) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("scheme", ["product", "conv"])
-def test_channel_residuals_are_the_relaxation_residuals_for_a_diagonal_operator(scheme):
+# product rings past |z| = w0 mu = 2 (w0 = 0.0705 here), which compute_resolvent refuses:
+# mu = 25 gives |z| = 1.76; conv takes mu = 100 (|z| = 7.05) without ringing
+@pytest.mark.parametrize(
+    "scheme, mus", [("product", [1.0, 10.0, 25.0]), ("conv", [1.0, 30.0, 100.0])],
+    ids=["product", "conv"],
+)
+def test_channel_residuals_are_the_relaxation_residuals_for_a_diagonal_operator(scheme, mus):
     # A = -diag(mu): V is a permutation, so each channel is the relaxation path of its mu
     # and the second residual is the largest of the paths' residuals, bit for bit
-    grid, a, mus = TimeGrid(1.0, 256), FractionalKernel(0.5), [1.0, 30.0, 100.0]
+    grid, a = TimeGrid(1.0, 256), FractionalKernel(0.5)
     table = compute_resolvent(ScalarTypeKernel(a, -np.diag(mus)), grid, scheme)
     paths = [solve_scalar_resolvent(a, mu, grid, scheme) for mu in mus]
     assert resolvent_residuals(table).res_second == max(p.residual() for p in paths)
@@ -577,6 +629,38 @@ def test_channel_u_is_the_trapezoid_integral_of_s(scheme):
     assert table.U[0].tobytes() == np.zeros((16, 16)).tobytes()
     table = compute_resolvent(diag5_fractional_kernel(), grid, scheme)
     assert table.U.tobytes() == stacked_trapezoid(table.S, grid.h).tobytes()
+
+
+def batched_rotation(V, x):
+    """V diag(x[n]) V' as one d x d product per row of x."""
+    return (V * x[:, None, :]) @ V.T
+
+
+@pytest.mark.parametrize("d", [5, 16, 32])
+def test_rotation_is_the_batched_product_to_roundoff(d):
+    _, V = np.linalg.eigh(rotated_symmetric(d))
+    x = np.random.default_rng(d).standard_normal((257, d)) * np.logspace(-3, 3, d)
+    got = _rotate(V, x)
+    assert got.shape == (257, d, d)
+    assert np.max(np.abs(got - batched_rotation(V, x))) <= 1e-15 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("scheme", ["product", "conv"])
+@pytest.mark.parametrize("a", [FractionalKernel(0.5), LinearKernel()], ids=["frac", "linear"])
+def test_rotation_has_the_batched_products_bits_on_diag5(a, scheme):
+    # diag5's V is a signed permutation: every entry is one exact product plus exact zeros,
+    # whose signs the CSV prints (0 or -0); LinearKernel's cos channels change sign
+    grid = TimeGrid(1.0, 1024)
+    table = compute_resolvent(ScalarTypeKernel(a, -np.diag(np.arange(1.0, 6.0))), grid, scheme)
+    w = a.cell_moments(grid.h, grid.N)
+    defects = _channel_defects(table.s, w, cell_values(table.s, scheme), -table.lam)
+    for x in (table.s, grids.trapezoid(table.s, grid.h), defects):
+        assert _rotate(table.V, x).tobytes() == batched_rotation(table.V, x).tobytes()
+    expected = batched_rotation(table.V, table.s)
+    expected[0] = np.eye(5)
+    assert table.S.tobytes() == expected.tobytes()
+    if isinstance(a, LinearKernel):
+        assert np.any(table.s < 0.0)
 
 
 def test_march_tables_carry_no_channels():
